@@ -5,8 +5,8 @@ and stiffness (configuration- and task-space) of a tendon-driven continuum
 segment, plus nonlinear solvers replaying the bench experiments: tip-load
 deflection sweeps and the constrained-tip perching benchmark.
 
-The hot numeric kernels live in a compiled extension with a pure-Python
-fallback selected at import; see ccarm.backend_name().
+The hot numeric kernels are plain-Python scalar math in ccarm._kernels;
+ccarm.backend_name() names them.
 """
 
 from ._kernels import backend_name

@@ -1,24 +1,11 @@
-"""Numeric kernel backend selection.
+"""Numeric kernels: the scalar math and the Newton / Gauss-Newton inner loops.
 
-The hot scalar kernels exist twice: a Cython extension (``_fastcore``) built
-at install time and a pure-Python fallback (``_purecore``).  The compiled
-module is preferred when present; set ``CCARM_PURE_PYTHON=1`` to force the
-fallback (the parity tests and the backend benchmark do this).
+Callers reach the kernels as ``core.<name>``.
 """
 
-import os
-
-from . import _purecore
-
-if os.environ.get("CCARM_PURE_PYTHON", "") not in ("", "0"):
-    core = _purecore
-else:
-    try:
-        from . import _fastcore as core
-    except ImportError:
-        core = _purecore
+from . import _purecore as core
 
 
 def backend_name():
-    """Name of the kernel implementation in use: 'compiled' or 'pure-python'."""
-    return "compiled" if core.__name__.endswith("_fastcore") else "pure-python"
+    """Name of the kernel implementation: always 'pure-python'."""
+    return "pure-python"

@@ -1,8 +1,7 @@
-"""Scalar math kernels, pure-Python edition.
+"""Scalar math kernels.
 
-This module mirrors the compiled extension ``_fastcore.pyx`` function for
-function; keep the two in sync.  Everything here is plain ``math`` on floats
-so the hot solver loops carry no array overhead.
+Everything here is plain ``math`` on floats so the hot solver loops carry no
+array overhead.
 
 Angles are radians, lengths meters.  Near the straight configuration the
 singular arc quotients switch to series expansions so every function stays

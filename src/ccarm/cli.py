@@ -174,13 +174,18 @@ def _stiffness_sweep_rows(params, args):
     schedule = mirrored_schedule(args.increment_n, args.steps)
     rows = []
     failures = 0
+    cycles = range(1, args.cycles + 1)
     for theta_deg in configs_deg:
         config = wrap_configuration(math.radians(theta_deg), math.radians(args.delta_deg))
-        for cycle in range(1, args.cycles + 1):
-            records = run_stiffness_sweep(
-                params, [config], schedule, args.direction, args.pretension,
-                strict=False, tol=args.tol, max_iter=args.max_iter,
-                backtrack=args.backtrack)
+        if not cycles:
+            continue
+        # The model is memoryless, so every loading cycle repeats the first:
+        # solve once and emit the records for each cycle.
+        records = run_stiffness_sweep(
+            params, [config], schedule, args.direction, args.pretension,
+            strict=False, tol=args.tol, max_iter=args.max_iter,
+            backtrack=args.backtrack)
+        for cycle in cycles:
             for record in records:
                 status = "ok" if record.converged else "no_converge"
                 failures += status != "ok"
@@ -223,6 +228,11 @@ def _perching_sweep_rows(params, args):
 
 
 def cmd_sweep(params, args):
+    if not args.step_mm > 0:
+        raise ConfigurationError(f"--step-mm must be positive, got {args.step_mm:g}")
+    for flag, value in (("--steps", args.steps), ("--cycles", args.cycles)):
+        if value < 0:
+            raise ConfigurationError(f"{flag} must be non-negative, got {value}")
     if args.experiment == "stiffness":
         header, rows, failures = _stiffness_sweep_rows(params, args)
     else:

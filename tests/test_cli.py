@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from ccarm import cli, dump_parameters, wrap_configuration
+from ccarm import (__version__, backend_name, cli, dump_parameters,
+                   run_stiffness_sweep, wrap_configuration)
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,51 @@ def test_stiffness_sweep_header_only(capsys, tmp_path):
     assert out_file.read_text().count("\n") == 1
 
 
+def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_sweep(*args, **kwargs):
+        calls.append(1)
+        return run_stiffness_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_stiffness_sweep", counting_sweep)
+    out_file = tmp_path / "cycles.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "stiffness",
+                         "--out", str(out_file),
+                         "--configs-deg", "0,30", "--steps", "2", "--cycles", "3")
+    assert code == 0
+    assert len(calls) == 2  # one solve per configuration, not per cycle
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 3 * 4
+    by_cycle = {}
+    for row in rows:
+        by_cycle.setdefault(row[2], []).append(row[:2] + row[3:])
+    assert sorted(by_cycle) == ["1", "2", "3"]
+    assert by_cycle["2"] == by_cycle["1"] and by_cycle["3"] == by_cycle["1"]
+
+    calls.clear()
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "stiffness",
+                         "--out", str(out_file), "--cycles", "0")
+    assert code == 0
+    assert out_file.read_text().count("\n") == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("experiment,flag,value", [
+    ("perching", "--step-mm", "0"),
+    ("perching", "--step-mm", "-0.5"),
+    ("stiffness", "--steps", "-1"),
+    ("stiffness", "--cycles", "-1"),
+])
+def test_sweep_rejects_out_of_range_inputs(capsys, tmp_path, experiment, flag, value):
+    out_file = tmp_path / "rejected.csv"
+    code, _, err = run_cli(capsys, "sweep", "--experiment", experiment,
+                           "--out", str(out_file), flag, value)
+    assert code == cli.EXIT_USAGE
+    assert flag in err
+    assert not out_file.exists()
+
+
 def test_perching_sweep_csv(capsys, tmp_path):
     out_file = tmp_path / "perch.csv"
     code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching",
@@ -228,3 +274,8 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("position_m")
+    assert backend_name() == "pure-python"
+    proc = subprocess.run([sys.executable, "-m", "ccarm", "--version"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"ccarm {__version__} (pure-python kernels)"

@@ -6,6 +6,7 @@ import pytest
 from ccarm import (Configuration, configuration_to_joints, forward_kinematics,
                    jacobian_q_psi, jacobian_set, jacobian_v_psi, jacobian_w_psi,
                    jacobian_w_psi_vectorized, jacobian_x_psi, sample_backbone)
+from ccarm._kernels import core
 from ccarm.sim import finite_difference_oracle
 
 from conftest import random_configs
@@ -30,6 +31,15 @@ def test_straight_configuration_limit(params):
     below = forward_kinematics(params, Configuration(9e-5, 0.7)).position
     above = forward_kinematics(params, Configuration(1.1e-4, 0.7)).position
     assert np.linalg.norm(below - above) < 1e-5
+    # inside the series branch the bend-vector chart agrees with (theta, delta)
+    theta, delta, length = 5e-5, 0.7, params.backbone_length
+    wx, wy = theta * math.cos(delta), theta * math.sin(delta)
+    assert np.allclose(core.bend_position(length, wx, wy),
+                       core.position(length, theta, delta), rtol=1e-14, atol=1e-18)
+    dw_dpsi = np.array([[math.cos(delta), -wy], [math.sin(delta), wx]])
+    jp = np.array(core.bend_position_jacobian(length, wx, wy)).reshape(3, 2)
+    assert np.allclose(jp @ dw_dpsi, np.array(core.jac_v(length, theta, delta)).reshape(3, 2),
+                       rtol=1e-12, atol=1e-18)
 
 
 def test_quarter_circle_pose(params):
@@ -135,6 +145,9 @@ def test_antagonism_exact(params, rng):
         q = configuration_to_joints(params, psi).displacements
         assert q[0] + q[2] == 0.0
         assert q[1] + q[3] == 0.0
+    # the evenly spaced four-tendon ring uses exact quadrant values
+    assert core.tendon_phase_cos_sin(math.pi / 2, 4) \
+        == ((1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0))
 
 
 # ------------------------------------------------------------------ Jacobians
