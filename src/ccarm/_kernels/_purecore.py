@@ -155,13 +155,6 @@ def tendon_phase_cos_sin(beta, count):
     )
 
 
-def tendon_displacements(radius, beta, count, theta, delta):
-    """Tendon pull-in displacements q_i = r * cos(delta + i*beta) * theta."""
-    cos_v, _ = tendon_cos_sin(beta, count, delta)
-    rt = radius * theta
-    return tuple(rt * c for c in cos_v)
-
-
 def _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
                          q_cmd, tau0, fx, fy, fz, wx, wy):
     # Bend-chart gradient of the total potential minus the tip-force term.

@@ -206,7 +206,7 @@ def _perching_sweep_rows(params, args):
     config = wrap_configuration(math.radians(args.theta_deg), math.radians(args.delta_deg))
     anchor = forward_kinematics(params, config).position
     axis = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}[args.axis]
-    steps = max(0, int(round(args.travel_mm / args.step_mm)))
+    steps = int(round(args.travel_mm / args.step_mm))
     out = [k * args.step_mm * 1e-3 for k in range(0, steps + 1)]
     offsets = out + out[-2::-1]
     rows = []
@@ -230,7 +230,8 @@ def _perching_sweep_rows(params, args):
 def cmd_sweep(params, args):
     if not args.step_mm > 0:
         raise ConfigurationError(f"--step-mm must be positive, got {args.step_mm:g}")
-    for flag, value in (("--steps", args.steps), ("--cycles", args.cycles)):
+    for flag, value in (("--steps", args.steps), ("--cycles", args.cycles),
+                        ("--travel-mm", args.travel_mm)):
         if value < 0:
             raise ConfigurationError(f"{flag} must be non-negative, got {value}")
     if args.experiment == "stiffness":
@@ -326,10 +327,7 @@ def main(argv=None):
     except SingularConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (ConvergenceError, UnreachableTargetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CcarmError as exc:

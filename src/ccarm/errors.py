@@ -9,8 +9,8 @@ class ParameterError(CcarmError):
     """Invalid or incomplete arm parameter document."""
 
 
-class ConfigurationError(CcarmError):
-    """Configuration outside the model's domain (non-finite, theta < 0, ...)."""
+class ConfigurationError(CcarmError, ValueError):
+    """Configuration or tip load outside the model's domain (non-finite, theta < 0, ...)."""
 
 
 class InfeasibleTensionsError(CcarmError):

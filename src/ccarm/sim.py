@@ -17,14 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import core
-from .errors import ConvergenceError, UnreachableTargetError
+from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
 from .kinematics import configuration_to_joints, jacobian_q_psi, jacobian_v_psi
 from .model import Configuration, Wrench, _readonly, wrap_configuration
 from .statics import allocate_tensions, energy_gradient
 
-# Newton loads beyond this are refused by default; the bench protocol stays
-# around 1 N.
+# Newton loads beyond this are refused; the bench protocol stays around 1 N.
 DEFAULT_FORCE_CAP = 2.0
+_MAX_REAIM = 50      # deflection solves allowed per re-aimed sweep point
+_REAIM_TOL = 1e-12   # re-aiming stops once no direction component moves more
+_IK_DAMPING = 1e-6   # Levenberg damping floor of the constrained-tip IK
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, converts gram-denominated bench loads
 
@@ -80,35 +82,29 @@ def _bend_vector(psi):
     return psi.theta * math.cos(psi.delta), psi.theta * math.sin(psi.delta)
 
 
-def _wrap_bend(wx, wy, fallback_delta, theta_max):
+def _wrap_bend(wx, wy, fallback_delta):
     theta = math.hypot(wx, wy)
     delta = math.atan2(wy, wx) if theta > 0.0 else fallback_delta
-    return wrap_configuration(theta, delta, theta_max=theta_max)
+    return wrap_configuration(theta, delta)
 
 
-def _locked_motor_tensions(params, psi, q_cmd, tau0):
-    q = configuration_to_joints(params, psi).displacements
-    return np.maximum(0.0, tau0 - params.tendon_axial_stiffness * (q - q_cmd))
-
-
-def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
-                     force_cap=DEFAULT_FORCE_CAP, tol=1e-10, max_iter=100,
-                     backtrack=0.5, theta_max=math.pi):
-    """Equilibrium of the displacement-locked arm under a tip force.
-
-    Motors hold the tendon lengths of commanded_config; tensions start from
-    the pure-bending allocation at that configuration.  Newton iteration runs
-    until the configuration-space residual drops below tol (N*m).
-
-    Returns a DeflectionRecord; raises ConvergenceError when the iteration
-    budget is exhausted and ValueError when the force exceeds force_cap.
-    """
-    f = np.asarray(tip_force, dtype=float).reshape(3)
-    magnitude = float(np.linalg.norm(f))
-    if magnitude > force_cap:
-        raise ValueError(f"tip force {magnitude:.3g} N exceeds cap {force_cap:.3g} N")
+def _commanded_state(params, commanded_config, pretension):
     q_cmd = configuration_to_joints(params, commanded_config).displacements
     tau0 = allocate_tensions(params, commanded_config, Wrench.zero(), pretension).tensions
+    return q_cmd, tau0
+
+
+def _locked_motor_force(params, psi, q_cmd, tau0):
+    q = configuration_to_joints(params, psi).displacements
+    tau = np.maximum(0.0, tau0 - params.tendon_axial_stiffness * (q - q_cmd))
+    return energy_gradient(params, psi) - jacobian_q_psi(params, psi).T @ tau
+
+
+def _deflect(params, commanded_config, q_cmd, tau0, f, tol, max_iter, backtrack):
+    magnitude = float(np.linalg.norm(f))
+    if magnitude > DEFAULT_FORCE_CAP:
+        raise ConfigurationError(
+            f"tip force {magnitude:.3g} N exceeds cap {DEFAULT_FORCE_CAP:.3g} N")
     w0x, w0y = _bend_vector(commanded_config)
 
     wx, wy, iters, _, ok = core.solve_deflection(
@@ -122,11 +118,9 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
             f"deflection solve did not converge in {max_iter} iterations",
             iterations=iters,
         )
-    psi_eq = _wrap_bend(wx, wy, commanded_config.delta, theta_max)
+    psi_eq = _wrap_bend(wx, wy, commanded_config.delta)
 
-    tau = _locked_motor_tensions(params, psi_eq, q_cmd, tau0)
-    residual = (energy_gradient(params, psi_eq)
-                - jacobian_q_psi(params, psi_eq).T @ tau
+    residual = (_locked_motor_force(params, psi_eq, q_cmd, tau0)
                 - jacobian_v_psi(params, psi_eq).T @ f)
     p0 = np.array(core.bend_position(params.backbone_length, w0x, w0y))
     p1 = np.array(core.bend_position(params.backbone_length, wx, wy))
@@ -137,6 +131,22 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
         solver_iterations=iters,
         residual_norm=float(np.linalg.norm(residual)),
     )
+
+
+def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
+                     tol=1e-10, max_iter=100, backtrack=0.5):
+    """Equilibrium of the displacement-locked arm under a tip force.
+
+    Motors hold the tendon lengths of commanded_config; tensions start from
+    the pure-bending allocation at that configuration.  Newton iteration runs
+    until the configuration-space residual drops below tol (N*m).
+
+    Returns a DeflectionRecord; raises ConvergenceError when the iteration
+    budget runs out, ConfigurationError past the force cap or a bend of pi.
+    """
+    f = np.asarray(tip_force, dtype=float).reshape(3)
+    q_cmd, tau0 = _commanded_state(params, commanded_config, pretension)
+    return _deflect(params, commanded_config, q_cmd, tau0, f, tol, max_iter, backtrack)
 
 
 def radial_load_direction(psi, direction):
@@ -154,38 +164,40 @@ def radial_load_direction(psi, direction):
     return sign * np.array([ct * cd, ct * sd, -st])
 
 
-def _solve_radial_load(params, config, load, direction, pretension,
-                       reaim_tol=1e-12, max_reaim=50, **solver_kw):
+def _solve_radial_load(params, config, state, load, direction, tol, max_iter, backtrack):
     # The bench rig re-aims the pull so it stays radial at the *deflected*
     # configuration: iterate direction and equilibrium to a joint fixed point.
     d = radial_load_direction(config, direction)
-    for _ in range(max_reaim):
-        record = solve_deflection(params, config, load * d, pretension, **solver_kw)
+    for _ in range(_MAX_REAIM):
+        record = _deflect(params, config, *state, load * d, tol, max_iter, backtrack)
         d_new = radial_load_direction(record.equilibrium_config, direction)
-        if float(np.max(np.abs(d_new - d))) < reaim_tol:
+        if float(np.max(np.abs(d_new - d))) < _REAIM_TOL:
             return record
         d = d_new
     raise ConvergenceError("radial load direction did not settle while re-aiming")
 
 
 def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
-                        pretension=0.0, *, strict=True, **solver_kw):
+                        pretension=0.0, *, strict=True, tol=1e-10, max_iter=100,
+                        backtrack=0.5):
     """Deflection records over configurations x load schedule (config-major).
 
     The load stays perpendicular to the end-disk normal within the bending
-    plane, re-aimed at each equilibrium.  With strict=True solver failures
-    raise, annotated with (config, load); otherwise they are recorded with
+    plane, re-aimed at each equilibrium.  A failed point (no convergence, a
+    load over the cap, an equilibrium past pi) raises with strict=True,
+    annotated with (config, load); otherwise it is recorded with
     converged=False and NaN displacements.
     """
     records = []
     for config in configs:
+        state = _commanded_state(params, config, pretension)
         for load in load_schedule:
             try:
                 records.append(_solve_radial_load(
-                    params, config, float(load), direction, pretension, **solver_kw))
-            except ConvergenceError as exc:
+                    params, config, state, float(load), direction, tol, max_iter, backtrack))
+            except (ConvergenceError, ConfigurationError) as exc:
                 if strict:
-                    raise ConvergenceError(
+                    raise type(exc)(
                         f"sweep point theta={math.degrees(config.theta):.3g} deg, "
                         f"load={load:.4g} N: {exc}") from exc
                 records.append(DeflectionRecord(
@@ -207,8 +219,7 @@ def mirrored_schedule(increment, steps):
 
 
 def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
-                            pretension=0.0, *, tol=1e-8, max_iter=100,
-                            damping=1e-6, theta_max=math.pi):
+                            pretension=0.0, *, tol=1e-8, max_iter=100):
     """Reaction wrench on the carrier with the tip pinned and the base moved.
 
     The tip must stay at tip_anchor while the base translates by base_offset,
@@ -229,19 +240,17 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
         )
     w0x, w0y = _bend_vector(commanded_config)
     wx, wy, iters, reach_residual, ok = core.solve_tip_constraint(
-        length, w0x, w0y, target[0], target[1], target[2], damping, tol, max_iter,
+        length, w0x, w0y, target[0], target[1], target[2], _IK_DAMPING, tol, max_iter,
     )
     if not ok:
         raise ConvergenceError(
             f"constrained-tip IK did not converge in {max_iter} iterations",
             iterations=iters, residual=reach_residual,
         )
-    psi = _wrap_bend(wx, wy, commanded_config.delta, theta_max)
+    psi = _wrap_bend(wx, wy, commanded_config.delta)
 
-    q_cmd = configuration_to_joints(params, commanded_config).displacements
-    tau0 = allocate_tensions(params, commanded_config, Wrench.zero(), pretension).tensions
-    tau = _locked_motor_tensions(params, psi, q_cmd, tau0)
-    generalized = energy_gradient(params, psi) - jacobian_q_psi(params, psi).T @ tau
+    q_cmd, tau0 = _commanded_state(params, commanded_config, pretension)
+    generalized = _locked_motor_force(params, psi, q_cmd, tau0)
     force = -np.linalg.pinv(jacobian_v_psi(params, psi).T) @ generalized
     tip = np.array(core.bend_position(length, wx, wy))
     return PerchingRecord(

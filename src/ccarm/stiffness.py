@@ -132,8 +132,7 @@ def jacobian_v_pinv_t_derivatives(params, psi, damping=0.0):
     return pinv_t, slices[0], slices[1]
 
 
-def task_stiffness(params, psi, tensions, f_star, *, damped=False,
-                   damping=DEFAULT_DAMPING, sigma_min_tol=None):
+def task_stiffness(params, psi, tensions, f_star, *, damped=False):
     """Task-space stiffness K_X, 3x3.
 
     K_X = [d(J_v^T)^+/dpsi] F* J_v^+ + (J_v^T)^+ K_psi J_v^+.  When the
@@ -144,7 +143,7 @@ def task_stiffness(params, psi, tensions, f_star, *, damped=False,
     f_star = np.asarray(f_star, dtype=float).reshape(2)
     jv = jacobian_v_psi(params, psi)
     sigma_min = float(np.linalg.svd(jv, compute_uv=False)[-1])
-    tol = 1e-8 * params.backbone_length if sigma_min_tol is None else sigma_min_tol
+    tol = 1e-8 * params.backbone_length
     if not damped and sigma_min < tol:
         raise SingularConfigurationError(
             f"task stiffness undefined: sigma_min(J_v) = {sigma_min:.3e} "
@@ -155,7 +154,7 @@ def task_stiffness(params, psi, tensions, f_star, *, damped=False,
         )
     k_psi = configuration_stiffness(params, psi, tensions)
     pinv_t, d_theta, d_delta = jacobian_v_pinv_t_derivatives(
-        params, psi, damping=damping if damped else 0.0
+        params, psi, damping=DEFAULT_DAMPING if damped else 0.0
     )
     jv_pinv = pinv_t.T
     first = np.column_stack([d_theta @ f_star, d_delta @ f_star]) @ jv_pinv

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccarm
 from ccarm import (__version__, backend_name, cli, dump_parameters,
                    run_stiffness_sweep, wrap_configuration)
 
@@ -135,8 +138,7 @@ def test_stiffness_sweep_csv(capsys, tmp_path, params):
     # re-running the solver from the parsed row reproduces the displacement
     row = lines[2].split(",")
     config = wrap_configuration(math.radians(float(row[0])), math.radians(float(row[1])))
-    from ccarm.sim import _solve_radial_load
-    record = _solve_radial_load(params, config, float(row[3]), "inward", 0.0)
+    [record] = run_stiffness_sweep(params, [config], [float(row[3])])
     for got, expect in zip(row[4:7], record.tip_displacement):
         assert abs(float(got) - expect) <= 1e-9 * max(1.0, abs(expect))
 
@@ -184,6 +186,7 @@ def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
     ("perching", "--step-mm", "-0.5"),
     ("stiffness", "--steps", "-1"),
     ("stiffness", "--cycles", "-1"),
+    ("perching", "--travel-mm", "-5"),
 ])
 def test_sweep_rejects_out_of_range_inputs(capsys, tmp_path, experiment, flag, value):
     out_file = tmp_path / "rejected.csv"
@@ -218,6 +221,39 @@ def test_sweep_solver_failure_exit_code(capsys, tmp_path):
     assert "did not converge" in err or "sweep points" in err
     lines = out_file.read_text().splitlines()
     assert any(line.endswith("no_converge") for line in lines[1:])
+
+
+@pytest.mark.parametrize("config_deg,increment", [
+    ("30", "1"),      # the 3 N peak exceeds the force cap
+    ("175", "0.6"),   # the 1.8 N peak bends the arm past pi
+])
+def test_sweep_marks_out_of_domain_points(capsys, tmp_path, config_deg, increment):
+    out_file = tmp_path / "domain.csv"
+    code, _, err = run_cli(capsys, "sweep", "--experiment", "stiffness",
+                           "--out", str(out_file), "--configs-deg", config_deg,
+                           "--increment-n", increment, "--steps", "3", "--cycles", "1")
+    assert code == cli.EXIT_SOLVER
+    assert "1 sweep points" in err
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "ok", "no_converge", "ok", "ok", "ok"]
+    assert rows[2][4:7] == ["nan"] * 3
+    assert float(rows[-1][3]) == 0.0
+
+
+@pytest.mark.parametrize("experiment,extra,reference", [
+    ("stiffness", [], "stiffness.csv"),
+    ("perching", ["--axis", "x"], "perching_x.csv"),
+    ("perching", ["--axis", "z"], "perching_z.csv"),
+])
+def test_default_sweeps_match_reference_csvs(capsys, tmp_path, experiment, extra, reference):
+    # perfbench/reference holds these sweeps as the unoptimised code wrote
+    # them; every later change must reproduce them byte for byte.
+    out_file = tmp_path / reference
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", experiment,
+                         "--out", str(out_file), *extra)
+    assert code == cli.EXIT_OK
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / reference
+    assert out_file.read_bytes() == expected.read_bytes()
 
 
 def test_sweep_determinism(capsys, tmp_path):
@@ -269,13 +305,17 @@ def test_usage_exit_code(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same ccarm as this process, installed or not.
+    source = str(Path(ccarm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "ccarm", "pose", "--theta-deg", "90"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("position_m")
     assert backend_name() == "pure-python"
     proc = subprocess.run([sys.executable, "-m", "ccarm", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ccarm {__version__} (pure-python kernels)"

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ccarm import (Configuration, ConvergenceError, UnreachableTargetError,
-                   Wrench, allocate_tensions, configuration_to_joints,
-                   forward_kinematics, jacobian_q_psi, jacobian_v_psi,
-                   mirrored_schedule, radial_load_direction, run_stiffness_sweep,
-                   solve_deflection, solve_perching_reaction, task_stiffness,
-                   wrap_configuration)
+import ccarm.sim
+from ccarm import (Configuration, ConfigurationError, ConvergenceError,
+                   UnreachableTargetError, Wrench, allocate_tensions,
+                   configuration_to_joints, forward_kinematics, jacobian_q_psi,
+                   jacobian_v_psi, mirrored_schedule, radial_load_direction,
+                   run_stiffness_sweep, solve_deflection, solve_perching_reaction,
+                   task_stiffness, wrap_configuration)
 from ccarm.sim import finite_difference_oracle
 
 
@@ -160,6 +161,33 @@ def test_sweep_strict_annotates_failures(params):
                                   strict=False, max_iter=1)
     assert len(records) == 1 and not records[0].converged
     assert np.all(np.isnan(records[0].tip_displacement))
+
+
+@pytest.mark.parametrize("deg,load,message", [
+    (30, 3.0, "exceeds cap"),          # over DEFAULT_FORCE_CAP
+    (175, 1.8, "exceeds theta_max"),   # equilibrium bent past pi
+])
+def test_sweep_out_of_domain_points(params, deg, load, message):
+    config = wrap_configuration(math.radians(deg), 0.0)
+    with pytest.raises(ConfigurationError, match=f"theta={deg} deg.*{message}"):
+        run_stiffness_sweep(params, [config], [load], "inward")
+    records = run_stiffness_sweep(params, [config], [0.0, load], "inward", strict=False)
+    assert [r.converged for r in records] == [True, False]
+    assert np.all(np.isnan(records[1].tip_displacement))
+
+
+def test_sweep_builds_each_commanded_state_once(params, monkeypatch):
+    calls = []
+
+    def counting_allocation(*args, **kwargs):
+        calls.append(args[1])
+        return allocate_tensions(*args, **kwargs)
+
+    monkeypatch.setattr(ccarm.sim, "allocate_tensions", counting_allocation)
+    configs = [wrap_configuration(math.radians(deg), 0.0) for deg in (15, 45)]
+    records = run_stiffness_sweep(params, configs, mirrored_schedule(0.196133, 3))
+    assert len(records) == 12 and all(r.converged for r in records)
+    assert calls == configs
 
 
 def test_sweep_monotone_stiffening(params):
