@@ -23,8 +23,8 @@ from .model import (ArmParameters, Configuration, JacobianSet, JointState,
                     dump_parameters, load_parameters, parameters_from_mapping,
                     parse_parameter_text, wrap_configuration, wrap_delta)
 from .sim import (DeflectionRecord, PerchingRecord, finite_difference_oracle,
-                  mirrored_schedule, radial_load_direction, run_stiffness_sweep,
-                  solve_deflection, solve_perching_reaction)
+                  mirrored_schedule, radial_load_direction, run_perching_sweep,
+                  run_stiffness_sweep, solve_deflection, solve_perching_reaction)
 from .statics import (EquilibriumReport, allocate_tensions, elastic_energy,
                       energy_gradient, equilibrium_residual)
 from .stiffness import (configuration_stiffness, hessian_energy,
@@ -49,7 +49,7 @@ __all__ = [
     "jacobian_v_psi", "jacobian_w_psi", "jacobian_w_psi_vectorized",
     "jacobian_x_psi", "load_parameters", "mirrored_schedule",
     "parameters_from_mapping", "parse_parameter_text", "radial_load_direction",
-    "run_stiffness_sweep", "sample_backbone", "solve_deflection",
+    "run_perching_sweep", "run_stiffness_sweep", "sample_backbone", "solve_deflection",
     "solve_perching_reaction", "stiffness_set", "task_stiffness",
     "tendon_stiffness", "wrap_configuration", "wrap_delta",
 ]

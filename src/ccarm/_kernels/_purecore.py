@@ -185,12 +185,11 @@ def _psi_residual_norm(rx, ry, wx, wy):
 
 
 def solve_deflection(length, radius, beta, count, flexural, k_tendon,
-                     q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter,
-                     backtrack=0.5):
+                     q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter):
     """Newton solve of the locked-motor bending equilibrium under a tip force.
 
     Damped Newton iteration (finite-difference 2x2 Jacobian, backtracking
-    line search with step factor `backtrack`) on the bend-chart residual.
+    line search halving the step) on the bend-chart residual.
     Convergence is judged on the residual norm in (theta, delta) coordinates.
 
     Returns (wx, wy, iterations, residual_norm, converged).
@@ -239,7 +238,7 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
                 wx, wy, rx, ry = nwx, nwy, nrx, nry
                 accepted = True
                 break
-            alpha *= backtrack
+            alpha *= 0.5
         if not accepted:
             return wx, wy, iters, res, 0
         iters += 1

@@ -19,16 +19,15 @@ import numpy as np
 
 from . import __version__
 from ._kernels import backend_name
-from .errors import (CcarmError, ConfigurationError, ConvergenceError,
-                     ParameterError, SingularConfigurationError,
-                     UnreachableTargetError)
+from .errors import (CcarmError, ConfigurationError, ParameterError,
+                     SingularConfigurationError)
 from .kinematics import (forward_kinematics, jacobian_q_psi, jacobian_v_psi,
                          jacobian_w_psi, jacobian_w_psi_vectorized,
                          jacobian_x_psi)
 from .model import (Configuration, Wrench, default_parameters, load_parameters,
                     wrap_configuration)
 from .sim import (STANDARD_GRAVITY, finite_difference_oracle, mirrored_schedule,
-                  run_stiffness_sweep, solve_perching_reaction)
+                  run_perching_sweep, run_stiffness_sweep)
 from .statics import allocate_tensions, energy_gradient
 from .stiffness import configuration_stiffness, task_stiffness, tendon_stiffness
 
@@ -173,7 +172,6 @@ def _stiffness_sweep_rows(params, args):
     configs_deg = [float(v) for v in args.configs_deg.split(",")] if args.configs_deg else []
     schedule = mirrored_schedule(args.increment_n, args.steps)
     rows = []
-    failures = 0
     cycles = range(1, args.cycles + 1)
     for theta_deg in configs_deg:
         config = wrap_configuration(math.radians(theta_deg), math.radians(args.delta_deg))
@@ -183,63 +181,57 @@ def _stiffness_sweep_rows(params, args):
         # solve once and emit the records for each cycle.
         records = run_stiffness_sweep(
             params, [config], schedule, args.direction, args.pretension,
-            strict=False, tol=args.tol, max_iter=args.max_iter,
-            backtrack=args.backtrack)
+            strict=False, max_iter=args.max_iter)
         for cycle in cycles:
             for record in records:
-                status = "ok" if record.converged else "no_converge"
-                failures += status != "ok"
                 rows.append([
                     _fmt(theta_deg), _fmt(args.delta_deg), str(cycle),
                     _fmt(np.linalg.norm(record.applied_force)),
                     _fmt(record.tip_displacement[0]),
                     _fmt(record.tip_displacement[1]),
                     _fmt(record.tip_displacement[2]),
-                    str(record.solver_iterations), status,
+                    str(record.solver_iterations),
+                    "ok" if record.converged else "no_converge",
                 ])
     header = ["config_theta_deg", "config_delta_deg", "cycle", "load_N",
               "disp_x_m", "disp_y_m", "disp_z_m", "iterations", "status"]
-    return header, rows, failures
+    return header, rows
 
 
 def _perching_sweep_rows(params, args):
     config = wrap_configuration(math.radians(args.theta_deg), math.radians(args.delta_deg))
-    anchor = forward_kinematics(params, config).position
     axis = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}[args.axis]
     steps = int(round(args.travel_mm / args.step_mm))
     out = [k * args.step_mm * 1e-3 for k in range(0, steps + 1)]
     offsets = out + out[-2::-1]
-    rows = []
-    failures = 0
-    for offset in offsets:
-        try:
-            record = solve_perching_reaction(
-                params, config, anchor, offset * axis, args.pretension,
-                tol=args.ik_tol, max_iter=args.max_iter)
-            force, moment, status = record.reaction_force, record.reaction_moment, "ok"
-        except (ConvergenceError, UnreachableTargetError):
-            force = moment = np.full(3, np.nan)
-            status = "no_converge"
-            failures += 1
-        rows.append([_fmt(offset)] + [_fmt(v) for v in force] + [_fmt(v) for v in moment]
-                    + [status])
+    records = run_perching_sweep(params, config, [offset * axis for offset in offsets],
+                                 args.pretension, max_iter=args.max_iter)
+    rows = [[_fmt(offset)] + [_fmt(v) for v in record.reaction_force]
+            + [_fmt(v) for v in record.reaction_moment]
+            + ["ok" if record.converged else "no_converge"]
+            for offset, record in zip(offsets, records)]
     header = ["offset_m", "fx_N", "fy_N", "fz_N", "mx_Nm", "my_Nm", "mz_Nm", "status"]
-    return header, rows, failures
+    return header, rows
 
 
 def cmd_sweep(params, args):
+    for flag, value in (("--step-mm", args.step_mm), ("--travel-mm", args.travel_mm),
+                        ("--increment-n", args.increment_n)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{flag} must be finite, got {value:g}")
     if not args.step_mm > 0:
         raise ConfigurationError(f"--step-mm must be positive, got {args.step_mm:g}")
     for flag, value in (("--steps", args.steps), ("--cycles", args.cycles),
-                        ("--travel-mm", args.travel_mm)):
+                        ("--travel-mm", args.travel_mm), ("--increment-n", args.increment_n)):
         if value < 0:
             raise ConfigurationError(f"{flag} must be non-negative, got {value}")
     if args.experiment == "stiffness":
-        header, rows, failures = _stiffness_sweep_rows(params, args)
+        header, rows = _stiffness_sweep_rows(params, args)
     else:
-        header, rows, failures = _perching_sweep_rows(params, args)
+        header, rows = _perching_sweep_rows(params, args)
     _write_atomic(args.out, _csv_text(header, rows))
     print(f"wrote {args.out} ({len(rows)} rows)")
+    failures = sum(row[-1] != "ok" for row in rows)
     if failures:
         print(f"error: {failures} sweep points did not converge", file=sys.stderr)
         return EXIT_SOLVER
@@ -286,14 +278,7 @@ def _build_parser():
     p_sweep.add_argument("--params", help="parameter file")
     p_sweep.add_argument("--delta-deg", type=float, default=0.0)
     p_sweep.add_argument("--pretension", type=float, default=0.0)
-    # solver hyper-parameters
-    p_sweep.add_argument("--tol", type=float, default=1e-10,
-                         help="deflection residual tolerance, N*m")
-    p_sweep.add_argument("--ik-tol", type=float, default=1e-8,
-                         help="perching IK positional tolerance, m")
     p_sweep.add_argument("--max-iter", type=int, default=100)
-    p_sweep.add_argument("--backtrack", type=float, default=0.5,
-                         help="line-search step factor")
     # stiffness protocol: five 20-gram increments, five cycles, five bends
     p_sweep.add_argument("--configs-deg", default="0,15,30,45,60",
                          help="comma-separated bending angles, degrees")

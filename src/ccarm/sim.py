@@ -18,7 +18,8 @@ import numpy as np
 
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
-from .kinematics import configuration_to_joints, jacobian_q_psi, jacobian_v_psi
+from .kinematics import (configuration_to_joints, forward_kinematics, jacobian_q_psi,
+                         jacobian_v_psi)
 from .model import Configuration, Wrench, _readonly, wrap_configuration
 from .statics import allocate_tensions, energy_gradient
 
@@ -27,6 +28,13 @@ DEFAULT_FORCE_CAP = 2.0
 _MAX_REAIM = 50      # deflection solves allowed per re-aimed sweep point
 _REAIM_TOL = 1e-12   # re-aiming stops once no direction component moves more
 _IK_DAMPING = 1e-6   # Levenberg damping floor of the constrained-tip IK
+_IK_TOL = 1e-8       # m, reachable-component positional residual of the IK
+_DEFLECTION_TOL = 1e-10  # N*m, configuration-space residual of a deflection
+
+# Errors that mark one sweep point failed rather than abort the sweep.  Once
+# the commanded state is built, a ConfigurationError can only be a load over
+# the force cap or an equilibrium bent past pi.
+_POINT_FAILURES = (ConvergenceError, ConfigurationError, UnreachableTargetError)
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, converts gram-denominated bench loads
 
@@ -100,7 +108,7 @@ def _locked_motor_force(params, psi, q_cmd, tau0):
     return energy_gradient(params, psi) - jacobian_q_psi(params, psi).T @ tau
 
 
-def _deflect(params, commanded_config, q_cmd, tau0, f, tol, max_iter, backtrack):
+def _deflect(params, commanded_config, q_cmd, tau0, f, max_iter):
     magnitude = float(np.linalg.norm(f))
     if magnitude > DEFAULT_FORCE_CAP:
         raise ConfigurationError(
@@ -111,7 +119,7 @@ def _deflect(params, commanded_config, q_cmd, tau0, f, tol, max_iter, backtrack)
         params.backbone_length, params.pitch_radius, params.tendon_division_angle,
         params.tendon_count, params.flexural_rigidity, params.tendon_axial_stiffness,
         np.ascontiguousarray(q_cmd), np.ascontiguousarray(tau0),
-        f[0], f[1], f[2], w0x, w0y, 0.5 * tol, max_iter, backtrack,
+        f[0], f[1], f[2], w0x, w0y, 0.5 * _DEFLECTION_TOL, max_iter,
     )
     if not ok:
         raise ConvergenceError(
@@ -134,19 +142,19 @@ def _deflect(params, commanded_config, q_cmd, tau0, f, tol, max_iter, backtrack)
 
 
 def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
-                     tol=1e-10, max_iter=100, backtrack=0.5):
+                     max_iter=100):
     """Equilibrium of the displacement-locked arm under a tip force.
 
     Motors hold the tendon lengths of commanded_config; tensions start from
     the pure-bending allocation at that configuration.  Newton iteration runs
-    until the configuration-space residual drops below tol (N*m).
+    until the configuration-space residual drops below 1e-10 N*m.
 
     Returns a DeflectionRecord; raises ConvergenceError when the iteration
     budget runs out, ConfigurationError past the force cap or a bend of pi.
     """
     f = np.asarray(tip_force, dtype=float).reshape(3)
     q_cmd, tau0 = _commanded_state(params, commanded_config, pretension)
-    return _deflect(params, commanded_config, q_cmd, tau0, f, tol, max_iter, backtrack)
+    return _deflect(params, commanded_config, q_cmd, tau0, f, max_iter)
 
 
 def radial_load_direction(psi, direction):
@@ -164,12 +172,12 @@ def radial_load_direction(psi, direction):
     return sign * np.array([ct * cd, ct * sd, -st])
 
 
-def _solve_radial_load(params, config, state, load, direction, tol, max_iter, backtrack):
+def _solve_radial_load(params, config, state, load, direction, max_iter):
     # The bench rig re-aims the pull so it stays radial at the *deflected*
     # configuration: iterate direction and equilibrium to a joint fixed point.
     d = radial_load_direction(config, direction)
     for _ in range(_MAX_REAIM):
-        record = _deflect(params, config, *state, load * d, tol, max_iter, backtrack)
+        record = _deflect(params, config, *state, load * d, max_iter)
         d_new = radial_load_direction(record.equilibrium_config, direction)
         if float(np.max(np.abs(d_new - d))) < _REAIM_TOL:
             return record
@@ -178,8 +186,7 @@ def _solve_radial_load(params, config, state, load, direction, tol, max_iter, ba
 
 
 def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
-                        pretension=0.0, *, strict=True, tol=1e-10, max_iter=100,
-                        backtrack=0.5):
+                        pretension=0.0, *, strict=True, max_iter=100):
     """Deflection records over configurations x load schedule (config-major).
 
     The load stays perpendicular to the end-disk normal within the bending
@@ -194,8 +201,8 @@ def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
         for load in load_schedule:
             try:
                 records.append(_solve_radial_load(
-                    params, config, state, float(load), direction, tol, max_iter, backtrack))
-            except (ConvergenceError, ConfigurationError) as exc:
+                    params, config, state, float(load), direction, max_iter))
+            except _POINT_FAILURES as exc:
                 if strict:
                     raise type(exc)(
                         f"sweep point theta={math.degrees(config.theta):.3g} deg, "
@@ -218,18 +225,7 @@ def mirrored_schedule(increment, steps):
     return up + down
 
 
-def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
-                            pretension=0.0, *, tol=1e-8, max_iter=100):
-    """Reaction wrench on the carrier with the tip pinned and the base moved.
-
-    The tip must stay at tip_anchor while the base translates by base_offset,
-    so the arm settles to the configuration whose tip is closest to
-    tip_anchor - base_offset (least-squares positional IK, the bend has only
-    two degrees of freedom).  The reaction transmitted to the carrier is
-    -(J_v^T)^+ (grad E - J_q^T tau), with the moment taken about the base
-    origin at the tip position.
-    """
-    anchor = np.asarray(tip_anchor, dtype=float).reshape(3)
+def _perch(params, commanded_config, state, anchor, base_offset, max_iter):
     offset = np.asarray(base_offset, dtype=float).reshape(3)
     target = anchor - offset
     length = params.backbone_length
@@ -240,7 +236,7 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
         )
     w0x, w0y = _bend_vector(commanded_config)
     wx, wy, iters, reach_residual, ok = core.solve_tip_constraint(
-        length, w0x, w0y, target[0], target[1], target[2], _IK_DAMPING, tol, max_iter,
+        length, w0x, w0y, target[0], target[1], target[2], _IK_DAMPING, _IK_TOL, max_iter,
     )
     if not ok:
         raise ConvergenceError(
@@ -249,8 +245,7 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
         )
     psi = _wrap_bend(wx, wy, commanded_config.delta)
 
-    q_cmd, tau0 = _commanded_state(params, commanded_config, pretension)
-    generalized = _locked_motor_force(params, psi, q_cmd, tau0)
+    generalized = _locked_motor_force(params, psi, *state)
     force = -np.linalg.pinv(jacobian_v_psi(params, psi).T) @ generalized
     tip = np.array(core.bend_position(length, wx, wy))
     return PerchingRecord(
@@ -261,3 +256,46 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
         ik_residual_norm=float(reach_residual),
         iterations=iters,
     )
+
+
+def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
+                            pretension=0.0, *, max_iter=100):
+    """Reaction wrench on the carrier with the tip pinned and the base moved.
+
+    The tip must stay at tip_anchor while the base translates by base_offset,
+    so the arm settles to the configuration whose tip is closest to
+    tip_anchor - base_offset (least-squares positional IK, the bend has only
+    two degrees of freedom).  The reaction transmitted to the carrier is
+    -(J_v^T)^+ (grad E - J_q^T tau), with the moment taken about the base
+    origin at the tip position.
+    """
+    anchor = np.asarray(tip_anchor, dtype=float).reshape(3)
+    state = _commanded_state(params, commanded_config, pretension)
+    return _perch(params, commanded_config, state, anchor, base_offset, max_iter)
+
+
+def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *,
+                       max_iter=100):
+    """Perching records over base offsets, the tip pinned at the commanded tip.
+
+    The commanded state is built once for all offsets.  A failed point (IK
+    not converged, anchor out of reach, an equilibrium bent past pi) is
+    recorded with converged=False and NaN reaction force and moment.
+    """
+    anchor = forward_kinematics(params, commanded_config).position
+    state = _commanded_state(params, commanded_config, pretension)
+    records = []
+    for offset in base_offsets:
+        try:
+            records.append(_perch(params, commanded_config, state, anchor, offset, max_iter))
+        except _POINT_FAILURES as exc:
+            records.append(PerchingRecord(
+                base_offset=offset,
+                reaction_force=np.full(3, np.nan),
+                reaction_moment=np.full(3, np.nan),
+                equilibrium_config=commanded_config,
+                ik_residual_norm=float("nan"),
+                iterations=getattr(exc, "iterations", 0) or 0,
+                converged=False,
+            ))
+    return records

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ccarm
-from ccarm import (__version__, backend_name, cli, dump_parameters,
+from ccarm import (__version__, allocate_tensions, backend_name, cli, dump_parameters,
                    run_stiffness_sweep, wrap_configuration)
 
 
@@ -187,6 +187,12 @@ def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
     ("stiffness", "--steps", "-1"),
     ("stiffness", "--cycles", "-1"),
     ("perching", "--travel-mm", "-5"),
+    ("perching", "--step-mm", "inf"),
+    ("perching", "--travel-mm", "inf"),
+    ("perching", "--travel-mm", "nan"),
+    ("stiffness", "--increment-n", "inf"),
+    ("stiffness", "--increment-n", "nan"),
+    ("stiffness", "--increment-n", "-0.5"),
 ])
 def test_sweep_rejects_out_of_range_inputs(capsys, tmp_path, experiment, flag, value):
     out_file = tmp_path / "rejected.csv"
@@ -208,6 +214,38 @@ def test_perching_sweep_csv(capsys, tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert abs(float(first[1])) < 1e-9
+
+
+def test_perching_sweep_builds_commanded_state_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_allocation(*args, **kwargs):
+        calls.append(1)
+        return allocate_tensions(*args, **kwargs)
+
+    monkeypatch.setattr(ccarm.sim, "allocate_tensions", counting_allocation)
+    out_file = tmp_path / "perch.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching",
+                         "--out", str(out_file), "--travel-mm", "2", "--step-mm", "1")
+    assert code == 0
+    assert out_file.read_text().count("\n") == 1 + 5
+    assert len(calls) == 1  # one commanded state for all five offsets
+
+
+def test_perching_sweep_marks_rows_bent_past_pi(capsys, tmp_path):
+    # Past 170 mm of base travel along z the pinned tip needs a bend beyond
+    # pi (and at 200 mm the IK gives up): those rows fail, the rest are kept.
+    out_file = tmp_path / "past_pi.csv"
+    code, _, err = run_cli(capsys, "sweep", "--experiment", "perching", "--out", str(out_file),
+                           "--axis", "z", "--travel-mm", "200", "--step-mm", "10")
+    assert code == cli.EXIT_SOLVER
+    assert "5 sweep points" in err
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    assert len(rows) == 41
+    failed = [float(row[0]) for row in rows if row[-1] == "no_converge"]
+    assert failed == pytest.approx([0.18, 0.19, 0.2, 0.19, 0.18])
+    assert all(row[1:7] == ["nan"] * 6 for row in rows if row[-1] == "no_converge")
+    assert all(row[-1] == "ok" for row in rows if float(row[0]) <= 0.17)
 
 
 def test_sweep_solver_failure_exit_code(capsys, tmp_path):

@@ -8,8 +8,8 @@ from ccarm import (Configuration, ConfigurationError, ConvergenceError,
                    UnreachableTargetError, Wrench, allocate_tensions,
                    configuration_to_joints, forward_kinematics, jacobian_q_psi,
                    jacobian_v_psi, mirrored_schedule, radial_load_direction,
-                   run_stiffness_sweep, solve_deflection, solve_perching_reaction,
-                   task_stiffness, wrap_configuration)
+                   run_perching_sweep, run_stiffness_sweep, solve_deflection,
+                   solve_perching_reaction, task_stiffness, wrap_configuration)
 from ccarm.sim import finite_difference_oracle
 
 
@@ -247,6 +247,21 @@ def test_perching_sweep_monotone_and_reversible(params, bend30):
     for fwd, rev in zip(out[-2::-1], back):
         assert np.array_equal(fwd.reaction_force, rev.reaction_force)
     assert np.linalg.norm(back[-1].reaction_force) < 1e-9
+
+
+def test_perching_sweep_matches_point_solves(params, bend30):
+    anchor = forward_kinematics(params, bend30).position
+    offsets = [np.array([k * 1e-3, 0.0, 0.0]) for k in (0, 2, 4, 2, 0)]
+    offsets.append(np.array([-0.2, 0.0, 0.0]))  # out of reach
+    records = run_perching_sweep(params, bend30, offsets, pretension=0.1)
+    assert [r.converged for r in records] == [True] * 5 + [False]
+    for offset, record in zip(offsets[:5], records):
+        point = solve_perching_reaction(params, bend30, anchor, offset, pretension=0.1)
+        assert np.array_equal(record.reaction_force, point.reaction_force)
+        assert np.array_equal(record.reaction_moment, point.reaction_moment)
+        assert record.equilibrium_config == point.equilibrium_config
+    assert np.all(np.isnan(records[-1].reaction_force))
+    assert np.all(np.isnan(records[-1].reaction_moment))
 
 
 def test_perching_unreachable_anchor(params, bend30):
