@@ -32,6 +32,7 @@ from .statics import allocate_tensions, energy_gradient
 from .stiffness import configuration_stiffness, task_stiffness, tendon_stiffness
 
 PARAMS_ENV_VAR = "CONTINUUM_PARAMS"
+_MAX_PERCHING_STEPS = 100_000  # outward steps of one perching sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -201,7 +202,11 @@ def _stiffness_sweep_rows(params, args):
 def _perching_sweep_rows(params, args):
     config = wrap_configuration(math.radians(args.theta_deg), math.radians(args.delta_deg))
     axis = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}[args.axis]
-    steps = int(round(args.travel_mm / args.step_mm))
+    ratio = args.travel_mm / args.step_mm
+    if not ratio <= _MAX_PERCHING_STEPS:
+        raise ConfigurationError(
+            f"--travel-mm/--step-mm gives {ratio:g} steps, more than {_MAX_PERCHING_STEPS}")
+    steps = int(round(ratio))
     out = [k * args.step_mm * 1e-3 for k in range(0, steps + 1)]
     offsets = out + out[-2::-1]
     records = run_perching_sweep(params, config, [offset * axis for offset in offsets],
@@ -215,16 +220,13 @@ def _perching_sweep_rows(params, args):
 
 
 def cmd_sweep(params, args):
-    for flag, value in (("--step-mm", args.step_mm), ("--travel-mm", args.travel_mm),
-                        ("--increment-n", args.increment_n)):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{flag} must be finite, got {value:g}")
-    if not args.step_mm > 0:
-        raise ConfigurationError(f"--step-mm must be positive, got {args.step_mm:g}")
-    for flag, value in (("--steps", args.steps), ("--cycles", args.cycles),
-                        ("--travel-mm", args.travel_mm), ("--increment-n", args.increment_n)):
-        if value < 0:
-            raise ConfigurationError(f"{flag} must be non-negative, got {value}")
+    for flag, value, positive in (
+            ("--step-mm", args.step_mm, True), ("--travel-mm", args.travel_mm, False),
+            ("--increment-n", args.increment_n, False), ("--steps", args.steps, False),
+            ("--cycles", args.cycles, False), ("--max-iter", args.max_iter, False)):
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            bound = "positive" if positive else "non-negative"
+            raise ConfigurationError(f"{flag} must be finite and {bound}, got {value:g}")
     if args.experiment == "stiffness":
         header, rows = _stiffness_sweep_rows(params, args)
     else:

@@ -30,10 +30,12 @@ _REAIM_TOL = 1e-12   # re-aiming stops once no direction component moves more
 _IK_DAMPING = 1e-6   # Levenberg damping floor of the constrained-tip IK
 _IK_TOL = 1e-8       # m, reachable-component positional residual of the IK
 _DEFLECTION_TOL = 1e-10  # N*m, configuration-space residual of a deflection
+_MAX_ITER = 100      # default Newton/IK iteration budget of one solve
 
-# Errors that mark one sweep point failed rather than abort the sweep.  Once
-# the commanded state is built, a ConfigurationError can only be a load over
-# the force cap or an equilibrium bent past pi.
+# Errors that mark one sweep point failed rather than abort the sweep.  The
+# drivers validate their inputs and build the commanded state before the loop,
+# so inside it a ConfigurationError can only be a load over the force cap or
+# an equilibrium bent past pi.
 _POINT_FAILURES = (ConvergenceError, ConfigurationError, UnreachableTargetError)
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, converts gram-denominated bench loads
@@ -142,7 +144,7 @@ def _deflect(params, commanded_config, q_cmd, tau0, f, max_iter):
 
 
 def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
-                     max_iter=100):
+                     max_iter=_MAX_ITER):
     """Equilibrium of the displacement-locked arm under a tip force.
 
     Motors hold the tendon lengths of commanded_config; tensions start from
@@ -186,7 +188,7 @@ def _solve_radial_load(params, config, state, load, direction, max_iter):
 
 
 def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
-                        pretension=0.0, *, strict=True, max_iter=100):
+                        pretension=0.0, *, strict=True, max_iter=_MAX_ITER):
     """Deflection records over configurations x load schedule (config-major).
 
     The load stays perpendicular to the end-disk normal within the bending
@@ -259,7 +261,7 @@ def _perch(params, commanded_config, state, anchor, base_offset, max_iter):
 
 
 def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
-                            pretension=0.0, *, max_iter=100):
+                            pretension=0.0):
     """Reaction wrench on the carrier with the tip pinned and the base moved.
 
     The tip must stay at tip_anchor while the base translates by base_offset,
@@ -271,21 +273,25 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
     """
     anchor = np.asarray(tip_anchor, dtype=float).reshape(3)
     state = _commanded_state(params, commanded_config, pretension)
-    return _perch(params, commanded_config, state, anchor, base_offset, max_iter)
+    return _perch(params, commanded_config, state, anchor, base_offset, _MAX_ITER)
 
 
 def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *,
-                       max_iter=100):
+                       max_iter=_MAX_ITER):
     """Perching records over base offsets, the tip pinned at the commanded tip.
 
     The commanded state is built once for all offsets.  A failed point (IK
     not converged, anchor out of reach, an equilibrium bent past pi) is
-    recorded with converged=False and NaN reaction force and moment.
+    recorded with converged=False and NaN reaction force and moment; a
+    non-finite offset raises ConfigurationError before any point is solved.
     """
+    offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3)
+    if not np.isfinite(offsets).all():
+        raise ConfigurationError("perching base offsets must be finite")
     anchor = forward_kinematics(params, commanded_config).position
     state = _commanded_state(params, commanded_config, pretension)
     records = []
-    for offset in base_offsets:
+    for offset in offsets:
         try:
             records.append(_perch(params, commanded_config, state, anchor, offset, max_iter))
         except _POINT_FAILURES as exc:

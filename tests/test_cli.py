@@ -193,6 +193,9 @@ def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
     ("stiffness", "--increment-n", "inf"),
     ("stiffness", "--increment-n", "nan"),
     ("stiffness", "--increment-n", "-0.5"),
+    ("perching", "--step-mm", "5e-324"),
+    ("perching", "--travel-mm", "1e9"),
+    ("stiffness", "--max-iter", "-1"),
 ])
 def test_sweep_rejects_out_of_range_inputs(capsys, tmp_path, experiment, flag, value):
     out_file = tmp_path / "rejected.csv"

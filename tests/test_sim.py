@@ -264,6 +264,11 @@ def test_perching_sweep_matches_point_solves(params, bend30):
     assert np.all(np.isnan(records[-1].reaction_moment))
 
 
+def test_perching_sweep_rejects_non_finite_offsets(params, bend30):
+    with pytest.raises(ConfigurationError):
+        run_perching_sweep(params, bend30, [np.zeros(3), np.array([np.inf, 0.0, 0.0])])
+
+
 def test_perching_unreachable_anchor(params, bend30):
     anchor = forward_kinematics(params, bend30).position
     with pytest.raises(UnreachableTargetError):
