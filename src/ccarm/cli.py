@@ -26,8 +26,8 @@ from .kinematics import (forward_kinematics, jacobian_q_psi, jacobian_v_psi,
                          jacobian_x_psi)
 from .model import (Configuration, Wrench, default_parameters, load_parameters,
                     wrap_configuration)
-from .sim import (STANDARD_GRAVITY, finite_difference_oracle, mirrored_schedule,
-                  run_perching_sweep, run_stiffness_sweep)
+from .sim import (STANDARD_GRAVITY, finite_difference_oracle, run_perching_sweep,
+                  run_stiffness_sweep)
 from .statics import allocate_tensions, energy_gradient
 from .stiffness import configuration_stiffness, task_stiffness, tendon_stiffness
 
@@ -169,20 +169,28 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _out_and_back(items):
+    """Items, then back through them to the first: both sweeps' protocol.
+
+    The model is memoryless, so return-leg records repeat the outward ones.
+    """
+    return items + items[-2::-1]
+
+
 def _stiffness_sweep_rows(params, args):
     configs_deg = [float(v) for v in args.configs_deg.split(",")] if args.configs_deg else []
-    schedule = mirrored_schedule(args.increment_n, args.steps)
+    loads = [args.increment_n * k for k in range(args.steps + 1)]
     rows = []
     cycles = range(1, args.cycles + 1)
     for theta_deg in configs_deg:
         config = wrap_configuration(math.radians(theta_deg), math.radians(args.delta_deg))
         if not cycles:
             continue
-        # The model is memoryless, so every loading cycle repeats the first:
-        # solve once and emit the records for each cycle.
-        records = run_stiffness_sweep(
-            params, [config], schedule, args.direction, args.pretension,
-            strict=False, max_iter=args.max_iter)
+        # Every cycle repeats the first, so solve each distinct load once; a
+        # cycle starts at the first increment and ends unloaded.
+        records = _out_and_back(run_stiffness_sweep(
+            params, [config], loads, args.direction, args.pretension,
+            strict=False, max_iter=args.max_iter))[1:]
         for cycle in cycles:
             for record in records:
                 rows.append([
@@ -208,13 +216,12 @@ def _perching_sweep_rows(params, args):
             f"--travel-mm/--step-mm gives {ratio:g} steps, more than {_MAX_PERCHING_STEPS}")
     steps = int(round(ratio))
     out = [k * args.step_mm * 1e-3 for k in range(0, steps + 1)]
-    offsets = out + out[-2::-1]
-    records = run_perching_sweep(params, config, [offset * axis for offset in offsets],
+    records = run_perching_sweep(params, config, [offset * axis for offset in out],
                                  args.pretension, max_iter=args.max_iter)
     rows = [[_fmt(offset)] + [_fmt(v) for v in record.reaction_force]
             + [_fmt(v) for v in record.reaction_moment]
             + ["ok" if record.converged else "no_converge"]
-            for offset, record in zip(offsets, records)]
+            for offset, record in zip(_out_and_back(out), _out_and_back(records))]
     header = ["offset_m", "fx_N", "fy_N", "fz_N", "mx_Nm", "my_Nm", "mz_Nm", "status"]
     return header, rows
 

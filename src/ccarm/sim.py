@@ -120,8 +120,7 @@ def _deflect(params, commanded_config, q_cmd, tau0, f, max_iter):
     wx, wy, iters, _, ok = core.solve_deflection(
         params.backbone_length, params.pitch_radius, params.tendon_division_angle,
         params.tendon_count, params.flexural_rigidity, params.tendon_axial_stiffness,
-        np.ascontiguousarray(q_cmd), np.ascontiguousarray(tau0),
-        f[0], f[1], f[2], w0x, w0y, 0.5 * _DEFLECTION_TOL, max_iter,
+        q_cmd, tau0, f[0], f[1], f[2], w0x, w0y, 0.5 * _DEFLECTION_TOL, max_iter,
     )
     if not ok:
         raise ConvergenceError(
@@ -152,9 +151,12 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
     until the configuration-space residual drops below 1e-10 N*m.
 
     Returns a DeflectionRecord; raises ConvergenceError when the iteration
-    budget runs out, ConfigurationError past the force cap or a bend of pi.
+    budget runs out, ConfigurationError for a non-finite force, past the force
+    cap or a bend of pi.
     """
     f = np.asarray(tip_force, dtype=float).reshape(3)
+    if not np.isfinite(f).all():
+        raise ConfigurationError(f"tip force must be finite, got {f}")
     q_cmd, tau0 = _commanded_state(params, commanded_config, pretension)
     return _deflect(params, commanded_config, q_cmd, tau0, f, max_iter)
 
@@ -195,22 +197,26 @@ def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
     plane, re-aimed at each equilibrium.  A failed point (no convergence, a
     load over the cap, an equilibrium past pi) raises with strict=True,
     annotated with (config, load); otherwise it is recorded with
-    converged=False and NaN displacements.
+    converged=False and NaN displacements.  A non-finite load raises
+    ConfigurationError before any point is solved.
     """
+    loads = [float(load) for load in load_schedule]
+    if not all(map(math.isfinite, loads)):
+        raise ConfigurationError("sweep loads must be finite")
     records = []
     for config in configs:
         state = _commanded_state(params, config, pretension)
-        for load in load_schedule:
+        for load in loads:
             try:
                 records.append(_solve_radial_load(
-                    params, config, state, float(load), direction, max_iter))
+                    params, config, state, load, direction, max_iter))
             except _POINT_FAILURES as exc:
                 if strict:
                     raise type(exc)(
                         f"sweep point theta={math.degrees(config.theta):.3g} deg, "
                         f"load={load:.4g} N: {exc}") from exc
                 records.append(DeflectionRecord(
-                    applied_force=float(load) * radial_load_direction(config, direction),
+                    applied_force=load * radial_load_direction(config, direction),
                     equilibrium_config=config,
                     tip_displacement=np.full(3, np.nan),
                     solver_iterations=getattr(exc, "iterations", 0) or 0,

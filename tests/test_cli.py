@@ -155,7 +155,7 @@ def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
     calls = []
 
     def counting_sweep(*args, **kwargs):
-        calls.append(1)
+        calls.append(list(args[2]))  # the loads of this call
         return run_stiffness_sweep(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_stiffness_sweep", counting_sweep)
@@ -165,6 +165,8 @@ def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
                          "--configs-deg", "0,30", "--steps", "2", "--cycles", "3")
     assert code == 0
     assert len(calls) == 2  # one solve per configuration, not per cycle
+    # the unloading steps repeat loading ones, so each load is solved once
+    assert all(len(set(loads)) == len(loads) for loads in calls)
     rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
     assert len(rows) == 2 * 3 * 4
     by_cycle = {}
@@ -227,12 +229,21 @@ def test_perching_sweep_builds_commanded_state_once(capsys, tmp_path, monkeypatc
         return allocate_tensions(*args, **kwargs)
 
     monkeypatch.setattr(ccarm.sim, "allocate_tensions", counting_allocation)
+    ik_solves = []
+    solve_tip_constraint = ccarm._kernels.core.solve_tip_constraint
+
+    def counting_ik(*args):
+        ik_solves.append(1)
+        return solve_tip_constraint(*args)
+
+    monkeypatch.setattr(ccarm._kernels.core, "solve_tip_constraint", counting_ik)
     out_file = tmp_path / "perch.csv"
     code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching",
                          "--out", str(out_file), "--travel-mm", "2", "--step-mm", "1")
     assert code == 0
     assert out_file.read_text().count("\n") == 1 + 5
     assert len(calls) == 1  # one commanded state for all five offsets
+    assert len(ik_solves) == 3  # the return leg reuses the outward offsets 0, 1, 2 mm
 
 
 def test_perching_sweep_marks_rows_bent_past_pi(capsys, tmp_path):
@@ -279,6 +290,21 @@ def test_sweep_marks_out_of_domain_points(capsys, tmp_path, config_deg, incremen
     assert [row[-1] for row in rows] == ["ok", "ok", "no_converge", "ok", "ok", "ok"]
     assert rows[2][4:7] == ["nan"] * 3
     assert float(rows[-1][3]) == 0.0
+
+
+def test_sweep_marks_reaim_failure(capsys, tmp_path):
+    # An outward load bends the straight arm toward it, and at that bend
+    # "outward" points back the other way: the re-aimed direction flips sides
+    # on every pass and never settles.
+    out_file = tmp_path / "reaim.csv"
+    code, _, err = run_cli(capsys, "sweep", "--experiment", "stiffness",
+                           "--out", str(out_file), "--configs-deg", "0",
+                           "--direction", "outward", "--steps", "1", "--cycles", "1")
+    assert code == cli.EXIT_SOLVER
+    assert "1 sweep points" in err
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["no_converge", "ok"]
+    assert rows[0][4:7] == ["nan"] * 3
 
 
 @pytest.mark.parametrize("experiment,extra,reference", [

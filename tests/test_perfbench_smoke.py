@@ -18,7 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("workload,trace", [
     ("stiffness_sweep", "0"),
+    ("stiffness_sweep", "1"),
     ("perching_sweep", "0"),
+    ("perching_sweep", "1"),
     ("point_queries", "0"),
     ("point_queries", "1"),
 ])

@@ -72,6 +72,25 @@ def test_force_cap_enforced(params, bend30):
         solve_deflection(params, bend30, [5.0, 0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_loads_rejected_before_solving(params, bend30, monkeypatch, bad):
+    kernel_solves = []
+    kernel = ccarm.sim.core.solve_deflection
+
+    def counting_kernel(*args):
+        kernel_solves.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(ccarm.sim.core, "solve_deflection", counting_kernel)
+    for strict in (True, False):
+        with pytest.raises(ConfigurationError, match="finite"):
+            run_stiffness_sweep(params, [bend30], [0.1, bad], strict=strict)
+    with pytest.raises(ConfigurationError, match="finite"):
+        solve_deflection(params, bend30, [bad, 0.0, 0.0])
+    assert kernel_solves == []
+
+
 def test_iteration_budget_reported(params, bend30):
     with pytest.raises(ConvergenceError):
         solve_deflection(params, bend30, 0.5 * radial_load_direction(bend30, "inward"),
