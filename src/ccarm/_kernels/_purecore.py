@@ -1,7 +1,10 @@
 """Scalar math kernels.
 
-Everything here is plain ``math`` on floats so the hot solver loops carry no
-array overhead.
+Everything here is plain ``math`` on scalars so the hot solver loops carry no
+array overhead.  The two solvers (``solve_deflection``,
+``solve_tip_constraint``) accept any real scalars and sequences, numpy ones
+included, and coerce them to Python floats once at entry, so every Newton
+step runs on floats and the results are floats.
 
 Angles are radians, lengths meters.  Near the straight configuration the
 singular arc quotients switch to series expansions so every function stays
@@ -194,10 +197,15 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
 
     Returns (wx, wy, iterations, residual_norm, converged).
     """
+    length, radius, beta = float(length), float(radius), float(beta)
+    flexural, k_tendon, tol = float(flexural), float(k_tendon), float(tol)
+    q_cmd = [float(v) for v in q_cmd]
+    tau0 = [float(v) for v in tau0]
+    fx, fy, fz = float(fx), float(fy), float(fz)
     cphi, sphi = tendon_phase_cos_sin(beta, count)
     k_bend = flexural / length
-    wx = wx0
-    wy = wy0
+    wx = float(wx0)
+    wy = float(wy0)
     rx, ry = _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
                                   q_cmd, tau0, fx, fy, fz, wx, wy)
     iters = 0
@@ -253,8 +261,10 @@ def solve_tip_constraint(length, wx0, wy0, tx, ty, tz, damping, tol, max_iter):
 
     Returns (wx, wy, iterations, reachable_residual, converged).
     """
-    wx = wx0
-    wy = wy0
+    length, damping, tol = float(length), float(damping), float(tol)
+    tx, ty, tz = float(tx), float(ty), float(tz)
+    wx = float(wx0)
+    wy = float(wy0)
     lam = damping
     iters = 0
     px, py, pz = bend_position(length, wx, wy)

@@ -28,7 +28,7 @@ from .model import (Configuration, Wrench, default_parameters, load_parameters,
                     wrap_configuration)
 from .sim import (STANDARD_GRAVITY, finite_difference_oracle, run_perching_sweep,
                   run_stiffness_sweep)
-from .statics import allocate_tensions, energy_gradient
+from .statics import allocate_tensions, equilibrium_residual
 from .stiffness import configuration_stiffness, task_stiffness, tendon_stiffness
 
 PARAMS_ENV_VAR = "CONTINUUM_PARAMS"
@@ -149,7 +149,7 @@ def cmd_stiffness(params, args):
         if tau.size != params.tendon_count:
             raise ConfigurationError(
                 f"--tensions expects {params.tendon_count} comma-separated values")
-        f_star = energy_gradient(params, psi) - jacobian_q_psi(params, psi).T @ tau
+        f_star = equilibrium_residual(params, psi, tau, None)  # grad E - J_q^T tau
     else:
         report = allocate_tensions(params, psi, Wrench.zero(), args.pretension)
         tau = report.tensions

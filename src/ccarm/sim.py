@@ -110,7 +110,8 @@ def _locked_motor_force(params, psi, q_cmd, tau0):
     return energy_gradient(params, psi) - jacobian_q_psi(params, psi).T @ tau
 
 
-def _deflect(params, commanded_config, q_cmd, tau0, f, max_iter):
+def _equilibrium(params, commanded_config, q_cmd, tau0, f, max_iter):
+    # The solve alone: returns (wx, wy, iterations, wrapped configuration).
     magnitude = float(np.linalg.norm(f))
     if magnitude > DEFAULT_FORCE_CAP:
         raise ConfigurationError(
@@ -127,10 +128,14 @@ def _deflect(params, commanded_config, q_cmd, tau0, f, max_iter):
             f"deflection solve did not converge in {max_iter} iterations",
             iterations=iters,
         )
-    psi_eq = _wrap_bend(wx, wy, commanded_config.delta)
+    return wx, wy, iters, _wrap_bend(wx, wy, commanded_config.delta)
 
+
+def _deflection_record(params, commanded_config, q_cmd, tau0, f, equilibrium):
+    wx, wy, iters, psi_eq = equilibrium
     residual = (_locked_motor_force(params, psi_eq, q_cmd, tau0)
                 - jacobian_v_psi(params, psi_eq).T @ f)
+    w0x, w0y = _bend_vector(commanded_config)
     p0 = np.array(core.bend_position(params.backbone_length, w0x, w0y))
     p1 = np.array(core.bend_position(params.backbone_length, wx, wy))
     return DeflectionRecord(
@@ -157,8 +162,9 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
     f = np.asarray(tip_force, dtype=float).reshape(3)
     if not np.isfinite(f).all():
         raise ConfigurationError(f"tip force must be finite, got {f}")
-    q_cmd, tau0 = _commanded_state(params, commanded_config, pretension)
-    return _deflect(params, commanded_config, q_cmd, tau0, f, max_iter)
+    state = _commanded_state(params, commanded_config, pretension)
+    return _deflection_record(params, commanded_config, *state, f,
+                              _equilibrium(params, commanded_config, *state, f, max_iter))
 
 
 def radial_load_direction(psi, direction):
@@ -179,12 +185,14 @@ def radial_load_direction(psi, direction):
 def _solve_radial_load(params, config, state, load, direction, max_iter):
     # The bench rig re-aims the pull so it stays radial at the *deflected*
     # configuration: iterate direction and equilibrium to a joint fixed point.
+    # Only the settled pass becomes a record.
     d = radial_load_direction(config, direction)
     for _ in range(_MAX_REAIM):
-        record = _deflect(params, config, *state, load * d, max_iter)
-        d_new = radial_load_direction(record.equilibrium_config, direction)
+        f = load * d
+        equilibrium = _equilibrium(params, config, *state, f, max_iter)
+        d_new = radial_load_direction(equilibrium[-1], direction)
         if float(np.max(np.abs(d_new - d))) < _REAIM_TOL:
-            return record
+            return _deflection_record(params, config, *state, f, equilibrium)
         d = d_new
     raise ConvergenceError("radial load direction did not settle while re-aiming")
 

@@ -8,6 +8,7 @@ unconstrained optimum would go slack.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ def _check_tensions(tensions, count):
     tau = np.asarray(tensions, dtype=float).reshape(-1)
     if tau.shape != (count,):
         raise ConfigurationError(f"expected {count} tensions, got {tau.shape[0]}")
+    if not np.isfinite(tau).all():
+        raise ConfigurationError(f"tendon tensions must be finite, got {tau}")
     if np.min(tau) < -1e-12:
         raise ConfigurationError(f"negative tendon tension: {np.min(tau)!r}")
     return tau
@@ -129,10 +132,11 @@ def allocate_tensions(params, psi, w_ext, pretension=0.0):
     Solves J_q^T tau = grad(E) - J_x^T w_ext for the minimum-norm tau, then,
     if any entry falls below the pretension floor, adds the smallest
     null-space combination restoring tau >= pretension.  Raises
+    ConfigurationError for a negative or non-finite pretension and
     InfeasibleTensionsError when no non-negative solution exists.
     """
-    if pretension < 0.0:
-        raise ConfigurationError(f"pretension must be >= 0, got {pretension!r}")
+    if not (math.isfinite(pretension) and pretension >= 0.0):
+        raise ConfigurationError(f"pretension must be finite and >= 0, got {pretension!r}")
     if w_ext is None:
         w_ext = Wrench.zero()
     jq_t = jacobian_q_psi(params, psi).T

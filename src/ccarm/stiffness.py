@@ -139,7 +139,9 @@ def task_stiffness(params, psi, tensions, f_star, *, damped=False):
     linear-velocity Jacobian loses column rank (straight arm) the map is
     undefined and SingularConfigurationError is raised, carrying sigma_min;
     pass damped=True to get the damped-pseudoinverse variant instead.
+    Negative or non-finite tensions raise ConfigurationError first.
     """
+    tau = _check_tensions(tensions, params.tendon_count)
     f_star = np.asarray(f_star, dtype=float).reshape(2)
     jv = jacobian_v_psi(params, psi)
     sigma_min = float(np.linalg.svd(jv, compute_uv=False)[-1])
@@ -152,7 +154,7 @@ def task_stiffness(params, psi, tensions, f_star, *, damped=False):
             sigma_min=sigma_min,
             tolerance=tol,
         )
-    k_psi = configuration_stiffness(params, psi, tensions)
+    k_psi = configuration_stiffness(params, psi, tau)
     pinv_t, d_theta, d_delta = jacobian_v_pinv_t_derivatives(
         params, psi, damping=DEFAULT_DAMPING if damped else 0.0
     )

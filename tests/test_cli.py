@@ -122,6 +122,31 @@ def test_stiffness_bad_tension_count(capsys):
     assert "tensions" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["stiffness", "stiffness_sweep", "perching_sweep"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_pretension_exit_usage(capsys, tmp_path, command, value):
+    out_file = tmp_path / "rejected.csv"
+    if command == "stiffness":
+        argv = ["stiffness", "--theta-deg", "30"]
+    else:
+        argv = ["sweep", "--experiment", command.split("_")[0], "--out", str(out_file)]
+    code, _, err = run_cli(capsys, *argv, "--pretension", value)
+    assert code == cli.EXIT_USAGE
+    assert "pretension" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tensions", ["nan,1,1,1", "inf,1,1,1", "1,1,1,-inf"])
+def test_stiffness_non_finite_tensions_exit_usage(capsys, tensions):
+    code, out, err = run_cli(capsys, "stiffness", "--theta-deg", "30",
+                             "--tensions", tensions)
+    assert code == cli.EXIT_USAGE
+    assert "tensions must be finite" in err
+    assert out == ""
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_stiffness_sweep_csv(capsys, tmp_path, params):

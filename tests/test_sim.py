@@ -91,6 +91,59 @@ def test_non_finite_loads_rejected_before_solving(params, bend30, monkeypatch, b
     assert kernel_solves == []
 
 
+def _kernel_inputs(params, config, force, target):
+    # Kernel arguments as numpy arrays and numpy scalars wherever a caller may
+    # pass them (sim passes q_cmd, tau0 and the force or target this way).
+    q_cmd, tau0 = ccarm.sim._commanded_state(params, config, 0.0)
+    w0x, w0y = np.array([config.theta * math.cos(config.delta),
+                         config.theta * math.sin(config.delta)])
+    deflection = (np.float64(params.backbone_length), params.pitch_radius,
+                  params.tendon_division_angle, params.tendon_count,
+                  params.flexural_rigidity, params.tendon_axial_stiffness,
+                  q_cmd, tau0, force[0], force[1], force[2], w0x, w0y,
+                  np.float64(5e-11), 100)
+    tip = (np.float64(params.backbone_length), w0x, w0y,
+           target[0], target[1], target[2], np.float64(1e-6), np.float64(1e-8), 100)
+    return deflection, tip
+
+
+def _as_plain(args):
+    return [[float(v) for v in a] if isinstance(a, np.ndarray)
+            else float(a) if isinstance(a, np.floating) else a for a in args]
+
+
+def _bits(result):
+    return [x.hex() if type(x) is float else x for x in result]
+
+
+def test_kernels_compute_on_python_floats(params, bend30):
+    # Numpy inputs are coerced once at kernel entry: the bend vector and the
+    # residual come back as Python floats, bitwise equal to a plain-float call.
+    force = 0.5 * radial_load_direction(bend30, "inward")
+    target = forward_kinematics(params, wrap_configuration(0.55, 0.1)).position
+    for kernel, args in zip((ccarm.sim.core.solve_deflection,
+                             ccarm.sim.core.solve_tip_constraint),
+                            _kernel_inputs(params, bend30, force, target)):
+        result = kernel(*args)
+        assert result[4] == 1
+        assert [type(x) for x in result] == [float, float, int, float, int]
+        assert _bits(result) == _bits(kernel(*_as_plain(args)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernels_report_non_finite_inputs_as_not_converged(params, bend30):
+    force = 0.5 * radial_load_direction(bend30, "inward")
+    target = forward_kinematics(params, wrap_configuration(0.55, 0.1)).position
+    deflection, tip = _kernel_inputs(params, bend30, force, target)
+    nan_force = deflection[:8] + (math.nan,) + deflection[9:]
+    inf_force = deflection[:8] + (math.inf,) + deflection[9:]
+    nan_start = deflection[:11] + (math.nan, math.nan) + deflection[13:]
+    nan_target = tip[:3] + (math.nan,) + tip[4:]
+    for args in (nan_force, inf_force, nan_start):
+        assert ccarm.sim.core.solve_deflection(*args)[4] == 0
+    assert ccarm.sim.core.solve_tip_constraint(*nan_target)[4] == 0
+
+
 def test_iteration_budget_reported(params, bend30):
     with pytest.raises(ConvergenceError):
         solve_deflection(params, bend30, 0.5 * radial_load_direction(bend30, "inward"),
@@ -207,6 +260,30 @@ def test_sweep_builds_each_commanded_state_once(params, monkeypatch):
     records = run_stiffness_sweep(params, configs, mirrored_schedule(0.196133, 3))
     assert len(records) == 12 and all(r.converged for r in records)
     assert calls == configs
+
+
+def test_sweep_builds_one_record_per_point(params, monkeypatch):
+    # Re-aim passes call the kernel alone; only the settled pass re-evaluates
+    # its residual (one jacobian_v_psi call) to build the returned record.
+    jacobian_calls = []
+    kernel_solves = []
+    kernel = ccarm.sim.core.solve_deflection
+
+    def counting_jacobian(*args):
+        jacobian_calls.append(1)
+        return jacobian_v_psi(*args)
+
+    def counting_kernel(*args):
+        kernel_solves.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(ccarm.sim, "jacobian_v_psi", counting_jacobian)
+    monkeypatch.setattr(ccarm.sim.core, "solve_deflection", counting_kernel)
+    configs = [wrap_configuration(math.radians(deg), 0.0) for deg in (15, 45)]
+    records = run_stiffness_sweep(params, configs, [0.2, 0.6])
+    assert len(records) == 4 and all(r.converged for r in records)
+    assert len(jacobian_calls) == len(records)
+    assert len(kernel_solves) > len(records)
 
 
 def test_sweep_monotone_stiffening(params):

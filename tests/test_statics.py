@@ -140,6 +140,13 @@ def test_allocation_rejects_negative_pretension(params):
         allocate_tensions(params, Configuration(0.3, 0), Wrench.zero(), -0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pretension", [math.nan, math.inf])
+def test_allocation_rejects_non_finite_pretension(params, pretension):
+    with pytest.raises(ConfigurationError, match="pretension"):
+        allocate_tensions(params, Configuration(0.3, 0), Wrench.zero(), pretension)
+
+
 def test_infeasible_out_of_span_target():
     # the public wrench path cannot leave the row space, so exercise the
     # shift solver directly with an unsatisfiable constraint set

@@ -112,6 +112,17 @@ def test_configuration_stiffness_rejects_negative_tension(params):
         configuration_stiffness(params, Configuration(0.3, 0), np.array([-1.0, 0, 0, 0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stiffness_rejects_non_finite_tensions(params, bad):
+    tau = np.array([bad, 1.0, 1.0, 1.0])
+    with pytest.raises(ConfigurationError, match="finite"):
+        configuration_stiffness(params, Configuration(0.3, 0), tau)
+    for theta in (0.3, 0.0):  # checked before the straight-arm singularity
+        with pytest.raises(ConfigurationError, match="finite"):
+            task_stiffness(params, Configuration(theta, 0), tau, np.zeros(2))
+
+
 def test_jacobian_v_derivatives_match_finite_differences(params, rng):
     for psi in random_configs(rng, 20):
         fd = finite_difference_oracle(
