@@ -32,7 +32,7 @@ from .statics import allocate_tensions, equilibrium_residual
 from .stiffness import configuration_stiffness, task_stiffness, tendon_stiffness
 
 PARAMS_ENV_VAR = "CONTINUUM_PARAMS"
-_MAX_PERCHING_STEPS = 100_000  # outward steps of one perching sweep
+_MAX_SWEEP_ROWS = 100_000  # CSV rows of one sweep, either experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,6 +179,11 @@ def _out_and_back(items):
 
 def _stiffness_sweep_rows(params, args):
     configs_deg = [float(v) for v in args.configs_deg.split(",")] if args.configs_deg else []
+    row_count = len(configs_deg) * args.cycles * 2 * args.steps
+    if row_count > _MAX_SWEEP_ROWS:
+        raise ConfigurationError(
+            f"--configs-deg, --cycles and --steps give {row_count} rows, "
+            f"more than {_MAX_SWEEP_ROWS}")
     loads = [args.increment_n * k for k in range(args.steps + 1)]
     rows = []
     cycles = range(1, args.cycles + 1)
@@ -211,10 +216,11 @@ def _perching_sweep_rows(params, args):
     config = wrap_configuration(math.radians(args.theta_deg), math.radians(args.delta_deg))
     axis = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}[args.axis]
     ratio = args.travel_mm / args.step_mm
-    if not ratio <= _MAX_PERCHING_STEPS:
+    steps = round(min(ratio, _MAX_SWEEP_ROWS))  # the ratio may overflow to inf
+    if 2 * steps + 1 > _MAX_SWEEP_ROWS:
         raise ConfigurationError(
-            f"--travel-mm/--step-mm gives {ratio:g} steps, more than {_MAX_PERCHING_STEPS}")
-    steps = int(round(ratio))
+            f"--travel-mm/--step-mm gives {ratio:g} steps out and back, "
+            f"more than {_MAX_SWEEP_ROWS} rows")
     out = [k * args.step_mm * 1e-3 for k in range(0, steps + 1)]
     records = run_perching_sweep(params, config, [offset * axis for offset in out],
                                  args.pretension, max_iter=args.max_iter)
@@ -230,7 +236,8 @@ def cmd_sweep(params, args):
     for flag, value, positive in (
             ("--step-mm", args.step_mm, True), ("--travel-mm", args.travel_mm, False),
             ("--increment-n", args.increment_n, False), ("--steps", args.steps, False),
-            ("--cycles", args.cycles, False), ("--max-iter", args.max_iter, False)):
+            ("--cycles", args.cycles, False), ("--max-iter", args.max_iter, False),
+            ("--pretension", args.pretension, False)):
         if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
             bound = "positive" if positive else "non-negative"
             raise ConfigurationError(f"{flag} must be finite and {bound}, got {value:g}")

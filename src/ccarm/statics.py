@@ -4,7 +4,10 @@ The virtual-work balance reads grad(E) = J_q^T tau + J_x^T w_ext: the
 backbone's elastic gradient is carried by the tendon pulls plus the external
 wrench.  Tendons can only pull, so allocation solves for the minimum-norm
 non-negative tension vector, lifting along the null space of J_q^T when the
-unconstrained optimum would go slack.
+unconstrained optimum would go slack.  The smallest lift is located by an
+exact least-distance solve (Lawson-Hanson NNLS); the subset check that used
+to try every active set then runs only over the near-active constraints, so
+the tensions are bitwise those of the exhaustive enumeration.
 """
 
 import itertools
@@ -67,20 +70,105 @@ def equilibrium_residual(params, psi, tensions, w_ext):
     return res
 
 
+_NEAR_ACTIVE_BAND = 1e-4  # slack at the least-distance point, relative to scale
+
+
+def _nnls(a, b):
+    """Lawson-Hanson NNLS: x >= 0 minimizing ||a @ x - b||, or None.
+
+    Active-set method of Lawson and Hanson (Solving Least Squares Problems,
+    1974, ch. 23).  Each pass solves one least-squares problem on the passive
+    columns; None means the budget of 3 * columns solves ran out.
+    """
+    m, n = a.shape
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(a).max()))
+    x = np.zeros(n)
+    passive = []
+    w = (a.T @ b).tolist()
+    solves = 0
+    while len(passive) < n:
+        j = max((i for i in range(n) if i not in passive), key=w.__getitem__)
+        if w[j] <= tol:
+            break
+        passive.append(j)
+        entering = True
+        while True:
+            solves += 1
+            if solves > 3 * n:
+                return None
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if entering and s[j] <= 0.0:
+                break
+            entering = False
+            if all(s[i] > 0.0 for i in passive):
+                break
+            alpha, k = min((x[i] / (x[i] - s[i]), i) for i in passive if s[i] <= 0.0)
+            x += alpha * (s - x)
+            passive = [i for i in passive if i != k and x[i] > tol]
+            x[[i for i in range(n) if i not in passive]] = 0.0
+        if entering:
+            # rounding made the best column useless: drop it for this pass
+            passive.pop()
+            w[j] = 0.0
+            continue
+        x = s
+        w = (a.T @ (b - a @ x)).tolist()
+    return x
+
+
+def _near_active(constraints, deficit, scale):
+    """Rows of constraints @ z >= deficit that can be active at the optimum.
+
+    Least-distance programming via NNLS (Lawson and Hanson, ch. 23): with
+    E = [constraints^T; bound^T] and f = e_last, the NNLS residual
+    r = E u - f gives the min-norm feasible z = -r[:-1] / r[-1], and r = 0
+    means no z is feasible.  The bound is the deficit scaled to order one and
+    relaxed by the feasibility tolerance _min_norm_shift accepts.  Returns
+    the rows within _NEAR_ACTIVE_BAND of equality at that z; none when
+    infeasible (z = 0, the only subset left to try, then fails the
+    feasibility check), all when the NNLS budget runs out.
+    """
+    n, dim = constraints.shape
+    bound = deficit / scale
+    e = np.empty((dim + 1, n))
+    e[:dim] = constraints.T
+    e[dim] = bound - 1e-12
+    f = np.zeros(dim + 1)
+    f[dim] = 1.0
+    u = _nnls(e, f)
+    if u is None:
+        return range(n)
+    r = e @ u - f
+    if not -r[dim] > 1e-24:  # -r[-1] = ||r||^2 = 1 / (1 + ||z||^2)
+        return []
+    slack = constraints @ (r[:dim] / -r[dim]) - bound
+    return [i for i in range(n) if slack[i] <= _NEAR_ACTIVE_BAND]
+
+
 def _min_norm_shift(constraints, deficit, scale):
     """Smallest z (2-norm) with constraints @ z >= deficit, or None.
 
-    Exact active-set enumeration: the optimizer of this tiny QP activates at
-    most dim(z) constraints, so trying every subset of that size is both
-    exhaustive and deterministic.
+    The optimizer of this tiny QP activates at most dim(z) constraints.  An
+    exact least-distance (NNLS) solve locates it, then every subset of at
+    most dim(z) near-active constraints is tried in ascending size order,
+    with the same solves, tolerances and tie rule as trying every subset of
+    all constraints.  A subset holding a row that is slack at the optimum by
+    more than the band gives a z at least band * scale from it (rows have
+    norm <= 1: the null basis has orthonormal columns), so its ||z||^2 is at
+    least (band * scale)^2 above the minimum, far more than the feasibility
+    tolerance moves it: such a candidate neither wins nor blocks one that
+    does.  The result is bitwise that of the exhaustive enumeration, from
+    far fewer solves.
     """
     n, dim = constraints.shape
     eq_tol = 1e-10 * scale
     feas_tol = 1e-12 * scale
     best = None
     best_norm2 = np.inf
+    near = _near_active(constraints, deficit, scale)
     for size in range(0, dim + 1):
-        for idx in itertools.combinations(range(n), size):
+        for idx in itertools.combinations(near, size):
             if size == 0:
                 z = np.zeros(dim)
             else:

@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ccarm import Configuration, default_parameters
+
+# Derandomized, with no wall-clock deadline: the same examples on every run,
+# however loaded the machine is.
+settings.register_profile("ccarm", derandomize=True, max_examples=100, deadline=None,
+                          database=None)
+settings.load_profile("ccarm")
 
 
 @pytest.fixture(scope="session")

@@ -223,6 +223,9 @@ def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
     ("perching", "--step-mm", "5e-324"),
     ("perching", "--travel-mm", "1e9"),
     ("stiffness", "--max-iter", "-1"),
+    ("stiffness", "--pretension", "-1"),
+    ("stiffness", "--pretension", "nan"),
+    ("perching", "--pretension", "-1"),
 ])
 def test_sweep_rejects_out_of_range_inputs(capsys, tmp_path, experiment, flag, value):
     out_file = tmp_path / "rejected.csv"
@@ -230,6 +233,44 @@ def test_sweep_rejects_out_of_range_inputs(capsys, tmp_path, experiment, flag, v
                            "--out", str(out_file), flag, value)
     assert code == cli.EXIT_USAGE
     assert flag in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("no_rows", [["--cycles", "0"], ["--configs-deg", ""]],
+                         ids=["no_cycles", "no_configs"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_sweep_rejects_pretension_without_rows(capsys, tmp_path, no_rows, value):
+    # a sweep with no rows never allocates, so the flag itself must be checked
+    out_file = tmp_path / "rejected.csv"
+    code, _, err = run_cli(capsys, "sweep", "--experiment", "stiffness",
+                           "--out", str(out_file), *no_rows, "--pretension", value)
+    assert code == cli.EXIT_USAGE
+    assert "--pretension" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("experiment,flags", [
+    ("stiffness", ["--configs-deg", "0", "--cycles", "1", "--steps", "50001"]),
+    ("stiffness", ["--configs-deg", "0", "--cycles", "50001", "--steps", "1"]),
+    ("stiffness", ["--configs-deg", "0,1,2,3,4", "--cycles", "101", "--steps", "100"]),
+    ("perching", ["--travel-mm", "25000", "--step-mm", "0.5"]),
+], ids=["steps", "cycles", "configs", "travel"])
+def test_sweep_row_bound_solves_nothing(capsys, tmp_path, monkeypatch, experiment, flags):
+    kernel_calls = []
+
+    def counting_kernel(*args):
+        kernel_calls.append(1)
+        raise AssertionError("a sweep over the row bound reached a kernel")
+
+    monkeypatch.setattr(ccarm._kernels.core, "solve_deflection", counting_kernel)
+    monkeypatch.setattr(ccarm._kernels.core, "solve_tip_constraint", counting_kernel)
+    out_file = tmp_path / "rejected.csv"
+    code, _, err = run_cli(capsys, "sweep", "--experiment", experiment,
+                           "--out", str(out_file), *flags)
+    assert code == cli.EXIT_USAGE
+    assert all(flag in err for flag in flags[::2])
+    assert "100000" in err
+    assert kernel_calls == []
     assert not out_file.exists()
 
 

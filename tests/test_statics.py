@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccarm import (Configuration, ConfigurationError, InfeasibleTensionsError,
                    Wrench, allocate_tensions, elastic_energy, energy_gradient,
-                   equilibrium_residual, jacobian_q_psi, jacobian_x_psi)
+                   equilibrium_residual, jacobian_q_psi, jacobian_x_psi, statics)
 from ccarm.sim import finite_difference_oracle
 from ccarm.statics import _min_norm_shift, _solve_tension_qp
 
@@ -169,3 +173,132 @@ def test_infeasible_out_of_span_rhs(params):
     jq_t = jacobian_q_psi(params, Configuration(0.0, 0.0)).T
     with pytest.raises(InfeasibleTensionsError, match="outside the span"):
         _solve_tension_qp(jq_t, np.array([0.0, 1.0]), 0.0)
+
+
+def _exhaustive_min_norm_shift(constraints, deficit, scale):
+    """Reference: the minimum-norm shift from trying every active set.
+
+    Exact active-set enumeration: the optimizer of this tiny QP activates at
+    most dim(z) constraints, so trying every subset of that size is both
+    exhaustive and deterministic.
+    """
+    n, dim = constraints.shape
+    eq_tol = 1e-10 * scale
+    feas_tol = 1e-12 * scale
+    best = None
+    best_norm2 = np.inf
+    for size in range(0, dim + 1):
+        for idx in itertools.combinations(range(n), size):
+            if size == 0:
+                z = np.zeros(dim)
+            else:
+                rows = constraints[list(idx)]
+                rhs = deficit[list(idx)]
+                z, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+                if np.linalg.norm(rows @ z - rhs) > eq_tol:
+                    continue
+            if np.all(constraints @ z >= deficit - feas_tol):
+                norm2 = float(z @ z)
+                if norm2 < best_norm2 - 1e-30:
+                    best = z
+                    best_norm2 = norm2
+    return best
+
+
+def _arm(params, tendon_count):
+    return dataclasses.replace(params, tendon_count=tendon_count,
+                               tendon_division_angle=2.0 * math.pi / tendon_count)
+
+
+def _tensions_or_error(*args):
+    try:
+        return allocate_tensions(*args).tensions
+    except InfeasibleTensionsError as exc:
+        return type(exc)
+
+
+_DELTAS = [k * math.pi / 4 for k in range(-4, 5)] + [math.pi / 6]
+
+
+@settings(max_examples=200)
+@given(tendon_count=st.integers(3, 8),
+       theta=st.one_of(st.just(0.0), st.floats(0.0, math.pi)),
+       delta=st.one_of(st.sampled_from(_DELTAS), st.floats(-math.pi, math.pi)),
+       force=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       moment=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+       pretension=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_allocation_matches_exhaustive_enumeration(params, tendon_count, theta, delta,
+                                                   force, moment, pretension):
+    args = (_arm(params, tendon_count), Configuration(theta, delta),
+            Wrench(force=np.array(force), moment=np.array(moment)), pretension)
+    shifts = []
+
+    def exhaustive(constraints, deficit, scale):
+        shifts.append((constraints, deficit, scale))
+        return _exhaustive_min_norm_shift(constraints, deficit, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statics, "_min_norm_shift", exhaustive)
+        expected = _tensions_or_error(*args)
+    got = _tensions_or_error(*args)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert np.array_equal(got, expected)
+    for constraints, deficit, scale in shifts:
+        z = _min_norm_shift(constraints, deficit, scale)
+        z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
+        assert (z is None and z_ref is None) or np.array_equal(z, z_ref)
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 10),
+       rows=st.sampled_from(["distinct", "duplicate", "parallel"]),
+       degenerate=st.booleans())
+def test_min_norm_shift_matches_exhaustive_enumeration(seed, count, rows, degenerate):
+    # orthonormal columns like a null basis; twin rows and many constraints
+    # tight at one point are where an active-set shortcut would pick the
+    # other twin or miss a tie
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, count - 1))
+    constraints, _ = np.linalg.qr(rng.normal(size=(count, dim)))
+    i, j = rng.choice(count, 2, replace=False)
+    if rows == "duplicate":
+        constraints[j] = constraints[i]
+    elif rows == "parallel":
+        constraints[j] = constraints[i] * rng.uniform(0.2, 1.0)
+    if degenerate:
+        deficit = constraints @ rng.normal(size=dim)
+        deficit[rng.random(count) < 0.5] -= 0.1
+    else:
+        deficit = rng.normal(size=count) * 10.0 ** rng.integers(-3, 2)
+    scale = max(1.0, float(np.abs(deficit).max()))
+    z = _min_norm_shift(constraints, deficit, scale)
+    z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
+    assert (z is None and z_ref is None) or np.array_equal(z, z_ref)
+
+
+def test_min_norm_shift_without_nnls_tries_every_subset(monkeypatch):
+    # when the NNLS budget runs out every constraint counts as near-active
+    monkeypatch.setattr(statics, "_nnls", lambda a, b: None)
+    constraints = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    deficit = np.array([0.3, -1.0, -1.0, -1.0])
+    assert np.array_equal(_min_norm_shift(constraints, deficit, 1.0),
+                          _exhaustive_min_norm_shift(constraints, deficit, 1.0))
+    assert _min_norm_shift(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), 1.0) is None
+
+
+@pytest.mark.parametrize("delta", [math.pi / 6, 1.234])
+def test_six_tendon_allocation_solves_few_least_squares(params, monkeypatch, delta):
+    # trying every subset of at most four of six constraints takes 56 solves
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(statics.np.linalg, "lstsq", counting_lstsq)
+    report = allocate_tensions(_arm(params, 6), Configuration(math.radians(30), delta),
+                               Wrench.zero(), 0.3)
+    assert np.min(report.tensions) >= 0.3
+    assert len(calls) < 25
