@@ -6,6 +6,14 @@ array overhead.  The two solvers (``solve_deflection``,
 included, and coerce them to Python floats once at entry, so every Newton
 step runs on floats and the results are floats.
 
+The deflection residual splits into a force-free part (the potential's
+gradient and the tip Jacobian at w) and the tip-force term.  Every solve of
+one commanded configuration starts at the same w, so ``deflection_start``
+evaluates the force-free part there and at the four stencil points of the
+first Newton step once; ``solve_deflection`` takes that start as an optional
+last argument, checks that it was built from its own inputs, and builds one
+itself when none is given.  The results are bitwise the same either way.
+
 Angles are radians, lengths meters.  Near the straight configuration the
 singular arc quotients switch to series expansions so every function stays
 finite and smooth.  The solvers work in "bend vector" coordinates
@@ -125,9 +133,10 @@ def bend_position_jacobian(length, wx, wy):
         ct = math.cos(theta)
         b = (theta * st - 2.0 + 2.0 * ct) / (t2 * t2)
         c = (theta * ct - st) / (t2 * theta)
+    off = length * wx * wy * b
     return (
-        length * (a + wx * wx * b), length * wx * wy * b,
-        length * wx * wy * b, length * (a + wy * wy * b),
+        length * (a + wx * wx * b), off,
+        off, length * (a + wy * wy * b),
         length * wx * c, length * wy * c,
     )
 
@@ -158,23 +167,44 @@ def tendon_phase_cos_sin(beta, count):
     )
 
 
-def _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                         q_cmd, tau0, fx, fy, fz, wx, wy):
-    # Bend-chart gradient of the total potential minus the tip-force term.
-    # Tensions follow the locked-motor law tau = max(0, tau0 - k*(q - q_cmd)).
+def _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx, wy):
+    # Force-free part of the bend-chart residual at w: the gradient of the
+    # total potential, k_bend*w - g(w), and the tip Jacobian J_p(w) that the
+    # force term contracts with.  tendons holds (cos phi, sin phi, q_cmd,
+    # tau0) per tendon; tensions follow the locked-motor law
+    # tau = max(0, tau0 - k*(q - q_cmd)).
     jp = bend_position_jacobian(length, wx, wy)
     gx = 0.0
     gy = 0.0
-    for i in range(len(cphi)):
-        q = radius * (cphi[i] * wx - sphi[i] * wy)
-        t = tau0[i] - k_tendon * (q - q_cmd[i])
+    for cphi, sphi, q_cmd, tau0 in tendons:
+        q = radius * (cphi * wx - sphi * wy)
+        t = tau0 - k_tendon * (q - q_cmd)
         if t < 0.0:
             t = 0.0
-        gx += t * radius * cphi[i]
-        gy -= t * radius * sphi[i]
-    rx = k_bend * wx - gx - (jp[0] * fx + jp[2] * fy + jp[4] * fz)
-    ry = k_bend * wy - gy - (jp[1] * fx + jp[3] * fy + jp[5] * fz)
-    return rx, ry
+        t *= radius
+        gx += t * cphi
+        gy -= t * sphi
+    return k_bend * wx - gx, k_bend * wy - gy, jp
+
+
+def _with_force(part, fx, fy, fz):
+    # The residual k_bend*w - g(w) - J_p(w)^T f.  Python evaluates the one
+    # expression left to right, so adding the force to a stored force-free
+    # part gives the same bits.
+    ax, ay, jp = part
+    return (ax - (jp[0] * fx + jp[2] * fy + jp[4] * fz),
+            ay - (jp[1] * fx + jp[3] * fy + jp[5] * fz))
+
+
+def _stencil(length, radius, k_bend, k_tendon, tendons, wx, wy):
+    # Central-difference steps at w and the force-free parts at w +- h.
+    hx = 1e-7 * (1.0 + abs(wx))
+    hy = 1e-7 * (1.0 + abs(wy))
+    return (hx, hy,
+            _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx + hx, wy),
+            _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx - hx, wy),
+            _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx, wy + hy),
+            _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx, wy - hy))
 
 
 def _psi_residual_norm(rx, ry, wx, wy):
@@ -187,27 +217,69 @@ def _psi_residual_norm(rx, ry, wx, wy):
     return math.hypot(r1, r2)
 
 
+def _start_inputs(length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx0, wy0):
+    return (float(length), float(radius), float(beta), count, float(flexural),
+            float(k_tendon), list(map(float, q_cmd)), list(map(float, tau0)),
+            float(wx0), float(wy0))
+
+
+class DeflectionStart:
+    """The force-free part of a deflection solve at its start point.
+
+    Built by ``deflection_start`` from the inputs of ``solve_deflection`` that
+    do not involve the tip force.  ``inputs`` holds them as floats, so a solve
+    can check that it was given the start of its own problem.
+    """
+
+    __slots__ = ("inputs", "model", "centre", "stencil")
+
+    def __init__(self, inputs):
+        length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx, wy = inputs
+        tendons = tuple(zip(*tendon_phase_cos_sin(beta, count), q_cmd, tau0, strict=True))
+        self.inputs = inputs
+        self.model = (length, radius, flexural / length, k_tendon, tendons)
+        self.centre = _force_free_residual(*self.model, wx, wy)
+        self.stencil = _stencil(*self.model, wx, wy)
+
+
+def deflection_start(length, radius, beta, count, flexural, k_tendon, q_cmd, tau0,
+                     wx0, wy0):
+    """Force-free residual parts at the start w0 and its four stencil points.
+
+    Every solve of one commanded configuration starts at the same w0, and its
+    first Newton step evaluates the residual there and at w0 +- h along each
+    axis.  Only the tip-force term differs between loads, so a start built
+    once serves every ``solve_deflection`` of that configuration.
+    """
+    return DeflectionStart(_start_inputs(length, radius, beta, count, flexural, k_tendon,
+                                         q_cmd, tau0, wx0, wy0))
+
+
 def solve_deflection(length, radius, beta, count, flexural, k_tendon,
-                     q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter):
+                     q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter, start=None):
     """Newton solve of the locked-motor bending equilibrium under a tip force.
 
     Damped Newton iteration (finite-difference 2x2 Jacobian, backtracking
     line search halving the step) on the bend-chart residual.
     Convergence is judged on the residual norm in (theta, delta) coordinates.
+    ``start``, from ``deflection_start`` with the same inputs, supplies the
+    first step's force-free residual parts; without it the solve builds its
+    own.  A start built from other inputs raises ValueError; inputs compare
+    with ==, so a start built from a NaN input matches no solve.
 
     Returns (wx, wy, iterations, residual_norm, converged).
     """
-    length, radius, beta = float(length), float(radius), float(beta)
-    flexural, k_tendon, tol = float(flexural), float(k_tendon), float(tol)
-    q_cmd = [float(v) for v in q_cmd]
-    tau0 = [float(v) for v in tau0]
-    fx, fy, fz = float(fx), float(fy), float(fz)
-    cphi, sphi = tendon_phase_cos_sin(beta, count)
-    k_bend = flexural / length
-    wx = float(wx0)
-    wy = float(wy0)
-    rx, ry = _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                  q_cmd, tau0, fx, fy, fz, wx, wy)
+    inputs = _start_inputs(length, radius, beta, count, flexural, k_tendon,
+                           q_cmd, tau0, wx0, wy0)
+    if start is None:
+        start = DeflectionStart(inputs)
+    elif start.inputs != inputs:
+        raise ValueError("deflection start was built from other inputs")
+    length, radius, k_bend, k_tendon, tendons = start.model
+    fx, fy, fz, tol = float(fx), float(fy), float(fz), float(tol)
+    wx, wy = inputs[-2:]
+    rx, ry = _with_force(start.centre, fx, fy, fz)
+    stencil = start.stencil
     iters = 0
     while True:
         res = _psi_residual_norm(rx, ry, wx, wy)
@@ -215,16 +287,13 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
             return wx, wy, iters, res, 1
         if iters >= max_iter:
             return wx, wy, iters, res, 0
-        hx = 1e-7 * (1.0 + abs(wx))
-        hy = 1e-7 * (1.0 + abs(wy))
-        axp, ayp = _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                        q_cmd, tau0, fx, fy, fz, wx + hx, wy)
-        axm, aym = _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                        q_cmd, tau0, fx, fy, fz, wx - hx, wy)
-        bxp, byp = _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                        q_cmd, tau0, fx, fy, fz, wx, wy + hy)
-        bxm, bym = _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                        q_cmd, tau0, fx, fy, fz, wx, wy - hy)
+        if iters:
+            stencil = _stencil(length, radius, k_bend, k_tendon, tendons, wx, wy)
+        hx, hy, xp, xm, yp, ym = stencil
+        axp, ayp = _with_force(xp, fx, fy, fz)
+        axm, aym = _with_force(xm, fx, fy, fz)
+        bxp, byp = _with_force(yp, fx, fy, fz)
+        bxm, bym = _with_force(ym, fx, fy, fz)
         j11 = (axp - axm) / (2.0 * hx)
         j21 = (ayp - aym) / (2.0 * hx)
         j12 = (bxp - bxm) / (2.0 * hy)
@@ -240,8 +309,9 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
         for _ in range(40):
             nwx = wx + alpha * dx
             nwy = wy + alpha * dy
-            nrx, nry = _deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                            q_cmd, tau0, fx, fy, fz, nwx, nwy)
+            nrx, nry = _with_force(
+                _force_free_residual(length, radius, k_bend, k_tendon, tendons, nwx, nwy),
+                fx, fy, fz)
             if nrx * nrx + nry * nry <= phi0 * (1.0 - 1e-4 * alpha):
                 wx, wy, rx, ry = nwx, nwy, nrx, nry
                 accepted = True

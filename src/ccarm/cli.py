@@ -191,22 +191,21 @@ def _stiffness_sweep_rows(params, args):
         config = wrap_configuration(math.radians(theta_deg), math.radians(args.delta_deg))
         if not cycles:
             continue
-        # Every cycle repeats the first, so solve each distinct load once; a
-        # cycle starts at the first increment and ends unloaded.
-        records = _out_and_back(run_stiffness_sweep(
+        # Every cycle repeats the first, so solve and format each distinct
+        # load once; a cycle starts at the first increment and ends unloaded.
+        fields = _out_and_back([[
+            _fmt(np.linalg.norm(record.applied_force)),
+            _fmt(record.tip_displacement[0]),
+            _fmt(record.tip_displacement[1]),
+            _fmt(record.tip_displacement[2]),
+            str(record.solver_iterations),
+            "ok" if record.converged else "no_converge",
+        ] for record in run_stiffness_sweep(
             params, [config], loads, args.direction, args.pretension,
-            strict=False, max_iter=args.max_iter))[1:]
+            strict=False, max_iter=args.max_iter)])[1:]
         for cycle in cycles:
-            for record in records:
-                rows.append([
-                    _fmt(theta_deg), _fmt(args.delta_deg), str(cycle),
-                    _fmt(np.linalg.norm(record.applied_force)),
-                    _fmt(record.tip_displacement[0]),
-                    _fmt(record.tip_displacement[1]),
-                    _fmt(record.tip_displacement[2]),
-                    str(record.solver_iterations),
-                    "ok" if record.converged else "no_converge",
-                ])
+            prefix = [_fmt(theta_deg), _fmt(args.delta_deg), str(cycle)]
+            rows += [prefix + row for row in fields]
     header = ["config_theta_deg", "config_delta_deg", "cycle", "load_N",
               "disp_x_m", "disp_y_m", "disp_z_m", "iterations", "status"]
     return header, rows

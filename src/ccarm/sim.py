@@ -12,6 +12,7 @@ the solver's internal bookkeeping.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,22 @@ def _wrap_bend(wx, wy, fallback_delta):
     return wrap_configuration(theta, delta)
 
 
+def _check_max_iter(max_iter):
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+            or max_iter < 0):
+        raise ConfigurationError(f"max_iter must be a non-negative integer, got {max_iter!r}")
+
+
 def _commanded_state(params, commanded_config, pretension):
     q_cmd = configuration_to_joints(params, commanded_config).displacements
     tau0 = allocate_tensions(params, commanded_config, Wrench.zero(), pretension).tensions
     return q_cmd, tau0
+
+
+def _arm(params):
+    # The arm constants of the deflection kernel, in its argument order.
+    return (params.backbone_length, params.pitch_radius, params.tendon_division_angle,
+            params.tendon_count, params.flexural_rigidity, params.tendon_axial_stiffness)
 
 
 def _locked_motor_force(params, psi, q_cmd, tau0):
@@ -110,18 +123,15 @@ def _locked_motor_force(params, psi, q_cmd, tau0):
     return energy_gradient(params, psi) - jacobian_q_psi(params, psi).T @ tau
 
 
-def _equilibrium(params, commanded_config, q_cmd, tau0, f, max_iter):
+def _equilibrium(params, commanded_config, q_cmd, tau0, f, max_iter, start=None):
     # The solve alone: returns (wx, wy, iterations, wrapped configuration).
-    magnitude = float(np.linalg.norm(f))
+    magnitude = math.hypot(*f)
     if magnitude > DEFAULT_FORCE_CAP:
         raise ConfigurationError(
             f"tip force {magnitude:.3g} N exceeds cap {DEFAULT_FORCE_CAP:.3g} N")
-    w0x, w0y = _bend_vector(commanded_config)
-
     wx, wy, iters, _, ok = core.solve_deflection(
-        params.backbone_length, params.pitch_radius, params.tendon_division_angle,
-        params.tendon_count, params.flexural_rigidity, params.tendon_axial_stiffness,
-        q_cmd, tau0, f[0], f[1], f[2], w0x, w0y, 0.5 * _DEFLECTION_TOL, max_iter,
+        *_arm(params), q_cmd, tau0, f[0], f[1], f[2], *_bend_vector(commanded_config),
+        0.5 * _DEFLECTION_TOL, max_iter, start,
     )
     if not ok:
         raise ConvergenceError(
@@ -157,8 +167,9 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
 
     Returns a DeflectionRecord; raises ConvergenceError when the iteration
     budget runs out, ConfigurationError for a non-finite force, past the force
-    cap or a bend of pi.
+    cap, a bend of pi or a max_iter that is not a non-negative integer.
     """
+    _check_max_iter(max_iter)
     f = np.asarray(tip_force, dtype=float).reshape(3)
     if not np.isfinite(f).all():
         raise ConfigurationError(f"tip force must be finite, got {f}")
@@ -167,32 +178,39 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
                               _equilibrium(params, commanded_config, *state, f, max_iter))
 
 
+def _direction_sign(direction):
+    if direction not in ("inward", "outward"):
+        raise ConfigurationError(f"direction must be 'inward' or 'outward', got {direction!r}")
+    return 1.0 if direction == "inward" else -1.0
+
+
+def _radial_direction(psi, sign):
+    # Float 3-tuple; each entry is bitwise numpy's sign * array([...]).
+    st, ct = math.sin(psi.theta), math.cos(psi.theta)
+    sd, cd = math.sin(psi.delta), math.cos(psi.delta)
+    return sign * (ct * cd), sign * (ct * sd), sign * -st
+
+
 def radial_load_direction(psi, direction):
     """Unit in-plane load direction, perpendicular to the end-disk normal.
 
     "inward" points toward the arc center (it deepens the bend), "outward"
-    is its opposite.
+    is its opposite.  Any other direction raises ConfigurationError.
     """
-    try:
-        sign = {"inward": 1.0, "outward": -1.0}[direction]
-    except KeyError:
-        raise ValueError(f"direction must be 'inward' or 'outward', got {direction!r}")
-    st, ct = math.sin(psi.theta), math.cos(psi.theta)
-    sd, cd = math.sin(psi.delta), math.cos(psi.delta)
-    return sign * np.array([ct * cd, ct * sd, -st])
+    return np.array(_radial_direction(psi, _direction_sign(direction)))
 
 
-def _solve_radial_load(params, config, state, load, direction, max_iter):
+def _solve_radial_load(params, config, state, start, load, sign, max_iter):
     # The bench rig re-aims the pull so it stays radial at the *deflected*
     # configuration: iterate direction and equilibrium to a joint fixed point.
     # Only the settled pass becomes a record.
-    d = radial_load_direction(config, direction)
+    d = _radial_direction(config, sign)
     for _ in range(_MAX_REAIM):
-        f = load * d
-        equilibrium = _equilibrium(params, config, *state, f, max_iter)
-        d_new = radial_load_direction(equilibrium[-1], direction)
-        if float(np.max(np.abs(d_new - d))) < _REAIM_TOL:
-            return _deflection_record(params, config, *state, f, equilibrium)
+        f = (load * d[0], load * d[1], load * d[2])
+        equilibrium = _equilibrium(params, config, *state, f, max_iter, start)
+        d_new = _radial_direction(equilibrium[-1], sign)
+        if all(abs(a - b) < _REAIM_TOL for a, b in zip(d_new, d)):
+            return _deflection_record(params, config, *state, np.array(f), equilibrium)
         d = d_new
     raise ConvergenceError("radial load direction did not settle while re-aiming")
 
@@ -205,19 +223,24 @@ def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
     plane, re-aimed at each equilibrium.  A failed point (no convergence, a
     load over the cap, an equilibrium past pi) raises with strict=True,
     annotated with (config, load); otherwise it is recorded with
-    converged=False and NaN displacements.  A non-finite load raises
+    converged=False and NaN displacements.  A non-finite load, an unknown
+    direction or a max_iter that is not a non-negative integer raises
     ConfigurationError before any point is solved.
     """
+    _check_max_iter(max_iter)
+    sign = _direction_sign(direction)
     loads = [float(load) for load in load_schedule]
     if not all(map(math.isfinite, loads)):
         raise ConfigurationError("sweep loads must be finite")
     records = []
     for config in configs:
         state = _commanded_state(params, config, pretension)
+        # every solve of this configuration starts at its bend vector
+        start = core.deflection_start(*_arm(params), *state, *_bend_vector(config))
         for load in loads:
             try:
                 records.append(_solve_radial_load(
-                    params, config, state, load, direction, max_iter))
+                    params, config, state, start, load, sign, max_iter))
             except _POINT_FAILURES as exc:
                 if strict:
                     raise type(exc)(
@@ -263,11 +286,13 @@ def _perch(params, commanded_config, state, anchor, base_offset, max_iter):
 
     generalized = _locked_motor_force(params, psi, *state)
     force = -np.linalg.pinv(jacobian_v_psi(params, psi).T) @ generalized
-    tip = np.array(core.bend_position(length, wx, wy))
+    # tip x force, each entry one product minus another as np.cross does it
+    px, py, pz = core.bend_position(length, wx, wy)
+    fx, fy, fz = force.tolist()
     return PerchingRecord(
         base_offset=offset,
         reaction_force=force,
-        reaction_moment=np.cross(tip, force),
+        reaction_moment=np.array([py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx]),
         equilibrium_config=psi,
         ik_residual_norm=float(reach_residual),
         iterations=iters,
@@ -297,8 +322,10 @@ def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *
     The commanded state is built once for all offsets.  A failed point (IK
     not converged, anchor out of reach, an equilibrium bent past pi) is
     recorded with converged=False and NaN reaction force and moment; a
-    non-finite offset raises ConfigurationError before any point is solved.
+    non-finite offset or a max_iter that is not a non-negative integer raises
+    ConfigurationError before any point is solved.
     """
+    _check_max_iter(max_iter)
     offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3)
     if not np.isfinite(offsets).all():
         raise ConfigurationError("perching base offsets must be finite")

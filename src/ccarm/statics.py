@@ -228,11 +228,14 @@ def allocate_tensions(params, psi, w_ext, pretension=0.0):
     if w_ext is None:
         w_ext = Wrench.zero()
     jq_t = jacobian_q_psi(params, psi).T
-    b = energy_gradient(params, psi) - jacobian_x_psi(params, psi).T @ w_ext.as_vector()
-    tau = _solve_tension_qp(jq_t, b, float(pretension))
-    report = EquilibriumReport(
-        residual=equilibrium_residual(params, psi, tau, w_ext),
+    grad = energy_gradient(params, psi)
+    external = jacobian_x_psi(params, psi).T @ w_ext.as_vector()
+    tau = _check_tensions(_solve_tension_qp(jq_t, grad - external, float(pretension)),
+                          params.tendon_count)
+    # bitwise equilibrium_residual(params, psi, tau, w_ext), from the same products
+    generalized = grad - jq_t @ tau
+    return EquilibriumReport(
+        residual=generalized - external,
         tensions=tau,
-        generalized_force=energy_gradient(params, psi) - jq_t @ tau,
+        generalized_force=generalized,
     )
-    return report

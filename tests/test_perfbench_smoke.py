@@ -2,7 +2,9 @@
 
 A renamed function the benchmark imports, a changed kernel signature or a
 sweep whose output drifts from perfbench/reference fails here, before a
-benchmark run would.  No timing is asserted.
+benchmark run would.  No timing is asserted.  Traced runs must count the
+sweeps' solves: a solve routed around the kernel entry points would hide from
+the tracer and from the tests that count kernel calls.
 """
 
 import json
@@ -14,6 +16,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Per traced unit, whatever the seed.
+TRACED_COUNTS = {
+    "stiffness_sweep": {"kernels.solve_deflection.calls": 200,
+                        "kernels.solve_deflection.newton_iters": 639},
+    "perching_sweep": {"kernels.solve_tip_constraint.calls": 42},
+}
 
 
 @pytest.mark.parametrize("workload,trace", [
@@ -35,3 +44,6 @@ def test_worker_runs_workload(tmp_path, workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["attempted"] > 0
     assert result["failed"] == 0
+    if trace == "1":
+        expected = TRACED_COUNTS.get(workload, {})
+        assert {name: result["metrics"][name]["value"] for name in expected} == expected

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ccarm.sim
 from ccarm import (Configuration, ConfigurationError, ConvergenceError,
@@ -10,7 +13,10 @@ from ccarm import (Configuration, ConfigurationError, ConvergenceError,
                    jacobian_v_psi, mirrored_schedule, radial_load_direction,
                    run_perching_sweep, run_stiffness_sweep, solve_deflection,
                    solve_perching_reaction, task_stiffness, wrap_configuration)
+from ccarm._kernels._purecore import _psi_residual_norm, tendon_phase_cos_sin
 from ccarm.sim import finite_difference_oracle
+
+core = ccarm.sim.core
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +148,163 @@ def test_kernels_report_non_finite_inputs_as_not_converged(params, bend30):
     for args in (nan_force, inf_force, nan_start):
         assert ccarm.sim.core.solve_deflection(*args)[4] == 0
     assert ccarm.sim.core.solve_tip_constraint(*nan_target)[4] == 0
+
+
+# The deflection solver before it shared its start between solves, verbatim
+# except for the names: the bitwise reference of the kernel.
+
+def _parent_bend_position_jacobian(length, wx, wy):
+    """d(bend_position)/dw, row-major 3x2.  Smooth through w = 0."""
+    theta = math.hypot(wx, wy)
+    t2 = theta * theta
+    if theta < core.SERIES_THRESHOLD:
+        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    else:
+        a = (1.0 - math.cos(theta)) / t2
+    if theta < core.SMOOTH_THRESHOLD:
+        b = -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0
+        c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
+    else:
+        st = math.sin(theta)
+        ct = math.cos(theta)
+        b = (theta * st - 2.0 + 2.0 * ct) / (t2 * t2)
+        c = (theta * ct - st) / (t2 * theta)
+    return (
+        length * (a + wx * wx * b), length * wx * wy * b,
+        length * wx * wy * b, length * (a + wy * wy * b),
+        length * wx * c, length * wy * c,
+    )
+
+
+def _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
+                                q_cmd, tau0, fx, fy, fz, wx, wy):
+    # Bend-chart gradient of the total potential minus the tip-force term.
+    # Tensions follow the locked-motor law tau = max(0, tau0 - k*(q - q_cmd)).
+    jp = _parent_bend_position_jacobian(length, wx, wy)
+    gx = 0.0
+    gy = 0.0
+    for i in range(len(cphi)):
+        q = radius * (cphi[i] * wx - sphi[i] * wy)
+        t = tau0[i] - k_tendon * (q - q_cmd[i])
+        if t < 0.0:
+            t = 0.0
+        gx += t * radius * cphi[i]
+        gy -= t * radius * sphi[i]
+    rx = k_bend * wx - gx - (jp[0] * fx + jp[2] * fy + jp[4] * fz)
+    ry = k_bend * wy - gy - (jp[1] * fx + jp[3] * fy + jp[5] * fz)
+    return rx, ry
+
+
+def _parent_solve_deflection(length, radius, beta, count, flexural, k_tendon,
+                             q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter):
+    length, radius, beta = float(length), float(radius), float(beta)
+    flexural, k_tendon, tol = float(flexural), float(k_tendon), float(tol)
+    q_cmd = [float(v) for v in q_cmd]
+    tau0 = [float(v) for v in tau0]
+    fx, fy, fz = float(fx), float(fy), float(fz)
+    cphi, sphi = tendon_phase_cos_sin(beta, count)
+    k_bend = flexural / length
+    wx = float(wx0)
+    wy = float(wy0)
+    rx, ry = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
+                                         q_cmd, tau0, fx, fy, fz, wx, wy)
+    iters = 0
+    while True:
+        res = _psi_residual_norm(rx, ry, wx, wy)
+        if res < tol:
+            return wx, wy, iters, res, 1
+        if iters >= max_iter:
+            return wx, wy, iters, res, 0
+        hx = 1e-7 * (1.0 + abs(wx))
+        hy = 1e-7 * (1.0 + abs(wy))
+        axp, ayp = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
+                                               q_cmd, tau0, fx, fy, fz, wx + hx, wy)
+        axm, aym = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
+                                               q_cmd, tau0, fx, fy, fz, wx - hx, wy)
+        bxp, byp = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
+                                               q_cmd, tau0, fx, fy, fz, wx, wy + hy)
+        bxm, bym = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
+                                               q_cmd, tau0, fx, fy, fz, wx, wy - hy)
+        j11 = (axp - axm) / (2.0 * hx)
+        j21 = (ayp - aym) / (2.0 * hx)
+        j12 = (bxp - bxm) / (2.0 * hy)
+        j22 = (byp - bym) / (2.0 * hy)
+        det = j11 * j22 - j12 * j21
+        if not math.isfinite(det) or abs(det) < 1e-300:
+            return wx, wy, iters, res, 0
+        dx = -(j22 * rx - j12 * ry) / det
+        dy = -(j11 * ry - j21 * rx) / det
+        phi0 = rx * rx + ry * ry
+        alpha = 1.0
+        accepted = False
+        for _ in range(40):
+            nwx = wx + alpha * dx
+            nwy = wy + alpha * dy
+            nrx, nry = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi,
+                                                   sphi, q_cmd, tau0, fx, fy, fz, nwx, nwy)
+            if nrx * nrx + nry * nry <= phi0 * (1.0 - 1e-4 * alpha):
+                wx, wy, rx, ry = nwx, nwy, nrx, nry
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            return wx, wy, iters, res, 0
+        iters += 1
+
+
+_finite_component = st.floats(-1.5, 1.5)
+_force_component = _finite_component | st.sampled_from([math.nan, math.inf, -math.inf])
+_forces = (st.tuples(_finite_component, _finite_component, _finite_component)
+           | st.tuples(_force_component, _force_component, _force_component))
+
+
+@st.composite
+def _deflection_problems(draw):
+    # Arm constants, (q_cmd, tau0), the start w0 (zero included) and two forces.
+    count = draw(st.integers(3, 8))
+    beta = 2.0 * math.pi / count    # exactly pi/2 for four tendons
+    arm = (draw(st.floats(0.1, 0.5)), draw(st.floats(0.005, 0.04)), beta, count,
+           draw(st.floats(5e-4, 1e-2)), draw(st.floats(100.0, 5000.0)))
+    theta = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.8)))
+    delta = draw(st.floats(-math.pi, math.pi))
+    q_cmd = [arm[1] * theta * math.cos(delta + i * beta) for i in range(count)]
+    tau0 = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+    forces = draw(st.lists(_forces, min_size=2, max_size=2))
+    w0 = (theta * math.cos(delta), theta * math.sin(delta))
+    return arm, q_cmd, tau0, w0, forces, draw(st.sampled_from([0, 1, 100]))
+
+
+@given(problem=_deflection_problems())
+def test_kernel_matches_parent_solver_bitwise(problem):
+    # With or without a shared start, and with one start serving two forces,
+    # every result is float.hex-equal to the solver that evaluated the full
+    # residual at every point.  Warnings are errors inside the test body only,
+    # so that hypothesis can still report a failing example.
+    arm, q_cmd, tau0, w0, forces, max_iter = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = core.deflection_start(*arm, q_cmd, tau0, *w0)
+        for force in forces:
+            args = (*arm, q_cmd, tau0, *force, *w0, 5e-11, max_iter)
+            expected = _bits(_parent_solve_deflection(*args))
+            assert _bits(core.solve_deflection(*args)) == expected
+            assert _bits(core.solve_deflection(*args, start)) == expected
+
+
+@pytest.mark.parametrize("index,value", [
+    (0, 0.3), (1, 0.021), (2, 1.5), (3, 5), (4, 2.5e-3), (5, 1500.0),
+    (6, [0.0105, 0.0, -0.0105, 0.0]), (7, [0.25, 0.0, 0.0, 0.0]), (11, 0.52), (12, 0.01),
+], ids=["length", "radius", "beta", "count", "flexural", "k_tendon", "q_cmd", "tau0", "wx0",
+        "wy0"])
+def test_kernel_rejects_start_of_other_inputs(index, value):
+    args = [0.25, 0.02, math.pi / 2, 4, 2.4543692606170264e-03, 1580.0,
+            [0.0104719755, 0.0, -0.0104719755, 0.0], [0.2454369261, 0.0, 0.0, 0.0],
+            0.42, 0.0, -0.24, 0.5236, 0.0, 5e-11, 100]
+    start = core.deflection_start(*args[:8], *args[11:13])
+    assert core.solve_deflection(*args, start) == core.solve_deflection(*args)
+    args[index] = value
+    with pytest.raises(ValueError, match="start"):
+        core.solve_deflection(*args, start)
 
 
 def test_iteration_budget_reported(params, bend30):
@@ -284,6 +447,82 @@ def test_sweep_builds_one_record_per_point(params, monkeypatch):
     assert len(records) == 4 and all(r.converged for r in records)
     assert len(jacobian_calls) == len(records)
     assert len(kernel_solves) > len(records)
+
+
+def _default_protocol_sweep(params):
+    # The distinct points of `ccarm sweep --experiment stiffness`: five bends,
+    # five 20-gram increments and the unloaded point.
+    configs = [wrap_configuration(math.radians(deg), 0.0) for deg in (0, 15, 30, 45, 60)]
+    loads = [0.02 * ccarm.sim.STANDARD_GRAVITY * k for k in range(6)]
+    records = run_stiffness_sweep(params, configs, loads)
+    assert len(records) == 30 and all(r.converged for r in records)
+
+
+def test_sweep_shares_one_start_per_bend(params, monkeypatch):
+    starts = []
+    start_extras = []
+    build = core.deflection_start
+    kernel = core.solve_deflection
+
+    def counting_start(*args):
+        starts.append(build(*args))
+        return starts[-1]
+
+    def counting_kernel(*args):
+        start_extras.append(args[15:])
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "deflection_start", counting_start)
+    monkeypatch.setattr(core, "solve_deflection", counting_kernel)
+    _default_protocol_sweep(params)
+    assert len(starts) == 5
+    assert len(start_extras) == 200
+    assert all(len(extra) == 1 and any(extra[0] is s for s in starts)
+               for extra in start_extras)
+
+
+def test_sweep_evaluates_fewer_residuals(params, monkeypatch):
+    # Without the shared start the default sweep makes 3395 evaluations: each
+    # solve re-evaluates its start point and the four stencil points there.
+    evaluations = []
+    residual = core._force_free_residual
+
+    def counting_residual(*args):
+        evaluations.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(core, "_force_free_residual", counting_residual)
+    _default_protocol_sweep(params)
+    assert len(evaluations) <= 2450
+
+
+@pytest.mark.parametrize("max_iter", [-1, True, False, math.nan, 2.0, "3", None])
+def test_drivers_reject_bad_iteration_budget(params, bend30, monkeypatch, max_iter):
+    def failing_kernel(*args):
+        raise AssertionError("a driver solved with an invalid max_iter")
+
+    monkeypatch.setattr(core, "solve_deflection", failing_kernel)
+    monkeypatch.setattr(core, "solve_tip_constraint", failing_kernel)
+    with pytest.raises(ConfigurationError, match="max_iter"):
+        solve_deflection(params, bend30, [0.1, 0.0, 0.0], max_iter=max_iter)
+    for strict in (True, False):
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            run_stiffness_sweep(params, [bend30], [0.1], strict=strict, max_iter=max_iter)
+    with pytest.raises(ConfigurationError, match="max_iter"):
+        run_perching_sweep(params, bend30, [np.zeros(3)], max_iter=max_iter)
+
+
+@pytest.mark.parametrize("configs,loads", [([0.5], [0.1]), ([0.5], []), ([], [0.1])],
+                         ids=["points", "no-loads", "no-configs"])
+@pytest.mark.parametrize("strict", [True, False])
+def test_sweep_rejects_unknown_direction(params, monkeypatch, configs, loads, strict):
+    def failing_kernel(*args):
+        raise AssertionError("a sweep solved with an unknown direction")
+
+    monkeypatch.setattr(core, "solve_deflection", failing_kernel)
+    configs = [wrap_configuration(theta, 0.0) for theta in configs]
+    with pytest.raises(ConfigurationError, match="direction"):
+        run_stiffness_sweep(params, configs, loads, direction="sideways", strict=strict)
 
 
 def test_sweep_monotone_stiffening(params):
