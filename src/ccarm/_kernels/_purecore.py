@@ -6,13 +6,19 @@ array overhead.  The two solvers (``solve_deflection``,
 included, and coerce them to Python floats once at entry, so every Newton
 step runs on floats and the results are floats.
 
-The deflection residual splits into a force-free part (the potential's
-gradient and the tip Jacobian at w) and the tip-force term.  Every solve of
-one commanded configuration starts at the same w, so ``deflection_start``
-evaluates the force-free part there and at the four stencil points of the
-first Newton step once; ``solve_deflection`` takes that start as an optional
-last argument, checks that it was built from its own inputs, and builds one
-itself when none is given.  The results are bitwise the same either way.
+The deflection solve is Newton's method with the closed-form 2x2 Jacobian
+of its bend-chart residual: the bending stiffness, the Hessian of the tip
+position contracted with the tip force, and the tendon term.  The tendon
+term is exact where a tendon is taut or slack; at the slack kink it is the
+central difference over the step 1e-7*(1+|w|), in closed form: the slope
+the central-difference Jacobian that this replaced took there, which keeps
+the default sweeps' Newton paths.  The residual and its Jacobian split into
+a force-free part and the tip-force term.  Every solve of one commanded
+configuration starts at the same w, so ``deflection_start`` evaluates the
+force-free residual, Jacobian and tip Hessian rows there once;
+``solve_deflection`` takes that start as an optional last argument, checks
+that it was built from its own inputs, and builds one itself when none is
+given.  The results are bitwise the same either way.
 
 Angles are radians, lengths meters.  Near the straight configuration the
 singular arc quotients switch to series expansions so every function stays
@@ -167,44 +173,103 @@ def tendon_phase_cos_sin(beta, count):
     )
 
 
-def _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx, wy):
-    # Force-free part of the bend-chart residual at w: the gradient of the
-    # total potential, k_bend*w - g(w), and the tip Jacobian J_p(w) that the
-    # force term contracts with.  tendons holds (cos phi, sin phi, q_cmd,
-    # tau0) per tendon; tensions follow the locked-motor law
-    # tau = max(0, tau0 - k*(q - q_cmd)).
-    jp = bend_position_jacobian(length, wx, wy)
+def _force_free_part(length, radius, k_bend, k_tendon, tendons, wx, wy):
+    # Force-free parts of the bend-chart residual and its Jacobian at w.
+    # Returns (ax, ay, jp, k, hess): ax, ay = k_bend*w - g(w), the gradient
+    # of the total potential; jp = J_p(w), the tip Jacobian the force term
+    # contracts with; k = (k11, k12, k21, k22), the Jacobian of k_bend*w - g;
+    # and hess, the Hessian rows of bend_position, row-major like jp: rows
+    # d2p/dwx2, d2p/dwxdwy, d2p/dwy2, each holding the (x, y, z) components.
+    #
+    # With a = (1-cos t)/t^2, b = a'/t, c = s'/t (s = sin t / t) as in
+    # bend_position_jacobian, e = b'/t and h = c'/t, the Hessian divided by
+    # the length is d2px/dwx2 = 3wx b + wx^3 e, d2px/dwxdwy = wy b + wx^2 wy e,
+    # d2px/dwy2 = wx b + wx wy^2 e, the py entries with x and y swapped, and
+    # d2pz/dwidwj = c delta_ij + wi wj h.  jp repeats bend_position_jacobian's
+    # arithmetic inline, so that one sin/cos serves jp and the Hessian while
+    # the IK, which calls bend_position_jacobian, pays for no Hessian.
+    #
+    # Tensions follow the locked-motor law tau = max(0, t), t = tau0 -
+    # k*(q - q_cmd), linear in w with slope s along each axis.  At the kink
+    # the slope of max(0, t) is the central difference that the Newton
+    # stencil used to take, in closed form: with the stencil's step
+    # h = 1e-7*(1+|w|) and m = |s|*h, it is s when t >= m, 0 when t <= -m and
+    # s*(t + m)/(2m) in between.  tendons holds (cos phi, sin phi, q_cmd,
+    # tau0, |s_x|, |s_y|, k r^2 cos phi, k r^2 sin phi) per tendon.
+    theta = math.hypot(wx, wy)
+    t2 = theta * theta
+    if theta < SERIES_THRESHOLD:
+        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    else:
+        a = (1.0 - math.cos(theta)) / t2
+    if theta < SMOOTH_THRESHOLD:
+        b = -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0
+        c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
+        e = 1.0 / 90.0 - t2 / 1680.0 + t2 * t2 / 75600.0
+        h = 1.0 / 15.0 - t2 / 210.0 + t2 * t2 / 7560.0
+    else:
+        st = math.sin(theta)
+        ct = math.cos(theta)
+        t4 = t2 * t2
+        b = (theta * st - 2.0 + 2.0 * ct) / t4
+        c = (theta * ct - st) / (t2 * theta)
+        e = (t2 * ct - 5.0 * theta * st + 8.0 - 8.0 * ct) / (t4 * t2)
+        h = (3.0 * st - t2 * st - 3.0 * theta * ct) / (t4 * theta)
+    off = length * wx * wy * b
+    jp = (
+        length * (a + wx * wx * b), off,
+        off, length * (a + wy * wy * b),
+        length * wx * c, length * wy * c,
+    )
+    xx = wx * wx
+    yy = wy * wy
+    bx = wx * b
+    by = wy * b
+    hxy = length * (by + xx * wy * e)       # d2px/dwxdwy = d2py/dwx2
+    hyx = length * (bx + yy * wx * e)       # d2px/dwy2 = d2py/dwxdwy
+    hess = (
+        length * (3.0 * bx + xx * wx * e), hxy, length * (c + xx * h),
+        hxy, hyx, length * wx * wy * h,
+        hyx, length * (3.0 * by + yy * wy * e), length * (c + yy * h),
+    )
+    hx = 1e-7 * (1.0 + abs(wx))
+    hy = 1e-7 * (1.0 + abs(wy))
     gx = 0.0
     gy = 0.0
-    for cphi, sphi, q_cmd, tau0 in tendons:
+    k11 = k22 = k_bend
+    k12 = k21 = 0.0
+    for cphi, sphi, q_cmd, tau0, slope_x, slope_y, kc, ks in tendons:
         q = radius * (cphi * wx - sphi * wy)
         t = tau0 - k_tendon * (q - q_cmd)
+        mx = slope_x * hx
+        my = slope_y * hy
+        ux = kc if t >= mx else kc * (t + mx) / (2.0 * mx) if t > -mx else 0.0
+        uy = ks if t >= my else ks * (t + my) / (2.0 * my) if t > -my else 0.0
+        k11 += ux * cphi
+        k21 -= ux * sphi
+        k12 -= uy * cphi
+        k22 += uy * sphi
         if t < 0.0:
             t = 0.0
         t *= radius
         gx += t * cphi
         gy -= t * sphi
-    return k_bend * wx - gx, k_bend * wy - gy, jp
+    return k_bend * wx - gx, k_bend * wy - gy, jp, (k11, k12, k21, k22), hess
 
 
 def _with_force(part, fx, fy, fz):
-    # The residual k_bend*w - g(w) - J_p(w)^T f.  Python evaluates the one
-    # expression left to right, so adding the force to a stored force-free
-    # part gives the same bits.
-    ax, ay, jp = part
+    # The residual k_bend*w - g(w) - J_p(w)^T f and its Jacobian
+    # k - sum_k f_k Hess(p_k), as (rx, ry, j11, j12, j21, j22).  Python
+    # evaluates the residual left to right, so it has the bits of the
+    # one-line expression whether or not the part was stored.
+    ax, ay, jp, k, hess = part
+    cross = hess[3] * fx + hess[4] * fy + hess[5] * fz
     return (ax - (jp[0] * fx + jp[2] * fy + jp[4] * fz),
-            ay - (jp[1] * fx + jp[3] * fy + jp[5] * fz))
-
-
-def _stencil(length, radius, k_bend, k_tendon, tendons, wx, wy):
-    # Central-difference steps at w and the force-free parts at w +- h.
-    hx = 1e-7 * (1.0 + abs(wx))
-    hy = 1e-7 * (1.0 + abs(wy))
-    return (hx, hy,
-            _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx + hx, wy),
-            _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx - hx, wy),
-            _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx, wy + hy),
-            _force_free_residual(length, radius, k_bend, k_tendon, tendons, wx, wy - hy))
+            ay - (jp[1] * fx + jp[3] * fy + jp[5] * fz),
+            k[0] - (hess[0] * fx + hess[1] * fy + hess[2] * fz),
+            k[1] - cross,
+            k[2] - cross,
+            k[3] - (hess[6] * fx + hess[7] * fy + hess[8] * fz))
 
 
 def _psi_residual_norm(rx, ry, wx, wy):
@@ -228,28 +293,33 @@ class DeflectionStart:
 
     Built by ``deflection_start`` from the inputs of ``solve_deflection`` that
     do not involve the tip force.  ``inputs`` holds them as floats, so a solve
-    can check that it was given the start of its own problem.
+    can check that it was given the start of its own problem; ``part`` holds
+    the force-free residual, Jacobian and Hessian rows at w0.
     """
 
-    __slots__ = ("inputs", "model", "centre", "stencil")
+    __slots__ = ("inputs", "model", "part")
 
     def __init__(self, inputs):
         length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx, wy = inputs
-        tendons = tuple(zip(*tendon_phase_cos_sin(beta, count), q_cmd, tau0, strict=True))
+        kr = k_tendon * radius
+        tendons = tuple(
+            (cphi, sphi, qc, t0, abs(kr * cphi), abs(kr * sphi),
+             kr * radius * cphi, kr * radius * sphi)
+            for cphi, sphi, qc, t0 in zip(*tendon_phase_cos_sin(beta, count), q_cmd, tau0,
+                                          strict=True))
         self.inputs = inputs
         self.model = (length, radius, flexural / length, k_tendon, tendons)
-        self.centre = _force_free_residual(*self.model, wx, wy)
-        self.stencil = _stencil(*self.model, wx, wy)
+        self.part = _force_free_part(*self.model, wx, wy)
 
 
 def deflection_start(length, radius, beta, count, flexural, k_tendon, q_cmd, tau0,
                      wx0, wy0):
-    """Force-free residual parts at the start w0 and its four stencil points.
+    """Force-free residual, Jacobian and Hessian rows at the start w0.
 
     Every solve of one commanded configuration starts at the same w0, and its
-    first Newton step evaluates the residual there and at w0 +- h along each
-    axis.  Only the tip-force term differs between loads, so a start built
-    once serves every ``solve_deflection`` of that configuration.
+    first Newton step needs the residual and its Jacobian there.  Only the
+    tip-force term differs between loads, so a start built once serves every
+    ``solve_deflection`` of that configuration.
     """
     return DeflectionStart(_start_inputs(length, radius, beta, count, flexural, k_tendon,
                                          q_cmd, tau0, wx0, wy0))
@@ -259,13 +329,18 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
                      q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter, start=None):
     """Newton solve of the locked-motor bending equilibrium under a tip force.
 
-    Damped Newton iteration (finite-difference 2x2 Jacobian, backtracking
-    line search halving the step) on the bend-chart residual.
-    Convergence is judged on the residual norm in (theta, delta) coordinates.
-    ``start``, from ``deflection_start`` with the same inputs, supplies the
-    first step's force-free residual parts; without it the solve builds its
-    own.  A start built from other inputs raises ValueError; inputs compare
-    with ==, so a start built from a NaN input matches no solve.
+    Damped Newton iteration (closed-form 2x2 Jacobian, backtracking line
+    search halving the step; Nocedal and Wright, Numerical Optimization,
+    2006, ch. 11) on the bend-chart residual.  Every trial point evaluates
+    the residual and its Jacobian together, so an accepted step carries the
+    Jacobian of the next.  The Jacobian is exact except at a tendon's slack
+    kink, where it takes the central difference over the step
+    1e-7*(1+|w|) in closed form.  Convergence is judged on the residual norm
+    in (theta, delta) coordinates.  ``start``, from ``deflection_start``
+    with the same inputs, supplies the force-free residual, Jacobian and
+    Hessian rows at w0; without it the solve builds its own.  A start built
+    from other inputs raises ValueError; inputs compare with ==, so a start
+    built from a NaN input matches no solve.
 
     Returns (wx, wy, iterations, residual_norm, converged).
     """
@@ -275,11 +350,10 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
         start = DeflectionStart(inputs)
     elif start.inputs != inputs:
         raise ValueError("deflection start was built from other inputs")
-    length, radius, k_bend, k_tendon, tendons = start.model
+    model = start.model
     fx, fy, fz, tol = float(fx), float(fy), float(fz), float(tol)
     wx, wy = inputs[-2:]
-    rx, ry = _with_force(start.centre, fx, fy, fz)
-    stencil = start.stencil
+    rx, ry, j11, j12, j21, j22 = _with_force(start.part, fx, fy, fz)
     iters = 0
     while True:
         res = _psi_residual_norm(rx, ry, wx, wy)
@@ -287,17 +361,6 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
             return wx, wy, iters, res, 1
         if iters >= max_iter:
             return wx, wy, iters, res, 0
-        if iters:
-            stencil = _stencil(length, radius, k_bend, k_tendon, tendons, wx, wy)
-        hx, hy, xp, xm, yp, ym = stencil
-        axp, ayp = _with_force(xp, fx, fy, fz)
-        axm, aym = _with_force(xm, fx, fy, fz)
-        bxp, byp = _with_force(yp, fx, fy, fz)
-        bxm, bym = _with_force(ym, fx, fy, fz)
-        j11 = (axp - axm) / (2.0 * hx)
-        j21 = (ayp - aym) / (2.0 * hx)
-        j12 = (bxp - bxm) / (2.0 * hy)
-        j22 = (byp - bym) / (2.0 * hy)
         det = j11 * j22 - j12 * j21
         if not math.isfinite(det) or abs(det) < 1e-300:
             return wx, wy, iters, res, 0
@@ -305,19 +368,17 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
         dy = -(j11 * ry - j21 * rx) / det
         phi0 = rx * rx + ry * ry
         alpha = 1.0
-        accepted = False
         for _ in range(40):
             nwx = wx + alpha * dx
             nwy = wy + alpha * dy
-            nrx, nry = _with_force(
-                _force_free_residual(length, radius, k_bend, k_tendon, tendons, nwx, nwy),
-                fx, fy, fz)
+            trial = _with_force(_force_free_part(*model, nwx, nwy), fx, fy, fz)
+            nrx, nry = trial[0], trial[1]
             if nrx * nrx + nry * nry <= phi0 * (1.0 - 1e-4 * alpha):
-                wx, wy, rx, ry = nwx, nwy, nrx, nry
-                accepted = True
+                wx, wy = nwx, nwy
+                rx, ry, j11, j12, j21, j22 = trial
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             return wx, wy, iters, res, 0
         iters += 1
 

@@ -72,6 +72,10 @@ def equilibrium_residual(params, psi, tensions, w_ext):
 
 _NEAR_ACTIVE_BAND = 1e-4  # slack at the least-distance point, relative to scale
 
+# The allocation squares tension-sized numbers (z @ z, norms); a pretension
+# past 2**500 N (about 3.3e150) could overflow them and fake an infeasible QP.
+_MAX_PRETENSION = 2.0 ** 500
+
 
 def _nnls(a, b):
     """Lawson-Hanson NNLS: x >= 0 minimizing ||a @ x - b||, or None.
@@ -220,11 +224,17 @@ def allocate_tensions(params, psi, w_ext, pretension=0.0):
     Solves J_q^T tau = grad(E) - J_x^T w_ext for the minimum-norm tau, then,
     if any entry falls below the pretension floor, adds the smallest
     null-space combination restoring tau >= pretension.  Raises
-    ConfigurationError for a negative or non-finite pretension and
-    InfeasibleTensionsError when no non-negative solution exists.
+    ConfigurationError for a negative or non-finite pretension or one above
+    2**500 N (about 3.3e150, where the allocation's squared norms could
+    overflow) and InfeasibleTensionsError when no non-negative solution
+    exists.
     """
     if not (math.isfinite(pretension) and pretension >= 0.0):
         raise ConfigurationError(f"pretension must be finite and >= 0, got {pretension!r}")
+    if pretension > _MAX_PRETENSION:
+        raise ConfigurationError(
+            f"pretension {pretension:.3g} N exceeds {_MAX_PRETENSION:.3g} N, past which "
+            "the tension allocation's squared norms overflow")
     if w_ext is None:
         w_ext = Wrench.zero()
     jq_t = jacobian_q_psi(params, psi).T

@@ -138,6 +138,26 @@ def test_non_finite_pretension_exit_usage(capsys, tmp_path, command, value):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["stiffness", "perching_sweep"])
+@pytest.mark.parametrize("value", ["1e150", "1e155", "1e308"])
+def test_huge_pretension(capsys, tmp_path, command, value):
+    # Allocation overflowed from about 1.3e154 N and reported the feasible
+    # request as infeasible (exit 5); past 2**500 N it is now a usage error.
+    out_file = tmp_path / "perching.csv"
+    if command == "stiffness":
+        argv = ["stiffness", "--theta-deg", "30"]
+    else:
+        argv = ["sweep", "--experiment", "perching", "--out", str(out_file)]
+    code, _, err = run_cli(capsys, *argv, "--pretension", value)
+    if value == "1e150":
+        assert (code, err) == (cli.EXIT_OK, "")
+    else:
+        assert code == cli.EXIT_USAGE
+        assert "pretension" in err and "exceeds" in err
+        assert not out_file.exists()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tensions", ["nan,1,1,1", "inf,1,1,1", "1,1,1,-inf"])
 def test_stiffness_non_finite_tensions_exit_usage(capsys, tensions):
     code, out, err = run_cli(capsys, "stiffness", "--theta-deg", "30",
@@ -379,14 +399,19 @@ def test_sweep_marks_reaim_failure(capsys, tmp_path):
     ("perching", ["--axis", "z"], "perching_z.csv"),
 ])
 def test_default_sweeps_match_reference_csvs(capsys, tmp_path, experiment, extra, reference):
-    # perfbench/reference holds these sweeps as the unoptimised code wrote
-    # them; every later change must reproduce them byte for byte.
+    # The golden bytes of the default sweeps.  perfbench/reference holds them
+    # as the unoptimised code wrote them, and the perching sweeps must still
+    # reproduce those byte for byte.  The stiffness sweep's are in
+    # tests/data, re-baselined under the truth-file rule that test_truth
+    # enforces: within 1e-12 m of perfbench/reference and no farther from
+    # the truth.
     out_file = tmp_path / reference
     code, _, _ = run_cli(capsys, "sweep", "--experiment", experiment,
                          "--out", str(out_file), *extra)
     assert code == cli.EXIT_OK
-    expected = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / reference
-    assert out_file.read_bytes() == expected.read_bytes()
+    tests = Path(__file__).resolve().parent
+    golden = tests / "data" if experiment == "stiffness" else tests.parent / "perfbench" / "reference"
+    assert out_file.read_bytes() == (golden / reference).read_bytes()
 
 
 def test_sweep_determinism(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -150,8 +151,9 @@ def test_kernels_report_non_finite_inputs_as_not_converged(params, bend30):
     assert ccarm.sim.core.solve_tip_constraint(*nan_target)[4] == 0
 
 
-# The deflection solver before it shared its start between solves, verbatim
-# except for the names: the bitwise reference of the kernel.
+# The deflection solver with the central-difference Jacobian (four extra
+# residual evaluations per Newton step), verbatim except for the names: the
+# reference that the closed-form Jacobian is checked against.
 
 def _parent_bend_position_jacobian(length, wx, wy):
     """d(bend_position)/dw, row-major 3x2.  Smooth through w = 0."""
@@ -253,8 +255,10 @@ def _parent_solve_deflection(length, radius, beta, count, flexural, k_tendon,
 
 
 _finite_component = st.floats(-1.5, 1.5)
+_small_component = st.floats(-0.05, 0.05)
 _force_component = _finite_component | st.sampled_from([math.nan, math.inf, -math.inf])
 _forces = (st.tuples(_finite_component, _finite_component, _finite_component)
+           | st.tuples(_small_component, _small_component, _small_component)
            | st.tuples(_force_component, _force_component, _force_component))
 
 
@@ -275,20 +279,124 @@ def _deflection_problems(draw):
 
 
 @given(problem=_deflection_problems())
-def test_kernel_matches_parent_solver_bitwise(problem):
+def test_kernel_agrees_with_central_difference_solver(problem):
     # With or without a shared start, and with one start serving two forces,
-    # every result is float.hex-equal to the solver that evaluated the full
-    # residual at every point.  Warnings are errors inside the test body only,
-    # so that hypothesis can still report a failing example.
+    # the kernel gives the same bits.  Where it and the central-difference
+    # solver both converge to the one equilibrium, the bend vectors agree; a
+    # non-finite force never converges.  Warnings are errors inside the test
+    # body only, so that hypothesis can still report a failing example.
+    #
+    # The equilibrium is unique when the potential is strongly convex: the
+    # tendon energy is convex, and sum_k u_k Hess(p_k) has spectral norm at
+    # most length/3 for a unit u, so |f| * length < 1.5 * k_bend suffices
+    # (margin 2).  A larger load can buckle the arm, and then the two
+    # solvers may settle on different equilibria.
     arm, q_cmd, tau0, w0, forces, max_iter = problem
+    unique_below = 1.5 * arm[4] / arm[0] / arm[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         start = core.deflection_start(*arm, q_cmd, tau0, *w0)
         for force in forces:
             args = (*arm, q_cmd, tau0, *force, *w0, 5e-11, max_iter)
-            expected = _bits(_parent_solve_deflection(*args))
-            assert _bits(core.solve_deflection(*args)) == expected
-            assert _bits(core.solve_deflection(*args, start)) == expected
+            result = core.solve_deflection(*args)
+            assert _bits(core.solve_deflection(*args, start)) == _bits(result)
+            if not all(map(math.isfinite, force)):
+                assert result[4] == 0
+                continue
+            expected = _parent_solve_deflection(*args)
+            if result[4] and expected[4] and math.hypot(*force) < unique_below:
+                assert math.hypot(result[0] - expected[0], result[1] - expected[1]) <= 1e-9
+
+
+_THRESHOLD_THETAS = [t * s for t in (core.SERIES_THRESHOLD, core.SMOOTH_THRESHOLD)
+                     for s in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0)]
+
+
+@st.composite
+def _jacobian_problems(draw):
+    # Arm constants, (q_cmd, tau0), a force and the point w: zero, random, or
+    # on either side of the two series thresholds.  The commanded bend lies
+    # near w, so tendons come out taut and slack; optionally one tendon sits
+    # on its kink, within the Newton stencil's half-width along one axis.
+    count = draw(st.integers(3, 8))
+    beta = 2.0 * math.pi / count
+    length, radius, k_tendon = (draw(st.floats(0.1, 0.5)), draw(st.floats(0.005, 0.04)),
+                                draw(st.floats(100.0, 5000.0)))
+    arm = (length, radius, beta, count, draw(st.floats(5e-4, 1e-2)), k_tendon)
+    theta = draw(st.just(0.0) | st.sampled_from(_THRESHOLD_THETAS) | st.floats(0.0, 2.8))
+    delta = draw(st.floats(-math.pi, math.pi))
+    w = (theta * math.cos(delta), theta * math.sin(delta))
+    theta_cmd = max(0.0, theta + draw(st.floats(-0.3, 0.3)))
+    delta_cmd = delta + draw(st.floats(-0.5, 0.5))
+    cphi, sphi = tendon_phase_cos_sin(beta, count)
+    q_cmd = [radius * theta_cmd * math.cos(delta_cmd + i * beta) for i in range(count)]
+    tau0 = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+    kink = draw(st.none() | st.tuples(st.integers(0, count - 1), st.floats(-1.5, 1.5),
+                                      st.sampled_from([0, 1])))
+    if kink is not None:
+        i, offset, axis = kink
+        q = radius * (cphi[i] * w[0] - sphi[i] * w[1])
+        slope = k_tendon * radius * abs((cphi[i], sphi[i])[axis])
+        tau0[i] = k_tendon * (q - q_cmd[i]) + offset * slope * 1e-7 * (1.0 + abs(w[axis]))
+    force = draw(st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+    return arm, q_cmd, tau0, force, w
+
+
+def _exact_residual(arm, q_cmd, tau0, force, base):
+    # The model's bend-chart residual, k_bend*w - g(w) - J_p(w)^T f, in
+    # 60-digit arithmetic from the kernel's float constants, less its value
+    # at base so that the rounding to floats keeps the differences exact.
+    length, radius, beta, count, flexural, k_tendon = arm
+    cphi, sphi = tendon_phase_cos_sin(beta, count)
+    mp = mpmath.mpf
+
+    def exact(wx, wy):
+        wx, wy = mp(wx), mp(wy)
+        theta = mpmath.hypot(wx, wy)
+        sn, cs = mpmath.sin(theta), mpmath.cos(theta)
+        if theta:
+            a = (1 - cs) / theta ** 2
+            b = (theta * sn - 2 + 2 * cs) / theta ** 4
+            c = (theta * cs - sn) / theta ** 3
+        else:
+            a, b, c = mp(1) / 2, mp(-1) / 12, mp(-1) / 3
+        jp = [[length * (a + wx * wx * b), length * wx * wy * b],
+              [length * wx * wy * b, length * (a + wy * wy * b)],
+              [length * wx * c, length * wy * c]]
+        rx = mp(flexural / length) * wx
+        ry = mp(flexural / length) * wy
+        for cp, sp, qc, t0 in zip(cphi, sphi, q_cmd, tau0):
+            t = max(mp(0), mp(t0) - mp(k_tendon) * (mp(radius) * (mp(cp) * wx - mp(sp) * wy)
+                                                   - mp(qc)))
+            rx -= radius * t * mp(cp)
+            ry += radius * t * mp(sp)
+        for k in range(3):
+            rx -= jp[k][0] * mp(force[k])
+            ry -= jp[k][1] * mp(force[k])
+        return rx, ry
+
+    def residual(x):
+        with mpmath.workdps(60):
+            (rx, ry), (bx, by) = exact(*x), exact(*base)
+            return [float(rx - bx), float(ry - by)]
+
+    return residual
+
+
+@given(problem=_jacobian_problems())
+def test_kernel_jacobian_matches_finite_differences(problem):
+    # The closed-form Jacobian against central differences of the exact
+    # residual, with the Newton stencil's step along each axis: the step the
+    # kink rule reproduces.  (The kernel's own float residual is too noisy to
+    # difference just above SERIES_THRESHOLD, where 1 - cos(theta) cancels.)
+    arm, q_cmd, tau0, force, w = problem
+    model = core.deflection_start(*arm, q_cmd, tau0, *w).model
+    jacobian = np.array(core._with_force(core._force_free_part(*model, *w), *force)[2:])
+    residual = _exact_residual(arm, q_cmd, tau0, force, w)
+    fd = np.column_stack([
+        finite_difference_oracle(residual, w, step=1e-7 * (1.0 + abs(w[axis])))[:, axis]
+        for axis in (0, 1)])
+    assert np.linalg.norm(jacobian.reshape(2, 2) - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 @pytest.mark.parametrize("index,value", [
@@ -482,18 +590,19 @@ def test_sweep_shares_one_start_per_bend(params, monkeypatch):
 
 
 def test_sweep_evaluates_fewer_residuals(params, monkeypatch):
-    # Without the shared start the default sweep makes 3395 evaluations: each
-    # solve re-evaluates its start point and the four stencil points there.
+    # One evaluation of the residual and its Jacobian per start and per
+    # line-search trial.  A central-difference Jacobian made 2440 residual
+    # evaluations here, four per Newton step on top of the trial points.
     evaluations = []
-    residual = core._force_free_residual
+    evaluate = core._force_free_part
 
-    def counting_residual(*args):
+    def counting_evaluation(*args):
         evaluations.append(1)
-        return residual(*args)
+        return evaluate(*args)
 
-    monkeypatch.setattr(core, "_force_free_residual", counting_residual)
+    monkeypatch.setattr(core, "_force_free_part", counting_evaluation)
     _default_protocol_sweep(params)
-    assert len(evaluations) <= 2450
+    assert len(evaluations) <= 650
 
 
 @pytest.mark.parametrize("max_iter", [-1, True, False, math.nan, 2.0, "3", None])

@@ -151,6 +151,22 @@ def test_allocation_rejects_non_finite_pretension(params, pretension):
         allocate_tensions(params, Configuration(0.3, 0), Wrench.zero(), pretension)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pretension", [1e150, 1e155, 1e308])
+def test_allocation_huge_pretension(params, pretension):
+    # A uniform lift lies in the null space, so any finite floor is feasible;
+    # past 2**500 N the allocation's squared norms could overflow, and such a
+    # floor is a usage error rather than an infeasible (or warning) one.
+    config = Configuration(math.radians(30), 0.0)
+    if pretension > 2.0 ** 500:
+        with pytest.raises(ConfigurationError, match="pretension"):
+            allocate_tensions(params, config, Wrench.zero(), pretension)
+        return
+    tensions = allocate_tensions(params, config, Wrench.zero(), pretension).tensions
+    assert np.isfinite(tensions).all()
+    assert np.min(tensions) >= pretension * (1.0 - 1e-12)
+
+
 def test_infeasible_out_of_span_target():
     # the public wrench path cannot leave the row space, so exercise the
     # shift solver directly with an unsatisfiable constraint set
