@@ -24,7 +24,7 @@ from .errors import (CcarmError, ConfigurationError, ParameterError,
 from .kinematics import (forward_kinematics, jacobian_q_psi, jacobian_v_psi,
                          jacobian_w_psi, jacobian_w_psi_vectorized,
                          jacobian_x_psi)
-from .model import (Configuration, Wrench, default_parameters, load_parameters,
+from .model import (Wrench, default_parameters, load_parameters,
                     wrap_configuration)
 from .sim import (STANDARD_GRAVITY, finite_difference_oracle, run_perching_sweep,
                   run_stiffness_sweep)
@@ -109,8 +109,10 @@ def cmd_jacobians(params, args):
         fd_q = finite_difference_oracle(
             lambda x: (params.pitch_radius * x[0]
                        * np.cos(x[1] + params.tendon_phases)), x0)
+        # The stencil may step theta below zero; (-h, delta) is the arc (h, delta + pi).
         fd_v = finite_difference_oracle(
-            lambda x: forward_kinematics(params, Configuration(x[0], x[1])).position, x0)
+            lambda x: forward_kinematics(
+                params, wrap_configuration(x[0], x[1], math.inf)).position, x0)
         checks = {
             "vectorized_vs_analytic_max_abs": float(np.max(np.abs(vectorized - jw))),
             "fd_rel_err_j_q_psi": rel_fd(jq, fd_q),

@@ -105,11 +105,11 @@ class Configuration:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.delta)):
             raise ConfigurationError(
-                f"non-finite configuration ({self.theta!r}, {self.delta!r})"
+                f"non-finite configuration ({float(self.theta)!r}, {float(self.delta)!r})"
             )
         if self.theta < 0.0:
             raise ConfigurationError(
-                f"theta must be >= 0 (got {self.theta!r}); use wrap_configuration"
+                f"theta must be >= 0 (got {float(self.theta)!r}); use wrap_configuration"
             )
 
 
@@ -130,7 +130,8 @@ def wrap_configuration(theta, delta, theta_max=DEFAULT_THETA_MAX):
     Raises ConfigurationError for non-finite input or theta beyond theta_max.
     """
     if not (math.isfinite(theta) and math.isfinite(delta)):
-        raise ConfigurationError(f"non-finite configuration ({theta!r}, {delta!r})")
+        raise ConfigurationError(
+            f"non-finite configuration ({float(theta)!r}, {float(delta)!r})")
     if theta < 0.0:
         theta = -theta
         delta = delta + math.pi

@@ -21,7 +21,7 @@ from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
 from .kinematics import (configuration_to_joints, forward_kinematics, jacobian_q_psi,
                          jacobian_v_psi)
-from .model import Configuration, Wrench, _readonly, wrap_configuration
+from .model import Configuration, _readonly, wrap_configuration
 from .statics import allocate_tensions, energy_gradient
 
 # Newton loads beyond this are refused; the bench protocol stays around 1 N.
@@ -107,7 +107,7 @@ def _check_max_iter(max_iter):
 
 def _commanded_state(params, commanded_config, pretension):
     q_cmd = configuration_to_joints(params, commanded_config).displacements
-    tau0 = allocate_tensions(params, commanded_config, Wrench.zero(), pretension).tensions
+    tau0 = allocate_tensions(params, commanded_config, None, pretension).tensions
     return q_cmd, tau0
 
 

@@ -8,17 +8,29 @@ unconstrained optimum would go slack.  The smallest lift is located by an
 exact least-distance solve (Lawson-Hanson NNLS); the subset check that used
 to try every active set then runs only over the near-active constraints, so
 the tensions are bitwise those of the exhaustive enumeration.
+
+Numpy and LAPACK compute only the bits the allocation returns: the
+min-norm lstsq, the SVD null basis, the winning subset's lstsq, the lift
+tau + null_basis @ shift and grad - J_q^T tau.  Every decision (the span
+and floor checks, the near-active set, which subsets are infeasible or
+clearly lose) is taken on Python floats.  A float estimate differs from the
+numpy value it stands for by rounding alone, bounded by the margins below;
+a decision is taken on floats only when the estimate clears its threshold
+by more than that margin, and otherwise the exact numpy check decides, in
+the original order and with the original tie rule.
 """
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleTensionsError
 from .kinematics import jacobian_q_psi, jacobian_x_psi
-from .model import Wrench, _readonly
+from .model import _readonly
 
 
 @dataclass(frozen=True)
@@ -54,10 +66,11 @@ def _check_tensions(tensions, count):
     tau = np.asarray(tensions, dtype=float).reshape(-1)
     if tau.shape != (count,):
         raise ConfigurationError(f"expected {count} tensions, got {tau.shape[0]}")
-    if not np.isfinite(tau).all():
+    values = tau.tolist()
+    if not all(map(math.isfinite, values)):
         raise ConfigurationError(f"tendon tensions must be finite, got {tau}")
-    if np.min(tau) < -1e-12:
-        raise ConfigurationError(f"negative tendon tension: {np.min(tau)!r}")
+    if min(values) < -1e-12:
+        raise ConfigurationError(f"negative tendon tension: {min(values)!r}")
     return tau
 
 
@@ -76,22 +89,88 @@ _NEAR_ACTIVE_BAND = 1e-4  # slack at the least-distance point, relative to scale
 # past 2**500 N (about 3.3e150) could overflow them and fake an infeasible QP.
 _MAX_PRETENSION = 2.0 ** 500
 
+_EPS = sys.float_info.epsilon
+
+# A float dot product of length k and numpy's differ by at most 2 k eps times
+# the sum of |terms|; _rounding(k) doubles that.
+def _rounding(count):
+    return 4.0 * (count + 2) * _EPS
+
+
+# A subset's float solve and LAPACK's lstsq both have a forward error of a
+# few hundred eps times the condition number at these sizes; the screen
+# allows _SCREEN_MARGIN per unit of condition number, and past
+# _MAX_CONDITION it decides nothing.
+_SCREEN_MARGIN = 1e-10
+_MAX_CONDITION = 1e6
+
+# A Gram-Schmidt pivot below this, relative to its column, counts as
+# dependent: the float NNLS then gives up, as when its budget runs out.
+_MIN_PIVOT = 1e-8
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _orthogonalize(basis, v):
+    """v less its projection on an orthonormal basis, by Gram-Schmidt run twice.
+
+    Returns (coefficients on the basis, remainder, remainder's norm).
+    """
+    coeffs = [0.0] * len(basis)
+    for _ in range(2):
+        for j, q in enumerate(basis):
+            c = _dot(q, v)
+            coeffs[j] += c
+            v = [vi - c * qi for vi, qi in zip(v, q)]
+    return coeffs, v, math.sqrt(_dot(v, v))
+
+
+def _passive_solve(a, b, passive, factor):
+    """Least squares over the passive columns of a, by Gram-Schmidt QR.
+
+    factor holds (column, q, column of R, q @ b) for a prefix of passive and
+    is brought up to date in place.  Returns the coefficients, or None when
+    a column is numerically dependent on the ones before it.
+    """
+    keep = 0
+    while keep < min(len(factor), len(passive)) and factor[keep][0] == passive[keep]:
+        keep += 1
+    del factor[keep:]
+    for i in passive[keep:]:
+        coeffs, v, pivot = _orthogonalize([f[1] for f in factor], a[i])
+        if not pivot > _MIN_PIVOT * math.sqrt(_dot(a[i], a[i])):
+            return None
+        q = [vi / pivot for vi in v]
+        factor.append((i, q, coeffs + [pivot], _dot(q, b)))
+    x = [0.0] * len(factor)
+    for k in reversed(range(len(factor))):
+        x[k] = (factor[k][3] - sum(factor[j][2][k] * x[j] for j in range(k + 1, len(factor)))
+                ) / factor[k][2][k]
+    return x
+
 
 def _nnls(a, b):
-    """Lawson-Hanson NNLS: x >= 0 minimizing ||a @ x - b||, or None.
+    """Lawson-Hanson NNLS on floats: x >= 0 minimizing ||A x - b||, or None.
 
-    Active-set method of Lawson and Hanson (Solving Least Squares Problems,
-    1974, ch. 23).  Each pass solves one least-squares problem on the passive
-    columns; None means the budget of 3 * columns solves ran out.
+    a is the list of A's columns and b a list, all Python floats.  Active-set
+    method of Lawson and Hanson (Solving Least Squares Problems, 1974,
+    ch. 23).  Each pass solves one least-squares problem on the passive
+    columns by an orthogonal factorization (normal equations would square
+    the condition number, which an ill-scaled least-distance point cannot
+    afford); None means the budget of 3 * columns solves ran out or a
+    passive column was numerically dependent on the others.
     """
-    m, n = a.shape
-    tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(a).max()))
-    x = np.zeros(n)
+    n = len(a)
+    tol = 10.0 * _EPS * max(len(b), n) * max(1.0, max(map(abs, itertools.chain(*a))))
+    x = [0.0] * n
     passive = []
-    w = (a.T @ b).tolist()
+    factor = []
+    w = [_dot(col, b) for col in a]
     solves = 0
     while len(passive) < n:
-        j = max((i for i in range(n) if i not in passive), key=w.__getitem__)
+        j = max(range(n), key=w.__getitem__)
         if w[j] <= tol:
             break
         passive.append(j)
@@ -100,54 +179,141 @@ def _nnls(a, b):
             solves += 1
             if solves > 3 * n:
                 return None
-            s = np.zeros(n)
-            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            coeffs = _passive_solve(a, b, passive, factor)
+            if coeffs is None:
+                return None
+            s = [0.0] * n
+            for i, c in zip(passive, coeffs):
+                s[i] = c
             if entering and s[j] <= 0.0:
                 break
             entering = False
             if all(s[i] > 0.0 for i in passive):
                 break
             alpha, k = min((x[i] / (x[i] - s[i]), i) for i in passive if s[i] <= 0.0)
-            x += alpha * (s - x)
+            x = [xi + alpha * (si - xi) for xi, si in zip(x, s)]
             passive = [i for i in passive if i != k and x[i] > tol]
-            x[[i for i in range(n) if i not in passive]] = 0.0
+            x = [x[i] if i in passive else 0.0 for i in range(n)]
         if entering:
             # rounding made the best column useless: drop it for this pass
             passive.pop()
             w[j] = 0.0
             continue
         x = s
-        w = (a.T @ (b - a @ x)).tolist()
+        r = b  # b - A x = b - Q Q^T b
+        for _, q, _, qb in factor:
+            r = [ri - qb * qi for ri, qi in zip(r, q)]
+        w = [-math.inf if s[i] else _dot(col, r) for i, col in enumerate(a)]  # skip passive
     return x
 
 
-def _near_active(constraints, deficit, scale):
-    """Rows of constraints @ z >= deficit that can be active at the optimum.
+def _near_active(rows, deficit, scale):
+    """Rows of rows @ z >= deficit that can be active at the optimum.
 
-    Least-distance programming via NNLS (Lawson and Hanson, ch. 23): with
-    E = [constraints^T; bound^T] and f = e_last, the NNLS residual
-    r = E u - f gives the min-norm feasible z = -r[:-1] / r[-1], and r = 0
-    means no z is feasible.  The bound is the deficit scaled to order one and
-    relaxed by the feasibility tolerance _min_norm_shift accepts.  Returns
-    the rows within _NEAR_ACTIVE_BAND of equality at that z; none when
-    infeasible (z = 0, the only subset left to try, then fails the
-    feasibility check), all when the NNLS budget runs out.
+    rows and deficit are Python floats.  Least-distance programming via NNLS
+    (Lawson and Hanson, ch. 23): with E = [rows^T; bound^T] and f = e_last,
+    the NNLS residual r = E u - f gives the min-norm feasible z =
+    -r[:-1] / r[-1], and r = 0 means no z is feasible.  The bound is the
+    deficit scaled to order one and relaxed by the feasibility tolerance
+    _min_norm_shift accepts.  Returns the rows within _NEAR_ACTIVE_BAND of
+    equality at that z (the band is far wider than the NNLS's rounding) and
+    the rows with a positive NNLS weight, the active set it found; no rows
+    when infeasible (z = 0, the only subset left to try, then fails the
+    feasibility check), all rows and no active set when the NNLS gives up.
     """
-    n, dim = constraints.shape
-    bound = deficit / scale
-    e = np.empty((dim + 1, n))
-    e[:dim] = constraints.T
-    e[dim] = bound - 1e-12
-    f = np.zeros(dim + 1)
-    f[dim] = 1.0
-    u = _nnls(e, f)
+    n, dim = len(rows), len(rows[0])
+    bound = [d / scale for d in deficit]
+    e = [row + [b - 1e-12] for row, b in zip(rows, bound)]  # the columns of E
+    u = _nnls(e, [0.0] * dim + [1.0])
     if u is None:
-        return range(n)
-    r = e @ u - f
+        return range(n), ()
+    used = [(col, ui) for col, ui in zip(e, u) if ui]
+    r = [sum(col[k] * ui for col, ui in used) for k in range(dim + 1)]
+    r[dim] -= 1.0
     if not -r[dim] > 1e-24:  # -r[-1] = ||r||^2 = 1 / (1 + ||z||^2)
-        return []
-    slack = constraints @ (r[:dim] / -r[dim]) - bound
-    return [i for i in range(n) if slack[i] <= _NEAR_ACTIVE_BAND]
+        return [], ()
+    z = [v / -r[dim] for v in r[:dim]]
+    near = [i for i in range(n) if _dot(rows[i], z) - bound[i] <= _NEAR_ACTIVE_BAND]
+    return near, tuple(i for i in range(n) if u[i] > 0.0)
+
+
+def _extend(state, row, rhs, row_norm):
+    """Min-norm solution of one more equality row, by Gram-Schmidt on floats.
+
+    state is (orthonormal rows Q, rows of L^-1 where Q = L^-1 S, the min-norm
+    z of S z = rhs, its coordinates on Q, ||L^-1||_F^2, ||S||_F^2, and
+    kappa = ||S||_F ||L^-1||_F, which bounds S's condition number).  Returns
+    None when kappa passes _MAX_CONDITION.
+    """
+    basis, inverse, z, coords, inverse2, norm2, _ = state
+    coeffs, v, pivot = _orthogonalize(basis, row)
+    if not pivot * _MAX_CONDITION > row_norm:
+        return None
+    q = [vi / pivot for vi in v]
+    # q = (row - sum_j coeffs[j] q_j) / pivot, and q_j = sum_l inverse[j][l] row_l
+    new = [-sum(coeffs[j] * inverse[j][col] for j in range(col, len(basis))) / pivot
+           for col in range(len(basis))] + [1.0 / pivot]
+    inverse2 += _dot(new, new)
+    norm2 += row_norm * row_norm
+    kappa = math.sqrt(inverse2 * norm2)
+    if kappa > _MAX_CONDITION:
+        return None
+    step = (rhs - _dot(row, z)) / pivot  # row @ q = pivot
+    return (basis + [q], inverse + [new], [zi + step * qi for zi, qi in zip(z, q)],
+            coords + [step], inverse2, norm2, kappa)
+
+
+def _core_rows(state, norm_max, feas_tol):
+    """Positions of rows P of state's rows S that every feasible subset holds.
+
+    With z_S = S^T lam the min-norm solution, R a subset of S and T the
+    rest, the min-norm z_R = P_R z_S violates each row t of T by v_t =
+    S_t (z_S - z_R), and lam_T @ v = D^2 with D = ||z_S - z_R|| >=
+    sigma_min(S) ||lam_T||.  Split S into P, whose multipliers are at least
+    lam_p > 0, and Z, whose |multipliers| sum to lam_z.  When R misses a
+    row of P, the rows of T in P carry lam @ v >= D (D - norm_max lam_z), so
+    one of them is violated by at least sigma (sigma lam_p - norm_max lam_z).
+    Subsets of S have condition numbers at most kappa, so lstsq's z_R is
+    within _SCREEN_MARGIN * kappa * ||z_S|| of z_R; the float multipliers
+    and sigma_min are given _SCREEN_MARGIN * kappa^2 relative.  Returns the
+    largest such P whose bound clears the feasibility tolerance, or None.
+    """
+    _, inverse, z, coords, inverse2, _, kappa = state
+    size = len(coords)
+    lam = [sum(inverse[j][col] * coords[j] for j in range(col, size)) for col in range(size)]
+    drift = _SCREEN_MARGIN * kappa * kappa
+    spread = drift * math.sqrt(_dot(lam, lam))
+    sigma = 1.0 / math.sqrt(inverse2 * (1.0 + drift))
+    need = feas_tol + 2.0 * _SCREEN_MARGIN * kappa * math.sqrt(_dot(z, z)) * norm_max
+    ranked = sorted(range(size), key=lam.__getitem__, reverse=True)
+    for count in range(size, 0, -1):
+        lam_p = lam[ranked[count - 1]] - spread
+        lam_z = sum(abs(lam[i]) + spread for i in ranked[count:])
+        if lam_p > 0.0 and sigma * (sigma * lam_p - norm_max * lam_z) > need:
+            return sorted(ranked[:count])
+    return None
+
+
+def _uncovered(near, group, core, dim):
+    """Subsets of near with 1 to dim rows, in the enumeration's order.
+
+    Leaves out the subsets of group that miss a row of core.
+    """
+    loose = [i for i in group if i not in core]
+    others = [i for i in near if i not in group]
+    found = []
+    for size in range(1, dim + 1):
+        for count in range(min(size, len(others)) + 1):
+            for extra in itertools.combinations(others, count):
+                if count:
+                    parts = itertools.combinations(group, size - count)
+                elif size >= len(core):
+                    parts = (core + more for more in itertools.combinations(
+                        loose, size - len(core)))
+                else:
+                    continue
+                found += [tuple(sorted(extra + part)) for part in parts]
+    return sorted(found, key=lambda idx: (len(idx), idx))
 
 
 def _min_norm_shift(constraints, deficit, scale):
@@ -155,37 +321,124 @@ def _min_norm_shift(constraints, deficit, scale):
 
     The optimizer of this tiny QP activates at most dim(z) constraints.  An
     exact least-distance (NNLS) solve locates it, then every subset of at
-    most dim(z) near-active constraints is tried in ascending size order,
-    with the same solves, tolerances and tie rule as trying every subset of
-    all constraints.  A subset holding a row that is slack at the optimum by
-    more than the band gives a z at least band * scale from it (rows have
-    norm <= 1: the null basis has orthonormal columns), so its ||z||^2 is at
-    least (band * scale)^2 above the minimum, far more than the feasibility
-    tolerance moves it: such a candidate neither wins nor blocks one that
-    does.  The result is bitwise that of the exhaustive enumeration, from
-    far fewer solves.
+    most dim(z) near-active constraints is a candidate, in ascending size
+    order, with the same solves, tolerances and tie rule as trying every
+    subset of all constraints.  A subset holding a row that is slack at the
+    optimum by more than the band gives a z at least band * scale from it
+    (rows have norm <= 1: the null basis has orthonormal columns), so its
+    ||z||^2 is at least (band * scale)^2 above the minimum, far more than
+    the feasibility tolerance moves it: such a candidate neither wins nor
+    blocks one that does.
+
+    Every decision is taken on floats first.  Each candidate's min-norm z
+    comes from a Gram-Schmidt solve extending its prefix's; it and LAPACK's
+    are each within _SCREEN_MARGIN * kappa * ||z|| of the exact one (kappa
+    bounds the rows' condition number).  The near-active rows, or the
+    NNLS's positive set, usually prove at once that every subset of theirs
+    missing one of their core rows is infeasible (see _core_rows), so those
+    subsets are never formed; any other candidate some row violates by more
+    than the margin is infeasible.  The remaining candidate with the
+    smallest float norm goes through lstsq and the exact checks; if it
+    passes, a candidate whose ||z||^2 exceeds its norm2 by more than the
+    1e-30 tie steps and their rounding could make up neither wins nor
+    changes who does.  Only the candidates left, and those past
+    _MAX_CONDITION, are solved by lstsq and compared in the original order
+    with the original tie rule, so the result is bitwise that of the
+    exhaustive enumeration.
     """
     n, dim = constraints.shape
     eq_tol = 1e-10 * scale
     feas_tol = 1e-12 * scale
+    rows = constraints.tolist()
+    deficits = deficit.tolist()
+    need = [d - feas_tol for d in deficits]  # bitwise deficit - feas_tol
+    if all(t <= 0.0 for t in need):
+        return np.zeros(dim)  # z = 0 is tried first, and no norm2 < 0 follows
+    norms = [math.sqrt(_dot(row, row)) for row in rows]
+
+    def passes(idx, z):
+        # The exact checks on lstsq's z, taken on floats where a margin
+        # clears them.  Returns the verdict, or None to ask numpy.
+        zs = z.tolist()
+        size = math.sqrt(_dot(zs, zs))
+        res2 = spread = 0.0
+        for i in idx:
+            gap = _dot(rows[i], zs) - deficits[i]
+            res2 += gap * gap
+            spread += norms[i] * size + abs(deficits[i])
+        res = math.sqrt(res2)
+        if res + _rounding(dim + len(idx)) * (spread + res) < eq_tol:
+            if all(_dot(row, zs) - _rounding(dim) * rn * size >= t
+                   for row, t, rn in zip(rows, need, norms)):
+                return True
+        return None
+
+    def solve(idx):
+        # The enumeration's candidate: (z, norm2) or None when it fails.
+        sub = constraints[list(idx)]
+        rhs = deficit[list(idx)]
+        z, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+        verdict = passes(idx, z)
+        if verdict is None:
+            verdict = (not np.linalg.norm(sub @ z - rhs) > eq_tol
+                       and bool(np.all(constraints @ z >= deficit - feas_tol)))
+        return (z, float(z @ z)) if verdict else None
+
+    near, active = _near_active(rows, deficits, scale)
+    order = list(near) + [i for i in range(n) if i not in near]  # likeliest violated first
+    states = {(): ([], [], [0.0] * dim, [], 0.0, 0.0, 1.0)}
+
+    def state_of(idx):
+        if idx not in states:
+            prefix = state_of(idx[:-1])
+            i = idx[-1]
+            states[idx] = prefix and _extend(prefix, rows[i], deficits[i], norms[i])
+        return states[idx]
+
+    # Most subsets of the near-active rows, or failing that of the NNLS's
+    # positive set, are infeasible for missing a core row: only the rest
+    # are candidates.
+    subsets = (idx for size in range(1, dim + 1) for idx in itertools.combinations(near, size))
+    for group in dict.fromkeys((tuple(near), active)):
+        if 1 < len(group) <= dim and set(group).issubset(near) and state_of(group):
+            core = _core_rows(states[group], max(norms[i] for i in group), feas_tol)
+            if core is not None:
+                subsets = _uncovered(near, group, tuple(group[k] for k in core), dim)
+                break
+
+    candidates = []  # (subset, lower bound of its norm2 or None, float norm2)
+    for idx in subsets:
+        state = state_of(idx)
+        if not state:
+            candidates.append((idx, None, None))
+            continue
+        z, kappa = state[2], state[6]
+        z_norm2 = _dot(z, z)
+        slack = _SCREEN_MARGIN * kappa * math.sqrt(z_norm2)
+        if any(_dot(rows[i], z) + slack * norms[i] < need[i] for i in order):
+            continue  # infeasible
+        lower = max(0.0, math.sqrt(z_norm2) - 2.0 * slack) ** 2
+        candidates.append((idx, lower, z_norm2))
+
+    solved = {}
+    screened = [c for c in candidates if c[1] is not None]
+    if screened:
+        first = min(screened, key=lambda c: c[2])[0]
+        solved[first] = solve(first)
+        if solved[first] is not None:
+            # each of at most `steps` 1e-30 tie steps, rounded, moves a norm2 by
+            # at most 2 eps relative plus 2e-30
+            steps = len(candidates) + 1
+            cap = solved[first][1] * (1.0 + 4.0 * _EPS * steps) + 4e-30 * steps
+            candidates = [c for c in candidates
+                          if c[0] == first or c[1] is None or c[1] <= cap]
+
     best = None
     best_norm2 = np.inf
-    near = _near_active(constraints, deficit, scale)
-    for size in range(0, dim + 1):
-        for idx in itertools.combinations(near, size):
-            if size == 0:
-                z = np.zeros(dim)
-            else:
-                rows = constraints[list(idx)]
-                rhs = deficit[list(idx)]
-                z, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-                if np.linalg.norm(rows @ z - rhs) > eq_tol:
-                    continue
-            if np.all(constraints @ z >= deficit - feas_tol):
-                norm2 = float(z @ z)
-                if norm2 < best_norm2 - 1e-30:
-                    best = z
-                    best_norm2 = norm2
+    for idx, _, _ in candidates:
+        outcome = solved[idx] if idx in solved else solve(idx)
+        if outcome is not None and outcome[1] < best_norm2 - 1e-30:
+            best, best_norm2 = outcome
     return best
 
 
@@ -197,13 +450,25 @@ def _solve_tension_qp(jq_t, b, floor):
     """
     scale = max(1.0, float(np.linalg.norm(b)))
     tau, *_ = np.linalg.lstsq(jq_t, b, rcond=None)
-    if np.linalg.norm(jq_t @ tau - b) > 1e-9 * scale:
+    taus = tau.tolist()
+    # span check, bitwise norm(jq_t @ tau - b) > 1e-9 * scale where decided
+    res2 = spread = 0.0
+    for row, bi in zip(jq_t.tolist(), b.tolist()):
+        gap = _dot(row, taus) - bi
+        res2 += gap * gap
+        spread += _dot(map(abs, row), map(abs, taus)) + abs(bi)
+    res = math.sqrt(res2)
+    margin = _rounding(len(taus)) * (spread + res)
+    outside = res - 1e-9 * scale
+    if outside > -margin and (outside > margin
+                              or np.linalg.norm(jq_t @ tau - b) > 1e-9 * scale):
         raise InfeasibleTensionsError(
             "requested wrench lies outside the span of the tendon map at this configuration"
         )
-    if np.min(tau) < floor - 1e-15:
+    if min(taus) < floor - 1e-15:
         _, singulars, vt = np.linalg.svd(jq_t)
-        rank = int(np.sum(singulars > singulars[0] * 1e-12)) if singulars.size else 0
+        singulars = singulars.tolist()
+        rank = sum(s > singulars[0] * 1e-12 for s in singulars) if singulars else 0
         null_basis = vt[rank:].T                   # n x d, orthonormal columns
         if null_basis.shape[1] == 0:
             raise InfeasibleTensionsError("tendon map has no null space to lift tensions")
@@ -213,8 +478,10 @@ def _solve_tension_qp(jq_t, b, floor):
                 f"no tension vector >= {floor!r} N realizes the requested wrench"
             )
         tau = tau + null_basis @ shift
+        taus = tau.tolist()
     # scrub sub-rounding negatives so reports honor the pull-only contract
-    tau[(tau < floor) & (tau > floor - 1e-12)] = floor
+    if any(floor - 1e-12 < t < floor for t in taus):
+        tau[(tau < floor) & (tau > floor - 1e-12)] = floor
     return tau
 
 
@@ -223,29 +490,32 @@ def allocate_tensions(params, psi, w_ext, pretension=0.0):
 
     Solves J_q^T tau = grad(E) - J_x^T w_ext for the minimum-norm tau, then,
     if any entry falls below the pretension floor, adds the smallest
-    null-space combination restoring tau >= pretension.  Raises
-    ConfigurationError for a negative or non-finite pretension or one above
-    2**500 N (about 3.3e150, where the allocation's squared norms could
-    overflow) and InfeasibleTensionsError when no non-negative solution
-    exists.
+    null-space combination restoring tau >= pretension.  w_ext None means no
+    wrench.  Raises ConfigurationError for a negative or non-finite
+    pretension or one above 2**500 N (about 3.3e150, where the allocation's
+    squared norms could overflow) and InfeasibleTensionsError when no
+    non-negative solution exists.
     """
     if not (math.isfinite(pretension) and pretension >= 0.0):
-        raise ConfigurationError(f"pretension must be finite and >= 0, got {pretension!r}")
+        raise ConfigurationError(
+            f"pretension must be finite and >= 0, got {float(pretension)!r}")
     if pretension > _MAX_PRETENSION:
         raise ConfigurationError(
             f"pretension {pretension:.3g} N exceeds {_MAX_PRETENSION:.3g} N, past which "
             "the tension allocation's squared norms overflow")
-    if w_ext is None:
-        w_ext = Wrench.zero()
     jq_t = jacobian_q_psi(params, psi).T
     grad = energy_gradient(params, psi)
-    external = jacobian_x_psi(params, psi).T @ w_ext.as_vector()
-    tau = _check_tensions(_solve_tension_qp(jq_t, grad - external, float(pretension)),
-                          params.tendon_count)
+    # A zero wrench (any signs of zero) projects to +0.0 entries, and
+    # x - (+0.0) has the bits of x for every x, -0.0 included: skip it.
+    external = None
+    if w_ext is not None and (w_ext.force.any() or w_ext.moment.any()):
+        external = jacobian_x_psi(params, psi).T @ w_ext.as_vector()
+    b = grad if external is None else grad - external
+    tau = _check_tensions(_solve_tension_qp(jq_t, b, float(pretension)), params.tendon_count)
     # bitwise equilibrium_residual(params, psi, tau, w_ext), from the same products
     generalized = grad - jq_t @ tau
     return EquilibriumReport(
-        residual=generalized - external,
+        residual=generalized if external is None else generalized - external,
         tensions=tau,
         generalized_force=generalized,
     )

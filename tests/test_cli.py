@@ -68,6 +68,20 @@ def test_jacobians_check_report(capsys):
     assert float(report["fd_rel_err_j_v_psi"]) < 1e-6
 
 
+@pytest.mark.parametrize("theta_deg", ["0", "1e-5", "5e-5"])
+def test_jacobians_check_near_straight(capsys, theta_deg):
+    # the finite-difference stencil steps theta below zero here; the check
+    # must evaluate that point as the same arc, not reject it
+    code, out, err = run_cli(capsys, "jacobians", "--theta-deg", theta_deg,
+                             "--delta-deg", "30", "--check")
+    assert (code, err) == (0, "")
+    report = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()
+              if line.startswith("fd_rel")}
+    assert sorted(report) == ["fd_rel_err_j_q_psi", "fd_rel_err_j_v_psi"]
+    assert all(math.isfinite(v) for v in report.values())
+    assert report["fd_rel_err_j_v_psi"] < 1e-6
+
+
 def test_jacobians_rank_warning_at_straight(capsys):
     code, out, _ = run_cli(capsys, "jacobians", "--theta-deg", "0")
     assert code == 0
@@ -120,6 +134,15 @@ def test_stiffness_bad_tension_count(capsys):
                            "--tensions", "1,2,3")
     assert code == 2
     assert "tensions" in err
+
+
+def test_negative_tension_message_prints_plain_number(capsys):
+    code, out, err = run_cli(capsys, "stiffness", "--theta-deg", "30",
+                             "--tensions=-1,0,0,0")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "negative tendon tension: -1.0" in err
+    assert "np.float64" not in err
 
 
 @pytest.mark.filterwarnings("error")

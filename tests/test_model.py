@@ -143,6 +143,18 @@ def test_wrap_rejects_bad_input():
     assert c.theta == 3.5
 
 
+def test_configuration_errors_print_plain_numbers():
+    for make, message in ((lambda: Configuration(np.float64(-0.5), 0.0), "got -0.5)"),
+                          (lambda: Configuration(np.float64("nan"), np.float64(1.0)),
+                           "(nan, 1.0)"),
+                          (lambda: wrap_configuration(np.float64("inf"), np.float64(0.25)),
+                           "(inf, 0.25)")):
+        with pytest.raises(ConfigurationError) as info:
+            make()
+        assert message in str(info.value)
+        assert "np.float64" not in str(info.value)
+
+
 def test_configuration_validation():
     with pytest.raises(ConfigurationError):
         Configuration(-0.1, 0.0)

@@ -318,3 +318,74 @@ def test_six_tendon_allocation_solves_few_least_squares(params, monkeypatch, del
                                Wrench.zero(), 0.3)
     assert np.min(report.tensions) >= 0.3
     assert len(calls) < 25
+
+
+def _count_lapack(monkeypatch):
+    calls = {"lstsq": 0, "svd": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(statics.np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("pretension", [0.0, 0.3])
+def test_allocation_calls_lapack_only_for_returned_bits(params, monkeypatch, pretension):
+    # min-norm lstsq, the null basis and the winning subset's lstsq; the
+    # decisions between them run on floats (trying the subsets took 6 + 1)
+    calls = _count_lapack(monkeypatch)
+    report = allocate_tensions(params, Configuration(0.6, 0.7), None, pretension)
+    assert np.min(report.tensions) >= pretension
+    assert calls["lstsq"] <= 2 and calls["svd"] <= 1
+
+
+@pytest.mark.parametrize("theta_deg", [0, 15, 30, 45, 60])
+def test_default_stiffness_bends_call_lapack_no_more(params, monkeypatch, theta_deg):
+    # at delta = 0 three tendons tie at the floor: the float screen cannot
+    # break those ties, so the exact subset checks still run, but never
+    # more of them than trying the near-active subsets took (8 + 1; 1 at 0)
+    calls = _count_lapack(monkeypatch)
+    allocate_tensions(params, Configuration(math.radians(theta_deg), 0.0), None, 0.0)
+    assert calls["lstsq"] <= (1 if theta_deg == 0 else 8)
+    assert calls["svd"] <= (0 if theta_deg == 0 else 1)
+
+
+def test_min_norm_shift_large_optimum_with_parallel_rows():
+    # a parallel-rows problem whose optimum has norm ~3000: the least-distance
+    # residual is ~1e-7, so an NNLS that squared the condition number (normal
+    # equations) could lose the active set here and return no shift
+    rng = np.random.default_rng(1082)
+    count = int(rng.integers(3, 11))
+    dim = int(rng.integers(1, count - 1))
+    constraints, _ = np.linalg.qr(rng.normal(size=(count, dim)))
+    i, j = rng.choice(count, 2, replace=False)
+    constraints[j] = constraints[i] * rng.uniform(0.2, 1.0)
+    deficit = rng.normal(size=count) * 10.0 ** rng.integers(-3, 2)
+    scale = max(1.0, float(np.abs(deficit).max()))
+    z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
+    assert constraints.shape == (7, 4) and 2900.0 < np.linalg.norm(z_ref) < 3100.0
+    assert np.array_equal(_min_norm_shift(constraints, deficit, scale), z_ref)
+
+
+@pytest.mark.parametrize("theta, delta, pretension", [
+    (0.6, 0.7, 0.0), (0.6, 0.7, 0.3), (math.radians(30), 0.0, 0.0), (-0.0, 0.0, 0.0),
+    (0.0, 1.1, 0.2), (2.5, -2.9, 0.05)])
+def test_allocation_zero_wrench_shortcut_keeps_bits(params, theta, delta, pretension):
+    # a zero wrench of any sign projects to +0.0 entries, and x - (+0.0) has
+    # the bits of x, -0.0 included, so skipping the projection changes nothing
+    psi = Configuration(theta, delta)
+    negative_zero = Wrench(force=np.full(3, -0.0), moment=np.full(3, -0.0))
+    reports = [allocate_tensions(params, psi, w, pretension)
+               for w in (None, Wrench.zero(), negative_zero)]
+    for report in reports:
+        for field in ("tensions", "residual", "generalized_force"):
+            assert np.array_equal(getattr(report, field), getattr(reports[0], field))
+            assert getattr(report, field).tobytes() == getattr(reports[0], field).tobytes()
+    residual = equilibrium_residual(params, psi, reports[0].tensions, Wrench.zero())
+    assert residual.tobytes() == reports[0].residual.tobytes()
+    signed = np.array([-0.0, 0.0, -1.5])
+    assert (signed - np.zeros(3)).tobytes() == signed.tobytes()
