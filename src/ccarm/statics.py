@@ -5,19 +5,15 @@ backbone's elastic gradient is carried by the tendon pulls plus the external
 wrench.  Tendons can only pull, so allocation solves for the minimum-norm
 non-negative tension vector, lifting along the null space of J_q^T when the
 unconstrained optimum would go slack.  The smallest lift is located by an
-exact least-distance solve (Lawson-Hanson NNLS); the subset check that used
-to try every active set then runs only over the near-active constraints, so
-the tensions are bitwise those of the exhaustive enumeration.
-
-Numpy and LAPACK compute only the bits the allocation returns: the
-min-norm lstsq, the SVD null basis, the winning subset's lstsq, the lift
-tau + null_basis @ shift and grad - J_q^T tau.  Every decision (the span
-and floor checks, the near-active set, which subsets are infeasible or
-clearly lose) is taken on Python floats.  A float estimate differs from the
-numpy value it stands for by rounding alone, bounded by the margins below;
-a decision is taken on floats only when the estimate clears its threshold
-by more than that margin, and otherwise the exact numpy check decides, in
-the original order and with the original tie rule.
+exact least-distance solve (Lawson-Hanson NNLS, on Python floats with an
+orthogonal factorization).  A multiplier bound on the near-active rows it
+finds then proves most of their subsets infeasible on floats, with a margin
+that covers the rounding of the float and numpy solves; only the rest go
+through the subset check that used to try every active set, with the same
+lstsq solves, tolerances and tie rule, so the tensions are bitwise those of
+the exhaustive enumeration.  LAPACK runs for the min-norm lstsq, the SVD
+null basis and each subset left to check (one, for a lift off a
+nondegenerate vertex).
 """
 
 import itertools
@@ -91,17 +87,22 @@ _MAX_PRETENSION = 2.0 ** 500
 
 _EPS = sys.float_info.epsilon
 
-# A float dot product of length k and numpy's differ by at most 2 k eps times
-# the sum of |terms|; _rounding(k) doubles that.
+
 def _rounding(count):
+    """Bound on a dot product's rounding, relative to the sum of |terms|.
+
+    A float and a numpy dot product of length count each err by at most
+    (count + 2) eps of that sum, so they differ by at most twice that; this
+    doubles it again.
+    """
     return 4.0 * (count + 2) * _EPS
 
 
 # A subset's float solve and LAPACK's lstsq both have a forward error of a
-# few hundred eps times the condition number at these sizes; the screen
-# allows _SCREEN_MARGIN per unit of condition number, and past
-# _MAX_CONDITION it decides nothing.
-_SCREEN_MARGIN = 1e-10
+# few hundred eps times the condition number at these sizes; the subset
+# certificate allows _SOLVE_MARGIN per unit of condition number, and past
+# _MAX_CONDITION it certifies nothing.
+_SOLVE_MARGIN = 1e-10
 _MAX_CONDITION = 1e6
 
 # A Gram-Schmidt pivot below this, relative to its column, counts as
@@ -237,7 +238,7 @@ def _near_active(rows, deficit, scale):
     return near, tuple(i for i in range(n) if u[i] > 0.0)
 
 
-def _extend(state, row, rhs, row_norm):
+def _extend(state, row, rhs):
     """Min-norm solution of one more equality row, by Gram-Schmidt on floats.
 
     state is (orthonormal rows Q, rows of L^-1 where Q = L^-1 S, the min-norm
@@ -246,6 +247,7 @@ def _extend(state, row, rhs, row_norm):
     None when kappa passes _MAX_CONDITION.
     """
     basis, inverse, z, coords, inverse2, norm2, _ = state
+    row_norm = math.sqrt(_dot(row, row))
     coeffs, v, pivot = _orthogonalize(basis, row)
     if not pivot * _MAX_CONDITION > row_norm:
         return None
@@ -263,28 +265,37 @@ def _extend(state, row, rhs, row_norm):
             coords + [step], inverse2, norm2, kappa)
 
 
-def _core_rows(state, norm_max, feas_tol):
-    """Positions of rows P of state's rows S that every feasible subset holds.
+def _core_rows(rows, rhs, feas_tol):
+    """Positions of rows P of rows S that every feasible subset of S holds.
 
-    With z_S = S^T lam the min-norm solution, R a subset of S and T the
-    rest, the min-norm z_R = P_R z_S violates each row t of T by v_t =
-    S_t (z_S - z_R), and lam_T @ v = D^2 with D = ||z_S - z_R|| >=
+    With z_S = S^T lam the min-norm solution of S z = rhs, R a subset of S
+    and T the rest, the min-norm z_R = P_R z_S violates each row t of T by
+    v_t = S_t (z_S - z_R), and lam_T @ v = D^2 with D = ||z_S - z_R|| >=
     sigma_min(S) ||lam_T||.  Split S into P, whose multipliers are at least
     lam_p > 0, and Z, whose |multipliers| sum to lam_z.  When R misses a
     row of P, the rows of T in P carry lam @ v >= D (D - norm_max lam_z), so
     one of them is violated by at least sigma (sigma lam_p - norm_max lam_z).
-    Subsets of S have condition numbers at most kappa, so lstsq's z_R is
-    within _SCREEN_MARGIN * kappa * ||z_S|| of z_R; the float multipliers
-    and sigma_min are given _SCREEN_MARGIN * kappa^2 relative.  Returns the
-    largest such P whose bound clears the feasibility tolerance, or None.
+    Subsets of S have condition numbers at most kappa (see _extend), so
+    lstsq's z_R is within _SOLVE_MARGIN * kappa * ||z_S|| of z_R, and the
+    numpy products checking it differ from exact ones by rounding; the
+    float multipliers and sigma_min are given _SOLVE_MARGIN * kappa^2
+    relative.  Returns the largest such P whose bound clears the
+    feasibility tolerance, or None (also when S is too ill-conditioned).
     """
+    state = ([], [], [0.0] * len(rows[0]), [], 0.0, 0.0, 1.0)
+    for row, r in zip(rows, rhs):
+        state = _extend(state, row, r)
+        if state is None:
+            return None
     _, inverse, z, coords, inverse2, _, kappa = state
     size = len(coords)
     lam = [sum(inverse[j][col] * coords[j] for j in range(col, size)) for col in range(size)]
-    drift = _SCREEN_MARGIN * kappa * kappa
+    drift = _SOLVE_MARGIN * kappa * kappa
     spread = drift * math.sqrt(_dot(lam, lam))
     sigma = 1.0 / math.sqrt(inverse2 * (1.0 + drift))
-    need = feas_tol + 2.0 * _SCREEN_MARGIN * kappa * math.sqrt(_dot(z, z)) * norm_max
+    norm_max = max(math.sqrt(_dot(row, row)) for row in rows)
+    z_size = math.sqrt(_dot(z, z))
+    need = feas_tol + (2.0 * _SOLVE_MARGIN * kappa + _rounding(len(z))) * z_size * norm_max
     ranked = sorted(range(size), key=lam.__getitem__, reverse=True)
     for count in range(size, 0, -1):
         lam_p = lam[ranked[count - 1]] - spread
@@ -321,124 +332,52 @@ def _min_norm_shift(constraints, deficit, scale):
 
     The optimizer of this tiny QP activates at most dim(z) constraints.  An
     exact least-distance (NNLS) solve locates it, then every subset of at
-    most dim(z) near-active constraints is a candidate, in ascending size
-    order, with the same solves, tolerances and tie rule as trying every
-    subset of all constraints.  A subset holding a row that is slack at the
-    optimum by more than the band gives a z at least band * scale from it
-    (rows have norm <= 1: the null basis has orthonormal columns), so its
-    ||z||^2 is at least (band * scale)^2 above the minimum, far more than
-    the feasibility tolerance moves it: such a candidate neither wins nor
-    blocks one that does.
+    most dim(z) near-active constraints is tried in ascending size order,
+    with the same solves, tolerances and tie rule as trying every subset of
+    all constraints.  A subset holding a row that is slack at the optimum by
+    more than the band gives a z at least band * scale from it (rows have
+    norm <= 1: the null basis has orthonormal columns), so its ||z||^2 is at
+    least (band * scale)^2 above the minimum, far more than the feasibility
+    tolerance moves it: such a candidate neither wins nor blocks one that
+    does.
 
-    Every decision is taken on floats first.  Each candidate's min-norm z
-    comes from a Gram-Schmidt solve extending its prefix's; it and LAPACK's
-    are each within _SCREEN_MARGIN * kappa * ||z|| of the exact one (kappa
-    bounds the rows' condition number).  The near-active rows, or the
-    NNLS's positive set, usually prove at once that every subset of theirs
-    missing one of their core rows is infeasible (see _core_rows), so those
-    subsets are never formed; any other candidate some row violates by more
-    than the margin is infeasible.  The remaining candidate with the
-    smallest float norm goes through lstsq and the exact checks; if it
-    passes, a candidate whose ||z||^2 exceeds its norm2 by more than the
-    1e-30 tie steps and their rounding could make up neither wins nor
-    changes who does.  Only the candidates left, and those past
-    _MAX_CONDITION, are solved by lstsq and compared in the original order
-    with the original tie rule, so the result is bitwise that of the
-    exhaustive enumeration.
+    The near-active rows, or failing that the NNLS's positive set, usually
+    prove on floats that every subset of theirs missing one of their core
+    rows is infeasible (see _core_rows, whose margin covers the float
+    solve's error, lstsq's and the rounding of the feasibility check), so
+    those subsets are never solved.  Where the rows tie (more near-active
+    rows than dim(z)) and the positive set does not certify, every subset
+    is still tried.  The result is bitwise that of the exhaustive
+    enumeration, from far fewer solves.
     """
-    n, dim = constraints.shape
+    dim = constraints.shape[1]
     eq_tol = 1e-10 * scale
     feas_tol = 1e-12 * scale
     rows = constraints.tolist()
     deficits = deficit.tolist()
-    need = [d - feas_tol for d in deficits]  # bitwise deficit - feas_tol
-    if all(t <= 0.0 for t in need):
+    if all(d - feas_tol <= 0.0 for d in deficits):
         return np.zeros(dim)  # z = 0 is tried first, and no norm2 < 0 follows
-    norms = [math.sqrt(_dot(row, row)) for row in rows]
-
-    def passes(idx, z):
-        # The exact checks on lstsq's z, taken on floats where a margin
-        # clears them.  Returns the verdict, or None to ask numpy.
-        zs = z.tolist()
-        size = math.sqrt(_dot(zs, zs))
-        res2 = spread = 0.0
-        for i in idx:
-            gap = _dot(rows[i], zs) - deficits[i]
-            res2 += gap * gap
-            spread += norms[i] * size + abs(deficits[i])
-        res = math.sqrt(res2)
-        if res + _rounding(dim + len(idx)) * (spread + res) < eq_tol:
-            if all(_dot(row, zs) - _rounding(dim) * rn * size >= t
-                   for row, t, rn in zip(rows, need, norms)):
-                return True
-        return None
-
-    def solve(idx):
-        # The enumeration's candidate: (z, norm2) or None when it fails.
-        sub = constraints[list(idx)]
-        rhs = deficit[list(idx)]
-        z, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-        verdict = passes(idx, z)
-        if verdict is None:
-            verdict = (not np.linalg.norm(sub @ z - rhs) > eq_tol
-                       and bool(np.all(constraints @ z >= deficit - feas_tol)))
-        return (z, float(z @ z)) if verdict else None
-
     near, active = _near_active(rows, deficits, scale)
-    order = list(near) + [i for i in range(n) if i not in near]  # likeliest violated first
-    states = {(): ([], [], [0.0] * dim, [], 0.0, 0.0, 1.0)}
-
-    def state_of(idx):
-        if idx not in states:
-            prefix = state_of(idx[:-1])
-            i = idx[-1]
-            states[idx] = prefix and _extend(prefix, rows[i], deficits[i], norms[i])
-        return states[idx]
-
-    # Most subsets of the near-active rows, or failing that of the NNLS's
-    # positive set, are infeasible for missing a core row: only the rest
-    # are candidates.
     subsets = (idx for size in range(1, dim + 1) for idx in itertools.combinations(near, size))
     for group in dict.fromkeys((tuple(near), active)):
-        if 1 < len(group) <= dim and set(group).issubset(near) and state_of(group):
-            core = _core_rows(states[group], max(norms[i] for i in group), feas_tol)
+        if 1 < len(group) <= dim and set(group).issubset(near):
+            core = _core_rows([rows[i] for i in group], [deficits[i] for i in group], feas_tol)
             if core is not None:
                 subsets = _uncovered(near, group, tuple(group[k] for k in core), dim)
                 break
-
-    candidates = []  # (subset, lower bound of its norm2 or None, float norm2)
-    for idx in subsets:
-        state = state_of(idx)
-        if not state:
-            candidates.append((idx, None, None))
-            continue
-        z, kappa = state[2], state[6]
-        z_norm2 = _dot(z, z)
-        slack = _SCREEN_MARGIN * kappa * math.sqrt(z_norm2)
-        if any(_dot(rows[i], z) + slack * norms[i] < need[i] for i in order):
-            continue  # infeasible
-        lower = max(0.0, math.sqrt(z_norm2) - 2.0 * slack) ** 2
-        candidates.append((idx, lower, z_norm2))
-
-    solved = {}
-    screened = [c for c in candidates if c[1] is not None]
-    if screened:
-        first = min(screened, key=lambda c: c[2])[0]
-        solved[first] = solve(first)
-        if solved[first] is not None:
-            # each of at most `steps` 1e-30 tie steps, rounded, moves a norm2 by
-            # at most 2 eps relative plus 2e-30
-            steps = len(candidates) + 1
-            cap = solved[first][1] * (1.0 + 4.0 * _EPS * steps) + 4e-30 * steps
-            candidates = [c for c in candidates
-                          if c[0] == first or c[1] is None or c[1] <= cap]
-
     best = None
     best_norm2 = np.inf
-    for idx, _, _ in candidates:
-        outcome = solved[idx] if idx in solved else solve(idx)
-        if outcome is not None and outcome[1] < best_norm2 - 1e-30:
-            best, best_norm2 = outcome
+    for idx in subsets:
+        sub = constraints[list(idx)]
+        rhs = deficit[list(idx)]
+        z, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+        if np.linalg.norm(sub @ z - rhs) > eq_tol:
+            continue
+        if np.all(constraints @ z >= deficit - feas_tol):
+            norm2 = float(z @ z)
+            if norm2 < best_norm2 - 1e-30:
+                best = z
+                best_norm2 = norm2
     return best
 
 
@@ -450,21 +389,11 @@ def _solve_tension_qp(jq_t, b, floor):
     """
     scale = max(1.0, float(np.linalg.norm(b)))
     tau, *_ = np.linalg.lstsq(jq_t, b, rcond=None)
-    taus = tau.tolist()
-    # span check, bitwise norm(jq_t @ tau - b) > 1e-9 * scale where decided
-    res2 = spread = 0.0
-    for row, bi in zip(jq_t.tolist(), b.tolist()):
-        gap = _dot(row, taus) - bi
-        res2 += gap * gap
-        spread += _dot(map(abs, row), map(abs, taus)) + abs(bi)
-    res = math.sqrt(res2)
-    margin = _rounding(len(taus)) * (spread + res)
-    outside = res - 1e-9 * scale
-    if outside > -margin and (outside > margin
-                              or np.linalg.norm(jq_t @ tau - b) > 1e-9 * scale):
+    if np.linalg.norm(jq_t @ tau - b) > 1e-9 * scale:
         raise InfeasibleTensionsError(
             "requested wrench lies outside the span of the tendon map at this configuration"
         )
+    taus = tau.tolist()
     if min(taus) < floor - 1e-15:
         _, singulars, vt = np.linalg.svd(jq_t)
         singulars = singulars.tolist()

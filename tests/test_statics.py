@@ -335,8 +335,8 @@ def _count_lapack(monkeypatch):
 
 @pytest.mark.parametrize("pretension", [0.0, 0.3])
 def test_allocation_calls_lapack_only_for_returned_bits(params, monkeypatch, pretension):
-    # min-norm lstsq, the null basis and the winning subset's lstsq; the
-    # decisions between them run on floats (trying the subsets took 6 + 1)
+    # min-norm lstsq, the null basis and the one subset the multiplier bound
+    # leaves; the NNLS runs on floats (trying the subsets took 6 + 1)
     calls = _count_lapack(monkeypatch)
     report = allocate_tensions(params, Configuration(0.6, 0.7), None, pretension)
     assert np.min(report.tensions) >= pretension
@@ -345,8 +345,8 @@ def test_allocation_calls_lapack_only_for_returned_bits(params, monkeypatch, pre
 
 @pytest.mark.parametrize("theta_deg", [0, 15, 30, 45, 60])
 def test_default_stiffness_bends_call_lapack_no_more(params, monkeypatch, theta_deg):
-    # at delta = 0 three tendons tie at the floor: the float screen cannot
-    # break those ties, so the exact subset checks still run, but never
+    # at delta = 0 three tendons tie at the floor: the multiplier bound may
+    # not break those ties, so the exact subset checks still run, but never
     # more of them than trying the near-active subsets took (8 + 1; 1 at 0)
     calls = _count_lapack(monkeypatch)
     allocate_tensions(params, Configuration(math.radians(theta_deg), 0.0), None, 0.0)
