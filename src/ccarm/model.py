@@ -16,6 +16,11 @@ from .errors import ConfigurationError, ParameterError
 
 DEFAULT_THETA_MAX = math.pi
 
+# The tension allocation's SVD builds an n x n matrix and its float NNLS
+# grows as n^3: an allocation takes about 40 ms at 64 tendons and 0.4-0.9 s
+# at 128, and a count of 100000 would ask for some 80 GB.
+MAX_TENDON_COUNT = 64
+
 _REQUIRED_KEYS = (
     "backbone_length_m",
     "pitch_radius_m",
@@ -66,6 +71,9 @@ class ArmParameters:
             raise ParameterError(
                 f"tendon_count must be >= 3 to span the bending plane, got {self.tendon_count}"
             )
+        if self.tendon_count > MAX_TENDON_COUNT:
+            raise ParameterError(
+                f"tendon_count must be <= {MAX_TENDON_COUNT}, got {self.tendon_count}")
         even = 2.0 * math.pi / self.tendon_count
         if not math.isclose(self.tendon_division_angle, even, rel_tol=1e-9):
             warnings.warn(

@@ -4,16 +4,13 @@ The virtual-work balance reads grad(E) = J_q^T tau + J_x^T w_ext: the
 backbone's elastic gradient is carried by the tendon pulls plus the external
 wrench.  Tendons can only pull, so allocation solves for the minimum-norm
 non-negative tension vector, lifting along the null space of J_q^T when the
-unconstrained optimum would go slack.  The smallest lift is located by an
-exact least-distance solve (Lawson-Hanson NNLS, on Python floats with an
-orthogonal factorization).  A multiplier bound on the near-active rows it
-finds then proves most of their subsets infeasible on floats, with a margin
-that covers the rounding of the float and numpy solves; only the rest go
-through the subset check that used to try every active set, with the same
-lstsq solves, tolerances and tie rule, so the tensions are bitwise those of
-the exhaustive enumeration.  LAPACK runs for the min-norm lstsq, the SVD
-null basis and each subset left to check (one, for a lift off a
-nondegenerate vertex).
+unconstrained optimum would go slack.  The smallest lift is a least-distance
+QP: the positive set of one NNLS (Lawson-Hanson, on Python floats with an
+orthogonal factorization) is its active set, one lstsq on those rows gives
+the lift, and a feasibility check guards it.  The result is a KKT point of
+the QP, not bitwise the pick of an enumeration over subsets.  An allocation
+makes one NNLS, at most one svd and at most two lstsq calls for every
+tendon count.
 """
 
 import itertools
@@ -24,7 +21,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleTensionsError
+from .errors import ConfigurationError, ConvergenceError, InfeasibleTensionsError
 from .kinematics import jacobian_q_psi, jacobian_x_psi
 from .model import _readonly
 
@@ -79,34 +76,14 @@ def equilibrium_residual(params, psi, tensions, w_ext):
     return res
 
 
-_NEAR_ACTIVE_BAND = 1e-4  # slack at the least-distance point, relative to scale
-
 # The allocation squares tension-sized numbers (z @ z, norms); a pretension
 # past 2**500 N (about 3.3e150) could overflow them and fake an infeasible QP.
 _MAX_PRETENSION = 2.0 ** 500
 
 _EPS = sys.float_info.epsilon
 
-
-def _rounding(count):
-    """Bound on a dot product's rounding, relative to the sum of |terms|.
-
-    A float and a numpy dot product of length count each err by at most
-    (count + 2) eps of that sum, so they differ by at most twice that; this
-    doubles it again.
-    """
-    return 4.0 * (count + 2) * _EPS
-
-
-# A subset's float solve and LAPACK's lstsq both have a forward error of a
-# few hundred eps times the condition number at these sizes; the subset
-# certificate allows _SOLVE_MARGIN per unit of condition number, and past
-# _MAX_CONDITION it certifies nothing.
-_SOLVE_MARGIN = 1e-10
-_MAX_CONDITION = 1e6
-
 # A Gram-Schmidt pivot below this, relative to its column, counts as
-# dependent: the float NNLS then gives up, as when its budget runs out.
+# dependent: the float NNLS then leaves that column out of the pass.
 _MIN_PIVOT = 1e-8
 
 
@@ -114,22 +91,8 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _orthogonalize(basis, v):
-    """v less its projection on an orthonormal basis, by Gram-Schmidt run twice.
-
-    Returns (coefficients on the basis, remainder, remainder's norm).
-    """
-    coeffs = [0.0] * len(basis)
-    for _ in range(2):
-        for j, q in enumerate(basis):
-            c = _dot(q, v)
-            coeffs[j] += c
-            v = [vi - c * qi for vi, qi in zip(v, q)]
-    return coeffs, v, math.sqrt(_dot(v, v))
-
-
 def _passive_solve(a, b, passive, factor):
-    """Least squares over the passive columns of a, by Gram-Schmidt QR.
+    """Least squares over the passive columns of a, by Gram-Schmidt QR run twice.
 
     factor holds (column, q, column of R, q @ b) for a prefix of passive and
     is brought up to date in place.  Returns the coefficients, or None when
@@ -140,7 +103,14 @@ def _passive_solve(a, b, passive, factor):
         keep += 1
     del factor[keep:]
     for i in passive[keep:]:
-        coeffs, v, pivot = _orthogonalize([f[1] for f in factor], a[i])
+        v = a[i]
+        coeffs = [0.0] * len(factor)
+        for _ in range(2):
+            for k, f in enumerate(factor):
+                c = _dot(f[1], v)
+                coeffs[k] += c
+                v = [vi - c * qi for vi, qi in zip(v, f[1])]
+        pivot = math.sqrt(_dot(v, v))
         if not pivot > _MIN_PIVOT * math.sqrt(_dot(a[i], a[i])):
             return None
         q = [vi / pivot for vi in v]
@@ -160,8 +130,9 @@ def _nnls(a, b):
     ch. 23).  Each pass solves one least-squares problem on the passive
     columns by an orthogonal factorization (normal equations would square
     the condition number, which an ill-scaled least-distance point cannot
-    afford); None means the budget of 3 * columns solves ran out or a
-    passive column was numerically dependent on the others.
+    afford).  A dependent entering column (a twin row) sits out the pass;
+    the passive set only shrinks after an entry, so no other column turns
+    dependent.  None means the budget of 3 * columns solves ran out.
     """
     n = len(a)
     tol = 10.0 * _EPS * max(len(b), n) * max(1.0, max(map(abs, itertools.chain(*a))))
@@ -182,7 +153,9 @@ def _nnls(a, b):
                 return None
             coeffs = _passive_solve(a, b, passive, factor)
             if coeffs is None:
-                return None
+                if not entering:  # dropping columns cannot shrink a pivot
+                    return None
+                break
             s = [0.0] * n
             for i, c in zip(passive, coeffs):
                 s[i] = c
@@ -196,7 +169,7 @@ def _nnls(a, b):
             passive = [i for i in passive if i != k and x[i] > tol]
             x = [x[i] if i in passive else 0.0 for i in range(n)]
         if entering:
-            # rounding made the best column useless: drop it for this pass
+            # j is dependent, or rounding made it useless: drop it for this pass
             passive.pop()
             w[j] = 0.0
             continue
@@ -208,177 +181,52 @@ def _nnls(a, b):
     return x
 
 
-def _near_active(rows, deficit, scale):
-    """Rows of rows @ z >= deficit that can be active at the optimum.
+def _active_set(rows, deficit, scale):
+    """Rows active at the smallest z with rows @ z >= deficit; None if infeasible.
 
     rows and deficit are Python floats.  Least-distance programming via NNLS
-    (Lawson and Hanson, ch. 23): with E = [rows^T; bound^T] and f = e_last,
-    the NNLS residual r = E u - f gives the min-norm feasible z =
-    -r[:-1] / r[-1], and r = 0 means no z is feasible.  The bound is the
-    deficit scaled to order one and relaxed by the feasibility tolerance
-    _min_norm_shift accepts.  Returns the rows within _NEAR_ACTIVE_BAND of
-    equality at that z (the band is far wider than the NNLS's rounding) and
-    the rows with a positive NNLS weight, the active set it found; no rows
-    when infeasible (z = 0, the only subset left to try, then fails the
-    feasibility check), all rows and no active set when the NNLS gives up.
+    (Lawson and Hanson, ch. 23): with E = [rows^T; bound^T], f = e_last and
+    r = E u - f, the min-norm feasible z is -r[:-1] / r[-1], and r = 0 means
+    no z is feasible.  The bound is the deficit scaled to order one, relaxed
+    by the feasibility tolerance.  Rows with u_i > 0 hold with equality at z
+    with multipliers u_i / -r[-1] > 0: the positive set is the active set.
+    Raises ConvergenceError when the NNLS runs out of solves.
     """
-    n, dim = len(rows), len(rows[0])
-    bound = [d / scale for d in deficit]
-    e = [row + [b - 1e-12] for row, b in zip(rows, bound)]  # the columns of E
+    dim = len(rows[0])
+    e = [row + [d / scale - 1e-12] for row, d in zip(rows, deficit)]  # the columns of E
     u = _nnls(e, [0.0] * dim + [1.0])
     if u is None:
-        return range(n), ()
-    used = [(col, ui) for col, ui in zip(e, u) if ui]
-    r = [sum(col[k] * ui for col, ui in used) for k in range(dim + 1)]
-    r[dim] -= 1.0
-    if not -r[dim] > 1e-24:  # -r[-1] = ||r||^2 = 1 / (1 + ||z||^2)
-        return [], ()
-    z = [v / -r[dim] for v in r[:dim]]
-    near = [i for i in range(n) if _dot(rows[i], z) - bound[i] <= _NEAR_ACTIVE_BAND]
-    return near, tuple(i for i in range(n) if u[i] > 0.0)
-
-
-def _extend(state, row, rhs):
-    """Min-norm solution of one more equality row, by Gram-Schmidt on floats.
-
-    state is (orthonormal rows Q, rows of L^-1 where Q = L^-1 S, the min-norm
-    z of S z = rhs, its coordinates on Q, ||L^-1||_F^2, ||S||_F^2, and
-    kappa = ||S||_F ||L^-1||_F, which bounds S's condition number).  Returns
-    None when kappa passes _MAX_CONDITION.
-    """
-    basis, inverse, z, coords, inverse2, norm2, _ = state
-    row_norm = math.sqrt(_dot(row, row))
-    coeffs, v, pivot = _orthogonalize(basis, row)
-    if not pivot * _MAX_CONDITION > row_norm:
+        raise ConvergenceError(
+            f"tension allocation's NNLS ran out of its {3 * len(rows)} solves")
+    # -r[-1] = ||r||^2 = 1 / (1 + ||z||^2)
+    if not 1.0 - sum(col[dim] * ui for col, ui in zip(e, u) if ui) > 1e-24:
         return None
-    q = [vi / pivot for vi in v]
-    # q = (row - sum_j coeffs[j] q_j) / pivot, and q_j = sum_l inverse[j][l] row_l
-    new = [-sum(coeffs[j] * inverse[j][col] for j in range(col, len(basis))) / pivot
-           for col in range(len(basis))] + [1.0 / pivot]
-    inverse2 += _dot(new, new)
-    norm2 += row_norm * row_norm
-    kappa = math.sqrt(inverse2 * norm2)
-    if kappa > _MAX_CONDITION:
-        return None
-    step = (rhs - _dot(row, z)) / pivot  # row @ q = pivot
-    return (basis + [q], inverse + [new], [zi + step * qi for zi, qi in zip(z, q)],
-            coords + [step], inverse2, norm2, kappa)
-
-
-def _core_rows(rows, rhs, feas_tol):
-    """Positions of rows P of rows S that every feasible subset of S holds.
-
-    With z_S = S^T lam the min-norm solution of S z = rhs, R a subset of S
-    and T the rest, the min-norm z_R = P_R z_S violates each row t of T by
-    v_t = S_t (z_S - z_R), and lam_T @ v = D^2 with D = ||z_S - z_R|| >=
-    sigma_min(S) ||lam_T||.  Split S into P, whose multipliers are at least
-    lam_p > 0, and Z, whose |multipliers| sum to lam_z.  When R misses a
-    row of P, the rows of T in P carry lam @ v >= D (D - norm_max lam_z), so
-    one of them is violated by at least sigma (sigma lam_p - norm_max lam_z).
-    Subsets of S have condition numbers at most kappa (see _extend), so
-    lstsq's z_R is within _SOLVE_MARGIN * kappa * ||z_S|| of z_R, and the
-    numpy products checking it differ from exact ones by rounding; the
-    float multipliers and sigma_min are given _SOLVE_MARGIN * kappa^2
-    relative.  Returns the largest such P whose bound clears the
-    feasibility tolerance, or None (also when S is too ill-conditioned).
-    """
-    state = ([], [], [0.0] * len(rows[0]), [], 0.0, 0.0, 1.0)
-    for row, r in zip(rows, rhs):
-        state = _extend(state, row, r)
-        if state is None:
-            return None
-    _, inverse, z, coords, inverse2, _, kappa = state
-    size = len(coords)
-    lam = [sum(inverse[j][col] * coords[j] for j in range(col, size)) for col in range(size)]
-    drift = _SOLVE_MARGIN * kappa * kappa
-    spread = drift * math.sqrt(_dot(lam, lam))
-    sigma = 1.0 / math.sqrt(inverse2 * (1.0 + drift))
-    norm_max = max(math.sqrt(_dot(row, row)) for row in rows)
-    z_size = math.sqrt(_dot(z, z))
-    need = feas_tol + (2.0 * _SOLVE_MARGIN * kappa + _rounding(len(z))) * z_size * norm_max
-    ranked = sorted(range(size), key=lam.__getitem__, reverse=True)
-    for count in range(size, 0, -1):
-        lam_p = lam[ranked[count - 1]] - spread
-        lam_z = sum(abs(lam[i]) + spread for i in ranked[count:])
-        if lam_p > 0.0 and sigma * (sigma * lam_p - norm_max * lam_z) > need:
-            return sorted(ranked[:count])
-    return None
-
-
-def _uncovered(near, group, core, dim):
-    """Subsets of near with 1 to dim rows, in the enumeration's order.
-
-    Leaves out the subsets of group that miss a row of core.
-    """
-    loose = [i for i in group if i not in core]
-    others = [i for i in near if i not in group]
-    found = []
-    for size in range(1, dim + 1):
-        for count in range(min(size, len(others)) + 1):
-            for extra in itertools.combinations(others, count):
-                if count:
-                    parts = itertools.combinations(group, size - count)
-                elif size >= len(core):
-                    parts = (core + more for more in itertools.combinations(
-                        loose, size - len(core)))
-                else:
-                    continue
-                found += [tuple(sorted(extra + part)) for part in parts]
-    return sorted(found, key=lambda idx: (len(idx), idx))
+    return [i for i, ui in enumerate(u) if ui > 0.0]
 
 
 def _min_norm_shift(constraints, deficit, scale):
     """Smallest z (2-norm) with constraints @ z >= deficit, or None.
 
-    The optimizer of this tiny QP activates at most dim(z) constraints.  An
-    exact least-distance (NNLS) solve locates it, then every subset of at
-    most dim(z) near-active constraints is tried in ascending size order,
-    with the same solves, tolerances and tie rule as trying every subset of
-    all constraints.  A subset holding a row that is slack at the optimum by
-    more than the band gives a z at least band * scale from it (rows have
-    norm <= 1: the null basis has orthonormal columns), so its ||z||^2 is at
-    least (band * scale)^2 above the minimum, far more than the feasibility
-    tolerance moves it: such a candidate neither wins nor blocks one that
-    does.
-
-    The near-active rows, or failing that the NNLS's positive set, usually
-    prove on floats that every subset of theirs missing one of their core
-    rows is infeasible (see _core_rows, whose margin covers the float
-    solve's error, lstsq's and the rounding of the feasibility check), so
-    those subsets are never solved.  Where the rows tie (more near-active
-    rows than dim(z)) and the positive set does not certify, every subset
-    is still tried.  The result is bitwise that of the exhaustive
-    enumeration, from far fewer solves.
+    One lstsq on the NNLS positive set (see _active_set), then a feasibility
+    check: a KKT point of the QP (Nocedal and Wright, Numerical Optimization,
+    2006, ch. 16) to rounding, not bitwise an enumeration's pick.  None when
+    the NNLS finds no feasible z or the solve fails either check.
     """
-    dim = constraints.shape[1]
-    eq_tol = 1e-10 * scale
     feas_tol = 1e-12 * scale
-    rows = constraints.tolist()
     deficits = deficit.tolist()
     if all(d - feas_tol <= 0.0 for d in deficits):
-        return np.zeros(dim)  # z = 0 is tried first, and no norm2 < 0 follows
-    near, active = _near_active(rows, deficits, scale)
-    subsets = (idx for size in range(1, dim + 1) for idx in itertools.combinations(near, size))
-    for group in dict.fromkeys((tuple(near), active)):
-        if 1 < len(group) <= dim and set(group).issubset(near):
-            core = _core_rows([rows[i] for i in group], [deficits[i] for i in group], feas_tol)
-            if core is not None:
-                subsets = _uncovered(near, group, tuple(group[k] for k in core), dim)
-                break
-    best = None
-    best_norm2 = np.inf
-    for idx in subsets:
-        sub = constraints[list(idx)]
-        rhs = deficit[list(idx)]
-        z, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-        if np.linalg.norm(sub @ z - rhs) > eq_tol:
-            continue
-        if np.all(constraints @ z >= deficit - feas_tol):
-            norm2 = float(z @ z)
-            if norm2 < best_norm2 - 1e-30:
-                best = z
-                best_norm2 = norm2
-    return best
+        return np.zeros(constraints.shape[1])
+    active = _active_set(constraints.tolist(), deficits, scale)
+    if active is None:
+        return None
+    sub = constraints[active]
+    rhs = deficit[active]
+    z, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+    if np.linalg.norm(sub @ z - rhs) > 1e-10 * scale:
+        return None
+    if not np.all(constraints @ z >= deficit - feas_tol):
+        return None
+    return z
 
 
 def _solve_tension_qp(jq_t, b, floor):

@@ -480,6 +480,18 @@ def test_bad_params_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+def test_params_tendon_count_ceiling_exit_code(capsys, tmp_path):
+    # checked when the parameters load, before anything is sized by the count
+    params = ccarm.default_parameters()
+    text = dump_parameters(params).replace("tendon_count = 4", "tendon_count = 100000").replace(
+        repr(params.tendon_division_angle), repr(2.0 * math.pi / 100000))
+    path = tmp_path / "many.params"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "pose", "--theta-deg", "5", "--params", str(path))
+    assert code == 3
+    assert "tendon_count must be <= 64" in err and out == ""
+
+
 def test_usage_exit_code(capsys):
     code, _, _ = run_cli(capsys, "pose", "--theta-degrees", "10")
     assert code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,19 @@ def test_tendon_count_floor():
     doc = dict(DEFAULT_DOC, tendon_count=2, tendon_division_angle_rad=math.pi)
     with pytest.raises(ParameterError, match="tendon_count"):
         parameters_from_mapping(doc)
+
+
+@pytest.mark.parametrize("count", [65, 10**5])
+def test_tendon_count_ceiling(count):
+    # the allocation's n x n SVD would ask for some 80 GB at 100000 tendons
+    with pytest.raises(ParameterError, match="tendon_count must be <= 64"):
+        dataclasses.replace(default_parameters(), tendon_count=count,
+                            tendon_division_angle=2.0 * math.pi / count)
+    doc = dict(DEFAULT_DOC, tendon_count=count, tendon_division_angle_rad=2.0 * math.pi / count)
+    with pytest.raises(ParameterError, match="<= 64"):
+        parameters_from_mapping(doc)
+    assert dataclasses.replace(default_parameters(), tendon_count=64,
+                               tendon_division_angle=2.0 * math.pi / 64).tendon_count == 64
 
 
 def test_parse_text_formats(tmp_path):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarm import (Configuration, ConfigurationError, InfeasibleTensionsError,
-                   Wrench, allocate_tensions, elastic_energy, energy_gradient,
-                   equilibrium_residual, jacobian_q_psi, jacobian_x_psi, statics)
+from ccarm import (Configuration, ConfigurationError, ConvergenceError,
+                   InfeasibleTensionsError, Wrench, allocate_tensions, cli, elastic_energy,
+                   energy_gradient, equilibrium_residual, jacobian_q_psi, jacobian_x_psi,
+                   statics)
 from ccarm.sim import finite_difference_oracle
 from ccarm.statics import _min_norm_shift, _solve_tension_qp
 
@@ -221,6 +222,57 @@ def _exhaustive_min_norm_shift(constraints, deficit, scale):
     return best
 
 
+def _assert_kkt(constraints, deficit, scale, z):
+    """z = C_S^T lam with lam >= 0 for some set S of at most dim tight rows.
+
+    The KKT conditions of min ||z||^2 / 2 subject to C z >= d (Nocedal and
+    Wright, Numerical Optimization, 2006, ch. 16), to a normwise backward
+    error of 1e-12: a float lam leaves a residual of order eps ||C_S|| ||lam||,
+    which passes 1e-12 ||z|| where nearly dependent tight rows need large
+    multipliers.  The subsets are searched by hand because the package does
+    not depend on scipy.
+    """
+    tight = np.flatnonzero(constraints @ z - deficit <= 1e-9 * scale)
+    for size in range(min(constraints.shape[1], len(tight)) + 1):
+        for idx in itertools.combinations(tight, size):
+            rows_t = constraints[list(idx)].T
+            lam, *_ = np.linalg.lstsq(rows_t, z, rcond=None)
+            magnitude = max(1.0, np.linalg.norm(z), np.linalg.norm(rows_t) * np.linalg.norm(lam))
+            if np.all(lam >= -1e-12) and np.linalg.norm(rows_t @ lam - z) <= 1e-12 * magnitude:
+                return
+    pytest.fail(f"no non-negative multipliers on the tight rows {tight.tolist()} give z = {z}")
+
+
+def _assert_like_enumeration(constraints, deficit, scale, z):
+    # the same verdict, feasible, as short as the enumeration's pick and a KKT point
+    z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
+    assert (z is None) == (z_ref is None)
+    if z is not None:
+        assert np.all(constraints @ z >= deficit - 1e-12 * scale)
+        assert abs(np.linalg.norm(z) - np.linalg.norm(z_ref)) <= 4e-12 * scale
+        _assert_kkt(constraints, deficit, scale, z)
+
+
+def _shift_problem(seed, count, rows, degenerate):
+    # orthonormal columns like a null basis; twin rows and many constraints
+    # tight at one point are where an active-set shortcut would pick the
+    # other twin or miss a tie
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, count - 1))
+    constraints, _ = np.linalg.qr(rng.normal(size=(count, dim)))
+    i, j = rng.choice(count, 2, replace=False)
+    if rows == "duplicate":
+        constraints[j] = constraints[i]
+    elif rows == "parallel":
+        constraints[j] = constraints[i] * rng.uniform(0.2, 1.0)
+    if degenerate:
+        deficit = constraints @ rng.normal(size=dim)
+        deficit[rng.random(count) < 0.5] -= 0.1
+    else:
+        deficit = rng.normal(size=count) * 10.0 ** rng.integers(-3, 2)
+    return constraints, deficit, max(1.0, float(np.abs(deficit).max()))
+
+
 def _arm(params, tendon_count):
     return dataclasses.replace(params, tendon_count=tendon_count,
                                tendon_division_angle=2.0 * math.pi / tendon_count)
@@ -260,52 +312,49 @@ def test_allocation_matches_exhaustive_enumeration(params, tendon_count, theta, 
     if isinstance(expected, type):
         assert got is expected
     else:
-        assert np.array_equal(got, expected)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
     for constraints, deficit, scale in shifts:
-        z = _min_norm_shift(constraints, deficit, scale)
-        z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
-        assert (z is None and z_ref is None) or np.array_equal(z, z_ref)
+        _assert_like_enumeration(constraints, deficit, scale,
+                                 _min_norm_shift(constraints, deficit, scale))
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 10),
        rows=st.sampled_from(["distinct", "duplicate", "parallel"]),
        degenerate=st.booleans())
 def test_min_norm_shift_matches_exhaustive_enumeration(seed, count, rows, degenerate):
-    # orthonormal columns like a null basis; twin rows and many constraints
-    # tight at one point are where an active-set shortcut would pick the
-    # other twin or miss a tie
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, count - 1))
-    constraints, _ = np.linalg.qr(rng.normal(size=(count, dim)))
-    i, j = rng.choice(count, 2, replace=False)
-    if rows == "duplicate":
-        constraints[j] = constraints[i]
-    elif rows == "parallel":
-        constraints[j] = constraints[i] * rng.uniform(0.2, 1.0)
-    if degenerate:
-        deficit = constraints @ rng.normal(size=dim)
-        deficit[rng.random(count) < 0.5] -= 0.1
-    else:
-        deficit = rng.normal(size=count) * 10.0 ** rng.integers(-3, 2)
-    scale = max(1.0, float(np.abs(deficit).max()))
+    constraints, deficit, scale = _shift_problem(seed, count, rows, degenerate)
+    _assert_like_enumeration(constraints, deficit, scale,
+                             _min_norm_shift(constraints, deficit, scale))
+
+
+def test_min_norm_shift_keeps_a_dependent_twin_out_of_the_active_set(monkeypatch):
+    # a parallel twin enters the NNLS dependent on its partner; it sits out
+    # that pass, and one lstsq solves the positive set
+    constraints, deficit, scale = _shift_problem(1, 9, "parallel", True)
+    calls = _count_lapack(monkeypatch)
     z = _min_norm_shift(constraints, deficit, scale)
-    z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
-    assert (z is None and z_ref is None) or np.array_equal(z, z_ref)
+    assert calls["lstsq"] <= 1
+    monkeypatch.undo()
+    _assert_like_enumeration(constraints, deficit, scale, z)
 
 
-def test_min_norm_shift_without_nnls_tries_every_subset(monkeypatch):
-    # when the NNLS budget runs out every constraint counts as near-active
+def test_min_norm_shift_raises_when_nnls_budget_runs_out(monkeypatch, params, capsys):
+    # no enumeration to fall back on: an exhausted NNLS is a solver failure (exit 5)
     monkeypatch.setattr(statics, "_nnls", lambda a, b: None)
     constraints = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     deficit = np.array([0.3, -1.0, -1.0, -1.0])
-    assert np.array_equal(_min_norm_shift(constraints, deficit, 1.0),
-                          _exhaustive_min_norm_shift(constraints, deficit, 1.0))
-    assert _min_norm_shift(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), 1.0) is None
+    with pytest.raises(ConvergenceError, match="NNLS"):
+        _min_norm_shift(constraints, deficit, 1.0)
+    with pytest.raises(ConvergenceError):
+        allocate_tensions(params, Configuration(0.6, 0.7), None, 0.3)
+    assert cli.main(["stiffness", "--theta-deg", "30", "--delta-deg", "40",
+                     "--pretension", "0.3"]) == 5
+    assert "NNLS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", [math.pi / 6, 1.234])
 def test_six_tendon_allocation_solves_few_least_squares(params, monkeypatch, delta):
-    # trying every subset of at most four of six constraints takes 56 solves
+    # one lstsq for the min-norm tensions, one on the NNLS positive set
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -317,7 +366,7 @@ def test_six_tendon_allocation_solves_few_least_squares(params, monkeypatch, del
     report = allocate_tensions(_arm(params, 6), Configuration(math.radians(30), delta),
                                Wrench.zero(), 0.3)
     assert np.min(report.tensions) >= 0.3
-    assert len(calls) < 25
+    assert len(calls) <= 2
 
 
 def _count_lapack(monkeypatch):
@@ -335,8 +384,8 @@ def _count_lapack(monkeypatch):
 
 @pytest.mark.parametrize("pretension", [0.0, 0.3])
 def test_allocation_calls_lapack_only_for_returned_bits(params, monkeypatch, pretension):
-    # min-norm lstsq, the null basis and the one subset the multiplier bound
-    # leaves; the NNLS runs on floats (trying the subsets took 6 + 1)
+    # min-norm lstsq, the null basis and one lstsq on the NNLS positive set;
+    # the NNLS runs on floats
     calls = _count_lapack(monkeypatch)
     report = allocate_tensions(params, Configuration(0.6, 0.7), None, pretension)
     assert np.min(report.tensions) >= pretension
@@ -345,13 +394,24 @@ def test_allocation_calls_lapack_only_for_returned_bits(params, monkeypatch, pre
 
 @pytest.mark.parametrize("theta_deg", [0, 15, 30, 45, 60])
 def test_default_stiffness_bends_call_lapack_no_more(params, monkeypatch, theta_deg):
-    # at delta = 0 three tendons tie at the floor: the multiplier bound may
-    # not break those ties, so the exact subset checks still run, but never
-    # more of them than trying the near-active subsets took (8 + 1; 1 at 0)
+    # at delta = 0 three tendons tie at the floor; the NNLS positive set
+    # breaks the tie, so one lstsq follows the min-norm one (none at 0,
+    # where no tendon goes slack)
     calls = _count_lapack(monkeypatch)
     allocate_tensions(params, Configuration(math.radians(theta_deg), 0.0), None, 0.0)
-    assert calls["lstsq"] <= (1 if theta_deg == 0 else 8)
+    assert calls["lstsq"] <= (1 if theta_deg == 0 else 2)
     assert calls["svd"] <= (0 if theta_deg == 0 else 1)
+
+
+@pytest.mark.parametrize("tendon_count", [12, 32])
+def test_floor_tie_calls_lapack_twice(params, monkeypatch, tendon_count):
+    # at 5 deg and delta = 0 half the tendons tie at the 0.3 N floor; the
+    # cost must not grow with the subsets of the tied rows
+    calls = _count_lapack(monkeypatch)
+    report = allocate_tensions(_arm(params, tendon_count), Configuration(math.radians(5), 0.0),
+                               None, 0.3)
+    assert np.min(report.tensions) >= 0.3
+    assert calls["lstsq"] <= 2 and calls["svd"] <= 1
 
 
 def test_min_norm_shift_large_optimum_with_parallel_rows():
@@ -368,7 +428,8 @@ def test_min_norm_shift_large_optimum_with_parallel_rows():
     scale = max(1.0, float(np.abs(deficit).max()))
     z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
     assert constraints.shape == (7, 4) and 2900.0 < np.linalg.norm(z_ref) < 3100.0
-    assert np.array_equal(_min_norm_shift(constraints, deficit, scale), z_ref)
+    _assert_like_enumeration(constraints, deficit, scale,
+                             _min_norm_shift(constraints, deficit, scale))
 
 
 @pytest.mark.parametrize("theta, delta, pretension", [
