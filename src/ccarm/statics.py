@@ -83,7 +83,7 @@ _MAX_PRETENSION = 2.0 ** 500
 _EPS = sys.float_info.epsilon
 
 # A Gram-Schmidt pivot below this, relative to its column, counts as
-# dependent: the float NNLS then leaves that column out of the pass.
+# dependent: the float NNLS then trades that column in or leaves it out.
 _MIN_PIVOT = 1e-8
 
 
@@ -91,12 +91,22 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
+def _back_substitute(factor, y):
+    """Solve R x = y for the triangular R held in factor."""
+    x = [0.0] * len(factor)
+    for k in reversed(range(len(factor))):
+        x[k] = (y[k] - sum(factor[j][2][k] * x[j] for j in range(k + 1, len(factor)))
+                ) / factor[k][2][k]
+    return x
+
+
 def _passive_solve(a, b, passive, factor):
     """Least squares over the passive columns of a, by Gram-Schmidt QR run twice.
 
     factor holds (column, q, column of R, q @ b) for a prefix of passive and
-    is brought up to date in place.  Returns the coefficients, or None when
-    a column is numerically dependent on the ones before it.
+    is brought up to date in place.  Returns (coefficients, None), or (None,
+    weights) when a column is numerically dependent on the factored ones
+    before it, which the weights combine into it.
     """
     keep = 0
     while keep < min(len(factor), len(passive)) and factor[keep][0] == passive[keep]:
@@ -112,14 +122,10 @@ def _passive_solve(a, b, passive, factor):
                 v = [vi - c * qi for vi, qi in zip(v, f[1])]
         pivot = math.sqrt(_dot(v, v))
         if not pivot > _MIN_PIVOT * math.sqrt(_dot(a[i], a[i])):
-            return None
+            return None, _back_substitute(factor, coeffs)
         q = [vi / pivot for vi in v]
         factor.append((i, q, coeffs + [pivot], _dot(q, b)))
-    x = [0.0] * len(factor)
-    for k in reversed(range(len(factor))):
-        x[k] = (factor[k][3] - sum(factor[j][2][k] * x[j] for j in range(k + 1, len(factor)))
-                ) / factor[k][2][k]
-    return x
+    return _back_substitute(factor, [f[3] for f in factor]), None
 
 
 def _nnls(a, b):
@@ -130,9 +136,11 @@ def _nnls(a, b):
     ch. 23).  Each pass solves one least-squares problem on the passive
     columns by an orthogonal factorization (normal equations would square
     the condition number, which an ill-scaled least-distance point cannot
-    afford).  A dependent entering column (a twin row) sits out the pass;
-    the passive set only shrinks after an entry, so no other column turns
-    dependent.  None means the budget of 3 * columns solves ran out.
+    afford).  Removals cannot shrink a pivot, so a column turns out
+    dependent on entry: it then takes the place of the passive column that
+    moving along its combination zeroes first (a twin), or sits out the pass
+    when none exists.  None means the budget of 3 * columns solves ran out
+    or a column was dependent after such a trade.
     """
     n = len(a)
     tol = 10.0 * _EPS * max(len(b), n) * max(1.0, max(map(abs, itertools.chain(*a))))
@@ -151,11 +159,24 @@ def _nnls(a, b):
             solves += 1
             if solves > 3 * n:
                 return None
-            coeffs = _passive_solve(a, b, passive, factor)
+            coeffs, weights = _passive_solve(a, b, passive, factor)
             if coeffs is None:
-                if not entering:  # dropping columns cannot shrink a pivot
+                if not entering:  # removals cannot shrink a pivot; a trade can
                     return None
-                break
+                # j combines the other passive columns, so walking x along the
+                # combination keeps A x: trade j for the first column (a twin)
+                # the walk zeroes, or leave j out if the walk zeroes none
+                steps = [(x[f[0]] / wt, f[0]) for f, wt in zip(factor, weights) if wt > 0.0]
+                if not steps:
+                    break
+                alpha, k = min(steps)
+                for f, wt in zip(factor, weights):
+                    x[f[0]] -= alpha * wt
+                x[j] = alpha
+                passive = [i for i in passive if i != k and x[i] > tol]
+                x = [x[i] if i in passive else 0.0 for i in range(n)]
+                entering = False
+                continue
             s = [0.0] * n
             for i, c in zip(passive, coeffs):
                 s[i] = c
@@ -190,14 +211,15 @@ def _active_set(rows, deficit, scale):
     no z is feasible.  The bound is the deficit scaled to order one, relaxed
     by the feasibility tolerance.  Rows with u_i > 0 hold with equality at z
     with multipliers u_i / -r[-1] > 0: the positive set is the active set.
-    Raises ConvergenceError when the NNLS runs out of solves.
+    Raises ConvergenceError when the NNLS does not converge.
     """
     dim = len(rows[0])
     e = [row + [d / scale - 1e-12] for row, d in zip(rows, deficit)]  # the columns of E
     u = _nnls(e, [0.0] * dim + [1.0])
     if u is None:
         raise ConvergenceError(
-            f"tension allocation's NNLS ran out of its {3 * len(rows)} solves")
+            "tension allocation's NNLS did not converge (its budget of "
+            f"{3 * len(e)} solves ran out or a pivot was dependent)")
     # -r[-1] = ||r||^2 = 1 / (1 + ||z||^2)
     if not 1.0 - sum(col[dim] * ui for col, ui in zip(e, u) if ui) > 1e-24:
         return None

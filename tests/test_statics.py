@@ -263,14 +263,20 @@ def _shift_problem(seed, count, rows, degenerate):
     i, j = rng.choice(count, 2, replace=False)
     if rows == "duplicate":
         constraints[j] = constraints[i]
-    elif rows == "parallel":
+    elif rows in ("parallel", "stricter twin"):
         constraints[j] = constraints[i] * rng.uniform(0.2, 1.0)
     if degenerate:
         deficit = constraints @ rng.normal(size=dim)
         deficit[rng.random(count) < 0.5] -= 0.1
     else:
         deficit = rng.normal(size=count) * 10.0 ** rng.integers(-3, 2)
-    return constraints, deficit, max(1.0, float(np.abs(deficit).max()))
+    scale = max(1.0, float(np.abs(deficit).max()))
+    if rows == "stricter twin":
+        # stricter than its partner by more than the feasibility tolerance,
+        # yet so little that the twin enters the NNLS dependent on it
+        deficit[j] = deficit[i] * (constraints[j] @ constraints[i]) / (
+            constraints[i] @ constraints[i]) + 1e-10 * scale
+    return constraints, deficit, scale
 
 
 def _arm(params, tendon_count):
@@ -328,14 +334,53 @@ def test_min_norm_shift_matches_exhaustive_enumeration(seed, count, rows, degene
 
 
 def test_min_norm_shift_keeps_a_dependent_twin_out_of_the_active_set(monkeypatch):
-    # a parallel twin enters the NNLS dependent on its partner; it sits out
-    # that pass, and one lstsq solves the positive set
+    # rows tied at one point, a parallel twin among them, enter the NNLS
+    # dependent on the passive ones; each trades places with one of them or
+    # sits out the pass, and one lstsq solves the positive set
     constraints, deficit, scale = _shift_problem(1, 9, "parallel", True)
     calls = _count_lapack(monkeypatch)
     z = _min_norm_shift(constraints, deficit, scale)
     assert calls["lstsq"] <= 1
     monkeypatch.undo()
     _assert_like_enumeration(constraints, deficit, scale, z)
+
+
+@pytest.mark.parametrize("stricter", [0, 1])
+def test_min_norm_shift_takes_the_stricter_of_two_parallel_rows(monkeypatch, stricter):
+    # the twin 1e-10 stricter enters the NNLS dependent on the looser one;
+    # dropping it would return z = 1, which violates it by 1e-10
+    constraints = np.array([[1.0], [0.5]])
+    deficit = np.array([1.0, 0.5]) + 1e-10 * (np.arange(2) == stricter)
+    calls = _count_lapack(monkeypatch)
+    z = _min_norm_shift(constraints, deficit, 1.0)
+    assert calls["lstsq"] <= 1
+    monkeypatch.undo()
+    _assert_like_enumeration(constraints, deficit, 1.0, z)
+    assert z[0] >= deficit[1] / 0.5 - 1e-12 and z[0] >= deficit[0] - 1e-12
+
+
+@pytest.mark.parametrize("seed", [344, 355])
+def test_min_norm_shift_with_a_slightly_stricter_twin(seed):
+    # the stricter twin enters the NNLS dependent on several rows tied with
+    # it and must trade places with one of them
+    constraints, deficit, scale = _shift_problem(seed, 9, "stricter twin", True)
+    _assert_like_enumeration(constraints, deficit, scale,
+                             _min_norm_shift(constraints, deficit, scale))
+
+
+@pytest.mark.parametrize("delta", [0.9327003222544674, 0.15048498492511886])
+def test_uneven_three_tendon_arm_where_two_floor_bounds_cross(params, delta):
+    # one null direction makes all three rows parallel; at these deltas two
+    # tendons' bounds d_i / v_i differ by about 1e-10 and the looser one
+    # enters the NNLS first, which once made a feasible allocation fail
+    with pytest.warns(UserWarning, match="unevenly"):
+        arm = dataclasses.replace(params, tendon_count=3, tendon_division_angle=2.6)
+    args = (arm, Configuration(1.5, delta), None, 0.3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statics, "_min_norm_shift", _exhaustive_min_norm_shift)
+        expected = allocate_tensions(*args).tensions
+    got = allocate_tensions(*args).tensions
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_min_norm_shift_raises_when_nnls_budget_runs_out(monkeypatch, params, capsys):
