@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 usage, 3 parameter file, 4 singular configuration,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -255,6 +256,7 @@ def cmd_sweep(params, args):
     return EXIT_OK
 
 
+@functools.cache  # argparse parsers keep no state between parse_args calls
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ccarm",

@@ -8,7 +8,13 @@ follow tau(psi) = max(0, tau0 - K_q (q(psi) - q_cmd)).
 
 Solvers run in the smooth bend-vector chart internally (kernels module) and
 every returned record carries a residual re-evaluated here, independently of
-the solver's internal bookkeeping.
+the solver's internal bookkeeping.  Records are built on Python floats: one
+helper gives the locked-motor generalized force g = (g_theta, g_delta), which
+both the deflection residual g - J_v^T f and the perching reaction start
+from.  The reaction -(J_v^T)^+ g is in closed form: J_v's columns c_theta and
+c_delta are orthogonal, so it is -(g_theta/|c_theta|^2) c_theta -
+(g_delta/|c_delta|^2) c_delta.  As numpy's pinv does, it drops a column no
+longer than 1e-15 times the other; c_delta vanishes at theta = 0.
 """
 
 import math
@@ -19,10 +25,9 @@ import numpy as np
 
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
-from .kinematics import (configuration_to_joints, forward_kinematics, jacobian_q_psi,
-                         jacobian_v_psi)
+from .kinematics import configuration_to_joints, forward_kinematics
 from .model import Configuration, _readonly, wrap_configuration
-from .statics import allocate_tensions, energy_gradient
+from .statics import allocate_tensions
 
 # Newton loads beyond this are refused; the bench protocol stays around 1 N.
 DEFAULT_FORCE_CAP = 2.0
@@ -32,6 +37,7 @@ _IK_DAMPING = 1e-6   # Levenberg damping floor of the constrained-tip IK
 _IK_TOL = 1e-8       # m, reachable-component positional residual of the IK
 _DEFLECTION_TOL = 1e-10  # N*m, configuration-space residual of a deflection
 _MAX_ITER = 100      # default Newton/IK iteration budget of one solve
+_PINV_RCOND = 1e-15  # relative cutoff of the perching reaction's J_v columns
 
 # Errors that mark one sweep point failed rather than abort the sweep.  The
 # drivers validate their inputs and build the commanded state before the loop,
@@ -106,9 +112,10 @@ def _check_max_iter(max_iter):
 
 
 def _commanded_state(params, commanded_config, pretension):
+    # Float tuples (q_cmd, tau0): the motor lengths and tensions held locked.
     q_cmd = configuration_to_joints(params, commanded_config).displacements
     tau0 = allocate_tensions(params, commanded_config, None, pretension).tensions
-    return q_cmd, tau0
+    return tuple(q_cmd.tolist()), tuple(tau0.tolist())
 
 
 def _arm(params):
@@ -118,9 +125,29 @@ def _arm(params):
 
 
 def _locked_motor_force(params, psi, q_cmd, tau0):
-    q = configuration_to_joints(params, psi).displacements
-    tau = np.maximum(0.0, tau0 - params.tendon_axial_stiffness * (q - q_cmd))
-    return energy_gradient(params, psi) - jacobian_q_psi(params, psi).T @ tau
+    # (g_theta, g_delta) = grad E - J_q^T tau with the motors locked at q_cmd,
+    # tau = max(0, tau0 - k (q - q_cmd)), on floats.
+    cos_v, sin_v = core.tendon_cos_sin(
+        params.tendon_division_angle, params.tendon_count, psi.delta)
+    r, k = params.pitch_radius, params.tendon_axial_stiffness
+    rt = r * psi.theta
+    pull_cos = pull_sin = 0.0
+    for c, s, qc, t0 in zip(cos_v, sin_v, q_cmd, tau0):
+        tau = max(0.0, t0 - k * (rt * c - qc))
+        pull_cos += c * tau
+        pull_sin += s * tau
+    return (psi.theta * params.flexural_rigidity / params.backbone_length - r * pull_cos,
+            rt * pull_sin)
+
+
+def _jacobian_v_columns(params, psi):
+    # The columns (c_theta, c_delta) of J_v, each a float 3-tuple.
+    a, b, c, d, e, f = core.jac_v(params.backbone_length, psi.theta, psi.delta)
+    return (a, c, e), (b, d, f)
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _equilibrium(params, commanded_config, q_cmd, tau0, f, max_iter, start=None):
@@ -143,17 +170,17 @@ def _equilibrium(params, commanded_config, q_cmd, tau0, f, max_iter, start=None)
 
 def _deflection_record(params, commanded_config, q_cmd, tau0, f, equilibrium):
     wx, wy, iters, psi_eq = equilibrium
-    residual = (_locked_motor_force(params, psi_eq, q_cmd, tau0)
-                - jacobian_v_psi(params, psi_eq).T @ f)
+    g_theta, g_delta = _locked_motor_force(params, psi_eq, q_cmd, tau0)
+    c_theta, c_delta = _jacobian_v_columns(params, psi_eq)
     w0x, w0y = _bend_vector(commanded_config)
-    p0 = np.array(core.bend_position(params.backbone_length, w0x, w0y))
-    p1 = np.array(core.bend_position(params.backbone_length, wx, wy))
+    p0 = core.bend_position(params.backbone_length, w0x, w0y)
+    p1 = core.bend_position(params.backbone_length, wx, wy)
     return DeflectionRecord(
         applied_force=f,
         equilibrium_config=psi_eq,
-        tip_displacement=p1 - p0,
+        tip_displacement=[b - a for a, b in zip(p0, p1)],
         solver_iterations=iters,
-        residual_norm=float(np.linalg.norm(residual)),
+        residual_norm=math.hypot(g_theta - _dot(c_theta, f), g_delta - _dot(c_delta, f)),
     )
 
 
@@ -170,9 +197,9 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
     cap, a bend of pi or a max_iter that is not a non-negative integer.
     """
     _check_max_iter(max_iter)
-    f = np.asarray(tip_force, dtype=float).reshape(3)
-    if not np.isfinite(f).all():
-        raise ConfigurationError(f"tip force must be finite, got {f}")
+    f = tuple(np.asarray(tip_force, dtype=float).reshape(3).tolist())
+    if not all(map(math.isfinite, f)):
+        raise ConfigurationError(f"tip force must be finite, got {list(f)}")
     state = _commanded_state(params, commanded_config, pretension)
     return _deflection_record(params, commanded_config, *state, f,
                               _equilibrium(params, commanded_config, *state, f, max_iter))
@@ -210,7 +237,7 @@ def _solve_radial_load(params, config, state, start, load, sign, max_iter):
         equilibrium = _equilibrium(params, config, *state, f, max_iter, start)
         d_new = _radial_direction(equilibrium[-1], sign)
         if all(abs(a - b) < _REAIM_TOL for a, b in zip(d_new, d)):
-            return _deflection_record(params, config, *state, np.array(f), equilibrium)
+            return _deflection_record(params, config, *state, f, equilibrium)
         d = d_new
     raise ConvergenceError("radial load direction did not settle while re-aiming")
 
@@ -264,11 +291,24 @@ def mirrored_schedule(increment, steps):
     return up + down
 
 
-def _perch(params, commanded_config, state, anchor, base_offset, max_iter):
-    offset = np.asarray(base_offset, dtype=float).reshape(3)
-    target = anchor - offset
+def _reaction(params, psi, generalized):
+    # -(J_v^T)^+ g in closed form.  J_v's columns are orthogonal, so
+    # J_v^T J_v is diagonal and the pseudoinverse scales each column by
+    # 1/|c|^2.  A column no longer than 1e-15 times the longer one is dropped,
+    # numpy pinv's default cutoff: c_delta vanishes with theta.
+    c_theta, c_delta = _jacobian_v_columns(params, psi)
+    norms2 = (_dot(c_theta, c_theta), _dot(c_delta, c_delta))
+    cutoff2 = _PINV_RCOND * _PINV_RCOND * max(norms2)
+    a, b = (g / n2 if n2 > cutoff2 else 0.0 for g, n2 in zip(generalized, norms2))
+    # + 0.0 turns -0.0 into 0.0: at delta = 0 the golden CSVs print fy as 0
+    return tuple(-(a * t + b * d) + 0.0 for t, d in zip(c_theta, c_delta))
+
+
+def _perch(params, commanded_config, state, anchor, offset, max_iter):
+    # anchor and offset are float 3-lists
+    target = [a - o for a, o in zip(anchor, offset)]
     length = params.backbone_length
-    reach = float(np.linalg.norm(target))
+    reach = math.hypot(*target)
     if reach > length * (1.0 + 1e-9):
         raise UnreachableTargetError(
             f"anchor at distance {reach:.4g} m exceeds the arm length {length:.4g} m"
@@ -284,15 +324,13 @@ def _perch(params, commanded_config, state, anchor, base_offset, max_iter):
         )
     psi = _wrap_bend(wx, wy, commanded_config.delta)
 
-    generalized = _locked_motor_force(params, psi, *state)
-    force = -np.linalg.pinv(jacobian_v_psi(params, psi).T) @ generalized
+    fx, fy, fz = _reaction(params, psi, _locked_motor_force(params, psi, *state))
     # tip x force, each entry one product minus another as np.cross does it
     px, py, pz = core.bend_position(length, wx, wy)
-    fx, fy, fz = force.tolist()
     return PerchingRecord(
         base_offset=offset,
-        reaction_force=force,
-        reaction_moment=np.array([py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx]),
+        reaction_force=(fx, fy, fz),
+        reaction_moment=(py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx),
         equilibrium_config=psi,
         ik_residual_norm=float(reach_residual),
         iterations=iters,
@@ -307,12 +345,16 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
     so the arm settles to the configuration whose tip is closest to
     tip_anchor - base_offset (least-squares positional IK, the bend has only
     two degrees of freedom).  The reaction transmitted to the carrier is
-    -(J_v^T)^+ (grad E - J_q^T tau), with the moment taken about the base
-    origin at the tip position.
+    -(J_v^T)^+ g with g = grad E - J_q^T tau, with the moment taken about the
+    base origin at the tip position.  J_v's two columns are orthogonal, so
+    the reaction is -(g_theta/|c_theta|^2) c_theta - (g_delta/|c_delta|^2)
+    c_delta, computed in closed form; like numpy's pinv, it drops a column
+    no longer than 1e-15 times the other, which near theta = 0 is c_delta.
     """
-    anchor = np.asarray(tip_anchor, dtype=float).reshape(3)
+    anchor = np.asarray(tip_anchor, dtype=float).reshape(3).tolist()
+    offset = np.asarray(base_offset, dtype=float).reshape(3).tolist()
     state = _commanded_state(params, commanded_config, pretension)
-    return _perch(params, commanded_config, state, anchor, base_offset, _MAX_ITER)
+    return _perch(params, commanded_config, state, anchor, offset, _MAX_ITER)
 
 
 def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *,
@@ -329,10 +371,10 @@ def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *
     offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3)
     if not np.isfinite(offsets).all():
         raise ConfigurationError("perching base offsets must be finite")
-    anchor = forward_kinematics(params, commanded_config).position
+    anchor = forward_kinematics(params, commanded_config).position.tolist()
     state = _commanded_state(params, commanded_config, pretension)
     records = []
-    for offset in offsets:
+    for offset in offsets.tolist():
         try:
             records.append(_perch(params, commanded_config, state, anchor, offset, max_iter))
         except _POINT_FAILURES as exc:

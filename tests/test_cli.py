@@ -437,6 +437,25 @@ def test_default_sweeps_match_reference_csvs(capsys, tmp_path, experiment, extra
     assert out_file.read_bytes() == (golden / reference).read_bytes()
 
 
+def test_cached_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # main parses with one parser per process: neither a failed parse nor a
+    # flag of one call may reach the next call's arguments.
+    assert cli._build_parser() is cli._build_parser()
+    code, _, err = run_cli(capsys, "sweep", "--experiment", "perching",
+                           "--out", str(tmp_path / "bad.csv"), "--bogus")
+    assert code == cli.EXIT_USAGE and "--bogus" in err
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching", "--axis", "z",
+                         "--pretension", "0.5", "--out", str(tmp_path / "z.csv"))
+    assert code == cli.EXIT_OK
+    out_file = tmp_path / "perching_x.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching", "--out", str(out_file))
+    assert code == cli.EXIT_OK
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    assert out_file.read_bytes() == (reference / "perching_x.csv").read_bytes()
+    versions = [run_cli(capsys, "--version") for _ in range(2)]
+    assert versions[0] == versions[1] == (0, f"ccarm {__version__} (pure-python kernels)\n", "")
+
+
 def test_sweep_determinism(capsys, tmp_path):
     files = []
     for name in ("a.csv", "b.csv"):

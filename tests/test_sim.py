@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 import ccarm.sim
 from ccarm import (Configuration, ConfigurationError, ConvergenceError,
                    UnreachableTargetError, Wrench, allocate_tensions,
-                   configuration_to_joints, forward_kinematics, jacobian_q_psi,
-                   jacobian_v_psi, mirrored_schedule, radial_load_direction,
+                   configuration_to_joints, energy_gradient, forward_kinematics,
+                   jacobian_q_psi, jacobian_v_psi, mirrored_schedule, radial_load_direction,
                    run_perching_sweep, run_stiffness_sweep, solve_deflection,
                    solve_perching_reaction, task_stiffness, wrap_configuration)
 from ccarm._kernels._purecore import _psi_residual_norm, tendon_phase_cos_sin
@@ -430,7 +431,6 @@ def test_residual_reevaluated_independently(params, bend30, rng):
         tau0 = allocate_tensions(params, bend30, Wrench.zero(), 0.2).tensions
         q = configuration_to_joints(params, psi).displacements
         tau = np.maximum(0.0, tau0 - params.tendon_axial_stiffness * (q - q_cmd))
-        from ccarm import energy_gradient
         residual = (energy_gradient(params, psi)
                     - jacobian_q_psi(params, psi).T @ tau
                     - jacobian_v_psi(params, psi).T @ force)
@@ -535,25 +535,26 @@ def test_sweep_builds_each_commanded_state_once(params, monkeypatch):
 
 def test_sweep_builds_one_record_per_point(params, monkeypatch):
     # Re-aim passes call the kernel alone; only the settled pass re-evaluates
-    # its residual (one jacobian_v_psi call) to build the returned record.
-    jacobian_calls = []
+    # its residual (one locked-motor force) to build the returned record.
+    force_calls = []
     kernel_solves = []
     kernel = ccarm.sim.core.solve_deflection
+    locked_motor_force = ccarm.sim._locked_motor_force
 
-    def counting_jacobian(*args):
-        jacobian_calls.append(1)
-        return jacobian_v_psi(*args)
+    def counting_force(*args):
+        force_calls.append(1)
+        return locked_motor_force(*args)
 
     def counting_kernel(*args):
         kernel_solves.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(ccarm.sim, "jacobian_v_psi", counting_jacobian)
+    monkeypatch.setattr(ccarm.sim, "_locked_motor_force", counting_force)
     monkeypatch.setattr(ccarm.sim.core, "solve_deflection", counting_kernel)
     configs = [wrap_configuration(math.radians(deg), 0.0) for deg in (15, 45)]
     records = run_stiffness_sweep(params, configs, [0.2, 0.6])
     assert len(records) == 4 and all(r.converged for r in records)
-    assert len(jacobian_calls) == len(records)
+    assert len(force_calls) == len(records)
     assert len(kernel_solves) > len(records)
 
 
@@ -678,6 +679,49 @@ def test_perching_linearization(params, bend30):
     dominant = int(np.argmax(np.abs(predicted)))
     rel = abs(record.reaction_force[dominant] - predicted[dominant]) / abs(predicted[dominant])
     assert rel < 0.05
+
+
+@pytest.mark.parametrize("tendon_count", [4, 6])
+@pytest.mark.parametrize("theta", [0.0, 1e-16, 1e-12, 5e-5, 0.5, 3.0])
+def test_perching_reaction_matches_the_pseudoinverse(params, tendon_count, theta):
+    # The closed-form reaction against -pinv(J_v^T) g, away from the commanded
+    # bend so the locked motors leave some tendons slack.  5e-5 rad is on the
+    # arc quotients' series branch.  pinv drops c_delta where it is no longer
+    # than 1e-15 |c_theta|, about theta <= 1e-15; the closed form must too.
+    arm = dataclasses.replace(params, tendon_count=tendon_count,
+                              tendon_division_angle=2.0 * math.pi / tendon_count)
+    commanded = Configuration(0.4, 0.3)
+    q_cmd = configuration_to_joints(arm, commanded).displacements
+    tau0 = allocate_tensions(arm, commanded, Wrench.zero(), 0.2).tensions
+    for delta in (0.0, 0.7, -2.0, math.pi):
+        psi = Configuration(theta, delta)
+        q = configuration_to_joints(arm, psi).displacements
+        pull = tau0 - arm.tendon_axial_stiffness * (q - q_cmd)
+        assert pull.min() < 0.0
+        generalized = (energy_gradient(arm, psi)
+                       - jacobian_q_psi(arm, psi).T @ np.maximum(0.0, pull))
+        jv_t = jacobian_v_psi(arm, psi).T
+        singular = np.linalg.svd(jv_t, compute_uv=False)
+        assert (singular.min() > 1e-15 * singular.max()) == (theta >= 1e-12)
+        expected = -np.linalg.pinv(jv_t) @ generalized
+        force = ccarm.sim._reaction(
+            arm, psi, ccarm.sim._locked_motor_force(arm, psi, q_cmd.tolist(), tau0.tolist()))
+        assert np.linalg.norm(np.subtract(force, expected)) <= 1e-13 * np.linalg.norm(expected)
+        if delta == 0.0:
+            assert all(math.copysign(1.0, v) > 0.0 for v in force if v == 0.0), force
+
+
+def test_perching_sweep_calls_no_pseudoinverse(params, bend30, monkeypatch):
+    # The per-point reaction stays off LAPACK; the commanded state's one
+    # allocation may still use its least-squares solves.
+    def failing_pinv(*args, **kwargs):
+        raise AssertionError("a perching point called np.linalg.pinv")
+
+    monkeypatch.setattr(np.linalg, "pinv", failing_pinv)
+    for axis in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]):
+        offsets = [k * 5e-4 * np.array(axis) for k in range(21)]
+        records = run_perching_sweep(params, bend30, offsets)
+        assert all(record.converged for record in records)
 
 
 def test_perching_sweep_monotone_and_reversible(params, bend30):
