@@ -20,24 +20,61 @@ force-free residual, Jacobian and tip Hessian rows there once;
 that it was built from its own inputs, and builds one itself when none is
 given.  The results are bitwise the same either way.
 
-Angles are radians, lengths meters.  Near the straight configuration the
-singular arc quotients switch to series expansions so every function stays
-finite and smooth.  The solvers work in "bend vector" coordinates
+Angles are radians, lengths meters.  Every arc quotient of the
+constant-curvature kinematics comes from one source: ``arc_quotients`` gives
+``a = (1 - cos t)/t^2``, ``s = sin(t)/t`` and their rates ``b = a'/t`` and
+``c = s'/t``, and ``hessian_quotients`` adds ``e = b'/t`` and ``h = c'/t``.
+``a`` is evaluated as ``(sin(t/2)/(t/2))^2 / 2``, which does not cancel, so
+``a`` and ``s`` need their limits only where the half-angle is 0; ``b``,
+``c``, ``e`` and ``h`` cancel near straight and take their Taylor expansions
+below ``SMOOTH_THRESHOLD``.  The solvers work in "bend vector" coordinates
 ``w = theta * (cos(delta), sin(delta))``, the smooth chart that removes the
 coordinate singularity of (theta, delta) at theta = 0.
 """
 
 import math
 
-# Below this bending angle the arc quotients of the closed-form kinematics
-# use their Taylor expansions (4th order in theta).
-SERIES_THRESHOLD = 1e-4
-
-# The bend-chart curvature terms cancel to 4th order, so they leave the
-# direct formulas earlier to dodge roundoff blow-up.
+# Below this bending angle b, c, e and h use their Taylor expansions (4th
+# order in theta): their closed forms cancel to 2nd or 4th order.
 SMOOTH_THRESHOLD = 0.05
 
 _HALF_PI = 0.5 * math.pi
+
+
+def arc_quotients(theta):
+    """Arc quotients (a, s, b, c) at theta >= 0; all four are even in theta.
+
+    a = (1-cos t)/t^2 = (sin(t/2)/(t/2))^2 / 2 and s = sin(t)/t give the tip
+    position in the bend chart; b = a'/t = (s - 2a)/t^2 and c = s'/t =
+    (cos t - s)/t^2 its Jacobian.  A half-angle of 0 (theta = 0, or theta
+    so small that theta/2 underflows) takes the limits.
+    """
+    half = 0.5 * theta
+    if half == 0.0:
+        return 0.5, 1.0, -1.0 / 12.0, -1.0 / 3.0
+    q = math.sin(half) / half
+    a = 0.5 * q * q
+    s = math.sin(theta) / theta
+    t2 = theta * theta
+    if theta < SMOOTH_THRESHOLD:
+        return (a, s, -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0,
+                -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0)
+    return a, s, (s - 2.0 * a) / t2, (math.cos(theta) - s) / t2
+
+
+def hessian_quotients(theta):
+    """Arc quotients (a, s, b, c, e, h) at theta >= 0.
+
+    Adds e = b'/t = (c - 4b)/t^2 and h = c'/t = -(s + 3c)/t^2 to
+    ``arc_quotients``: the quotients of the tip position's second
+    derivatives in the bend chart.
+    """
+    a, s, b, c = arc_quotients(theta)
+    t2 = theta * theta
+    if theta < SMOOTH_THRESHOLD:
+        return (a, s, b, c, 1.0 / 90.0 - t2 / 1680.0 + t2 * t2 / 75600.0,
+                1.0 / 15.0 - t2 / 210.0 + t2 * t2 / 7560.0)
+    return a, s, b, c, (c - 4.0 * b) / t2, -(s + 3.0 * c) / t2
 
 
 def arc_terms(theta):
@@ -46,22 +83,12 @@ def arc_terms(theta):
     h = (1-cos t)/t, s = sin(t)/t, g = (t sin t + cos t - 1)/t^2,
     w = (t cos t - sin t)/t^2.  h scales the in-plane tip offset, s the
     height, g and w are the bending-rate sensitivities of the position.
+    With the quotients of ``arc_quotients`` they are h = t a, g = h' =
+    a + t^2 b and w = s' = t c, so h and w are odd in t and s and g even,
+    exactly, for either sign of theta.
     """
-    if abs(theta) < SERIES_THRESHOLD:
-        t2 = theta * theta
-        h = theta * (0.5 - t2 / 24.0 + t2 * t2 / 720.0)
-        s = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        g = 0.5 - t2 / 8.0 + t2 * t2 / 144.0
-        w = theta * (-1.0 / 3.0 + t2 / 30.0)
-        return h, s, g, w
-    st = math.sin(theta)
-    ct = math.cos(theta)
-    t2 = theta * theta
-    h = (1.0 - ct) / theta
-    s = st / theta
-    g = (theta * st + ct - 1.0) / t2
-    w = (theta * ct - st) / t2
-    return h, s, g, w
+    a, s, b, c = arc_quotients(abs(theta))
+    return theta * a, s, a + theta * theta * b, theta * c
 
 
 def rotation(theta, delta):
@@ -110,41 +137,25 @@ def jac_w(theta, delta):
     return (-sd, -cd * st, cd, -sd * st, 0.0, 1.0 - ct)
 
 
+def _bend_point(length, wx, wy):
+    # bend_position and bend_position_jacobian at w, from one evaluation of
+    # the arc quotients: the IK needs both at every trial point.
+    a, s, b, c = arc_quotients(math.hypot(wx, wy))
+    off = length * wx * wy * b
+    return ((length * wx * a, length * wy * a, length * s),
+            (length * (a + wx * wx * b), off,
+             off, length * (a + wy * wy * b),
+             length * wx * c, length * wy * c))
+
+
 def bend_position(length, wx, wy):
     """Tip position in bend-vector coordinates w = theta*(cos d, sin d)."""
-    theta = math.hypot(wx, wy)
-    t2 = theta * theta
-    if theta < SERIES_THRESHOLD:
-        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        s = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    else:
-        a = (1.0 - math.cos(theta)) / t2
-        s = math.sin(theta) / theta
-    return (length * wx * a, length * wy * a, length * s)
+    return _bend_point(length, wx, wy)[0]
 
 
 def bend_position_jacobian(length, wx, wy):
     """d(bend_position)/dw, row-major 3x2.  Smooth through w = 0."""
-    theta = math.hypot(wx, wy)
-    t2 = theta * theta
-    if theta < SERIES_THRESHOLD:
-        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        a = (1.0 - math.cos(theta)) / t2
-    if theta < SMOOTH_THRESHOLD:
-        b = -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0
-        c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
-    else:
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        b = (theta * st - 2.0 + 2.0 * ct) / (t2 * t2)
-        c = (theta * ct - st) / (t2 * theta)
-    off = length * wx * wy * b
-    return (
-        length * (a + wx * wx * b), off,
-        off, length * (a + wy * wy * b),
-        length * wx * c, length * wy * c,
-    )
+    return _bend_point(length, wx, wy)[1]
 
 
 def tendon_cos_sin(beta, count, delta):
@@ -181,13 +192,13 @@ def _force_free_part(length, radius, k_bend, k_tendon, tendons, wx, wy):
     # and hess, the Hessian rows of bend_position, row-major like jp: rows
     # d2p/dwx2, d2p/dwxdwy, d2p/dwy2, each holding the (x, y, z) components.
     #
-    # With a = (1-cos t)/t^2, b = a'/t, c = s'/t (s = sin t / t) as in
-    # bend_position_jacobian, e = b'/t and h = c'/t, the Hessian divided by
+    # With a, b, c, e and h from hessian_quotients, the Hessian divided by
     # the length is d2px/dwx2 = 3wx b + wx^3 e, d2px/dwxdwy = wy b + wx^2 wy e,
     # d2px/dwy2 = wx b + wx wy^2 e, the py entries with x and y swapped, and
-    # d2pz/dwidwj = c delta_ij + wi wj h.  jp repeats bend_position_jacobian's
-    # arithmetic inline, so that one sin/cos serves jp and the Hessian while
-    # the IK, which calls bend_position_jacobian, pays for no Hessian.
+    # d2pz/dwidwj = c delta_ij + wi wj h.  jp repeats _bend_point's Jacobian
+    # arithmetic inline, so that one evaluation of the quotients serves jp
+    # and the Hessian while the IK, which calls _bend_point, pays for no
+    # Hessian.
     #
     # Tensions follow the locked-motor law tau = max(0, t), t = tau0 -
     # k*(q - q_cmd), linear in w with slope s along each axis.  At the kink
@@ -196,25 +207,7 @@ def _force_free_part(length, radius, k_bend, k_tendon, tendons, wx, wy):
     # h = 1e-7*(1+|w|) and m = |s|*h, it is s when t >= m, 0 when t <= -m and
     # s*(t + m)/(2m) in between.  tendons holds (cos phi, sin phi, q_cmd,
     # tau0, |s_x|, |s_y|, k r^2 cos phi, k r^2 sin phi) per tendon.
-    theta = math.hypot(wx, wy)
-    t2 = theta * theta
-    if theta < SERIES_THRESHOLD:
-        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        a = (1.0 - math.cos(theta)) / t2
-    if theta < SMOOTH_THRESHOLD:
-        b = -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0
-        c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
-        e = 1.0 / 90.0 - t2 / 1680.0 + t2 * t2 / 75600.0
-        h = 1.0 / 15.0 - t2 / 210.0 + t2 * t2 / 7560.0
-    else:
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        t4 = t2 * t2
-        b = (theta * st - 2.0 + 2.0 * ct) / t4
-        c = (theta * ct - st) / (t2 * theta)
-        e = (t2 * ct - 5.0 * theta * st + 8.0 - 8.0 * ct) / (t4 * t2)
-        h = (3.0 * st - t2 * st - 3.0 * theta * ct) / (t4 * theta)
+    a, _, b, c, e, h = hessian_quotients(math.hypot(wx, wy))
     off = length * wx * wy * b
     jp = (
         length * (a + wx * wx * b), off,
@@ -398,13 +391,12 @@ def solve_tip_constraint(length, wx0, wy0, tx, ty, tz, damping, tol, max_iter):
     wy = float(wy0)
     lam = damping
     iters = 0
-    px, py, pz = bend_position(length, wx, wy)
+    (px, py, pz), jp = _bend_point(length, wx, wy)
     ex = tx - px
     ey = ty - py
     ez = tz - pz
     err2 = ex * ex + ey * ey + ez * ez
     while True:
-        jp = bend_position_jacobian(length, wx, wy)
         a11 = jp[0] * jp[0] + jp[2] * jp[2] + jp[4] * jp[4]
         a12 = jp[0] * jp[1] + jp[2] * jp[3] + jp[4] * jp[5]
         a22 = jp[1] * jp[1] + jp[3] * jp[3] + jp[5] * jp[5]
@@ -433,13 +425,13 @@ def solve_tip_constraint(length, wx0, wy0, tx, ty, tz, damping, tol, max_iter):
             dy = ((a11 + lam) * g2 - a12 * g1) / det
             nwx = wx + dx
             nwy = wy + dy
-            npx, npy, npz = bend_position(length, nwx, nwy)
+            (npx, npy, npz), njp = _bend_point(length, nwx, nwy)
             nex = tx - npx
             ney = ty - npy
             nez = tz - npz
             nerr2 = nex * nex + ney * ney + nez * nez
             if nerr2 <= err2:
-                wx, wy = nwx, nwy
+                wx, wy, jp = nwx, nwy, njp
                 ex, ey, ez = nex, ney, nez
                 err2 = nerr2
                 lam = max(damping, lam * 0.25)

@@ -350,9 +350,13 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
     the reaction is -(g_theta/|c_theta|^2) c_theta - (g_delta/|c_delta|^2)
     c_delta, computed in closed form; like numpy's pinv, it drops a column
     no longer than 1e-15 times the other, which near theta = 0 is c_delta.
+    A non-finite anchor or offset raises ConfigurationError before the IK.
     """
     anchor = np.asarray(tip_anchor, dtype=float).reshape(3).tolist()
     offset = np.asarray(base_offset, dtype=float).reshape(3).tolist()
+    if not all(map(math.isfinite, anchor + offset)):
+        raise ConfigurationError(
+            f"perching tip anchor and base offset must be finite, got {anchor} and {offset}")
     state = _commanded_state(params, commanded_config, pretension)
     return _perch(params, commanded_config, state, anchor, offset, _MAX_ITER)
 

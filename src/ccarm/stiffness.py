@@ -31,9 +31,6 @@ from .statics import _check_tensions
 # Damping added to J_v^T J_v by the explicitly requested damped variant.
 DEFAULT_DAMPING = 1e-6
 
-# The arc-quotient derivatives cancel to high order; switch to series early.
-_DERIV_SERIES_THRESHOLD = 0.02
-
 
 def hessian_energy(params, psi):
     """Hessian of the elastic energy: diag(E_p I_p / L, 0), constant in psi."""
@@ -70,35 +67,21 @@ def configuration_stiffness(params, psi, tensions):
     return hessian_energy(params, psi) - tensor_term - jq.T @ tendon_stiffness(params) @ jq
 
 
-def _dg(theta):
-    # d/dt of (t sin t + cos t - 1)/t^2
-    if theta < _DERIV_SERIES_THRESHOLD:
-        t2 = theta * theta
-        return theta * (-0.25 + t2 / 36.0 - t2 * t2 / 960.0)
-    st, ct = math.sin(theta), math.cos(theta)
-    t2 = theta * theta
-    return (t2 * ct - 2.0 * theta * st - 2.0 * ct + 2.0) / (t2 * theta)
-
-
-def _dw(theta):
-    # d/dt of (t cos t - sin t)/t^2
-    if theta < _DERIV_SERIES_THRESHOLD:
-        t2 = theta * theta
-        return -1.0 / 3.0 + t2 / 10.0 - t2 * t2 / 168.0
-    st, ct = math.sin(theta), math.cos(theta)
-    t2 = theta * theta
-    return (-t2 * st - 2.0 * theta * ct + 2.0 * st) / (t2 * theta)
-
-
 def jacobian_v_derivatives(params, psi):
     """Slices (dJ_v/dtheta, dJ_v/ddelta), each 3x2.
 
     Uses h' = g, the identity tying the tip-offset quotient to the bending
-    sensitivity.
+    sensitivity.  With the kernel's arc quotients, h = t a and g = a + t^2 b
+    as in ``arc_terms``, and the derivatives of g and w = t c are
+    g' = t (3b + t^2 e) and w' = c + t^2 h_c, where h_c = c'/t.
     """
-    h, _, g, _ = core.arc_terms(psi.theta)
-    dg = _dg(psi.theta)
-    dw = _dw(psi.theta)
+    theta = psi.theta
+    a, _, b, c, e, hc = core.hessian_quotients(abs(theta))
+    t2 = theta * theta
+    h = theta * a
+    g = a + t2 * b
+    dg = theta * (3.0 * b + t2 * e)
+    dw = c + t2 * hc
     sd, cd = math.sin(psi.delta), math.cos(psi.delta)
     length = params.backbone_length
     d_theta = length * np.array([

@@ -12,7 +12,14 @@ They are solved through the library drivers with the solver tolerances in
 ``TIGHT``, set on ``ccarm.sim`` for the duration of the solve only, and
 written at 17 significant digits.  The sweep CSVs are checked against these
 files, so a solver change can show that it moved its output toward the
-equilibrium rather than away from it.
+equilibrium rather than away from it.  ``tests/test_truth.py`` re-runs this
+generator and requires the committed files to match it string for string,
+so a change that moves the truth in any digit must regenerate them.
+
+The truth comes from the library's own kernel, so an error that the kernel
+and the truth share does not show.  The arc quotients, the likeliest such
+error, are checked separately against a 50-digit ``mpmath`` model in
+``tests/test_sim.py``.
 
 The IK cannot go much tighter than ``TIGHT["_IK_TOL"]``: below about 2e-10 m
 its line search stops resolving tangential progress and some default points
@@ -62,12 +69,12 @@ def tight_tolerances():
             setattr(sim, name, value)
 
 
-def stiffness_rows(configs_deg=STIFFNESS_CONFIGS_DEG):
+def stiffness_rows():
     """Truth rows of the default stiffness sweep's distinct points, as strings."""
     params = default_parameters()
     rows = []
     with tight_tolerances():
-        for deg in configs_deg:
+        for deg in STIFFNESS_CONFIGS_DEG:
             config = wrap_configuration(math.radians(deg), 0.0)
             records = run_stiffness_sweep(params, [config], STIFFNESS_LOADS)
             rows += [[_fmt(deg), _fmt(load), *map(_fmt, record.tip_displacement)]
@@ -75,13 +82,13 @@ def stiffness_rows(configs_deg=STIFFNESS_CONFIGS_DEG):
     return rows
 
 
-def perching_rows(axes=tuple(PERCHING_AXES)):
+def perching_rows():
     """Truth rows of the default perching sweeps' distinct points, as strings."""
     params = default_parameters()
     config = wrap_configuration(math.radians(PERCHING_THETA_DEG), 0.0)
     rows = []
     with tight_tolerances():
-        for axis in axes:
+        for axis in PERCHING_AXES:
             direction = np.array(PERCHING_AXES[axis])
             records = run_perching_sweep(params, config,
                                          [offset * direction for offset in PERCHING_OFFSETS])

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ccarm.sim
@@ -17,6 +17,7 @@ from ccarm import (Configuration, ConfigurationError, ConvergenceError,
                    solve_perching_reaction, task_stiffness, wrap_configuration)
 from ccarm._kernels._purecore import _psi_residual_norm, tendon_phase_cos_sin
 from ccarm.sim import finite_difference_oracle
+from ccarm.stiffness import jacobian_v_derivatives
 
 core = ccarm.sim.core
 
@@ -153,14 +154,18 @@ def test_kernels_report_non_finite_inputs_as_not_converged(params, bend30):
 
 
 # The deflection solver with the central-difference Jacobian (four extra
-# residual evaluations per Newton step), verbatim except for the names: the
-# reference that the closed-form Jacobian is checked against.
+# residual evaluations per Newton step), verbatim except for the names and
+# the series threshold of a, which the kernel no longer has: the reference
+# that the closed-form Jacobian is checked against.
+
+_PARENT_SERIES_THRESHOLD = 1e-4
+
 
 def _parent_bend_position_jacobian(length, wx, wy):
     """d(bend_position)/dw, row-major 3x2.  Smooth through w = 0."""
     theta = math.hypot(wx, wy)
     t2 = theta * theta
-    if theta < core.SERIES_THRESHOLD:
+    if theta < _PARENT_SERIES_THRESHOLD:
         a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
     else:
         a = (1.0 - math.cos(theta)) / t2
@@ -309,7 +314,8 @@ def test_kernel_agrees_with_central_difference_solver(problem):
                 assert math.hypot(result[0] - expected[0], result[1] - expected[1]) <= 1e-9
 
 
-_THRESHOLD_THETAS = [t * s for t in (core.SERIES_THRESHOLD, core.SMOOTH_THRESHOLD)
+# Around the old closed-form threshold of a (1e-4) and the series threshold.
+_THRESHOLD_THETAS = [t * s for t in (_PARENT_SERIES_THRESHOLD, core.SMOOTH_THRESHOLD)
                      for s in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0)]
 
 
@@ -343,6 +349,24 @@ def _jacobian_problems(draw):
     return arm, q_cmd, tau0, force, w
 
 
+def _mp_arc_quotients(theta):
+    # a = (1 - cos t)/t^2, s = sin(t)/t, b = a'/t and c = s'/t in mpmath at
+    # the working precision, in their textbook closed forms.
+    sn, cs = mpmath.sin(theta), mpmath.cos(theta)
+    if not theta:
+        return mpmath.mpf(1) / 2, mpmath.mpf(1), mpmath.mpf(-1) / 12, mpmath.mpf(-1) / 3
+    return ((1 - cs) / theta ** 2, sn / theta, (theta * sn - 2 + 2 * cs) / theta ** 4,
+            (theta * cs - sn) / theta ** 3)
+
+
+def _mp_bend_position_jacobian(length, wx, wy):
+    # d(bend_position)/dw at the mpmath numbers wx, wy, as 3 rows of 2.
+    a, _, b, c = _mp_arc_quotients(mpmath.hypot(wx, wy))
+    return [[length * (a + wx * wx * b), length * wx * wy * b],
+            [length * wx * wy * b, length * (a + wy * wy * b)],
+            [length * wx * c, length * wy * c]]
+
+
 def _exact_residual(arm, q_cmd, tau0, force, base):
     # The model's bend-chart residual, k_bend*w - g(w) - J_p(w)^T f, in
     # 60-digit arithmetic from the kernel's float constants, less its value
@@ -353,17 +377,7 @@ def _exact_residual(arm, q_cmd, tau0, force, base):
 
     def exact(wx, wy):
         wx, wy = mp(wx), mp(wy)
-        theta = mpmath.hypot(wx, wy)
-        sn, cs = mpmath.sin(theta), mpmath.cos(theta)
-        if theta:
-            a = (1 - cs) / theta ** 2
-            b = (theta * sn - 2 + 2 * cs) / theta ** 4
-            c = (theta * cs - sn) / theta ** 3
-        else:
-            a, b, c = mp(1) / 2, mp(-1) / 12, mp(-1) / 3
-        jp = [[length * (a + wx * wx * b), length * wx * wy * b],
-              [length * wx * wy * b, length * (a + wy * wy * b)],
-              [length * wx * c, length * wy * c]]
+        jp = _mp_bend_position_jacobian(length, wx, wy)
         rx = mp(flexural / length) * wx
         ry = mp(flexural / length) * wy
         for cp, sp, qc, t0 in zip(cphi, sphi, q_cmd, tau0):
@@ -398,6 +412,66 @@ def test_kernel_jacobian_matches_finite_differences(problem):
         finite_difference_oracle(residual, w, step=1e-7 * (1.0 + abs(w[axis])))[:, axis]
         for axis in (0, 1)])
     assert np.linalg.norm(jacobian.reshape(2, 2) - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def _relative_error(got, want, scale):
+    return float(max(abs(mpmath.mpf(g) - w) for g, w in zip(got, want)) / scale)
+
+
+# Log-uniform over [1e-6, 0.1], where the closed forms of the arc quotients
+# cancel, or uniform over [0.1, pi), where they do not.
+_arc_thetas = (st.floats(-6.0, -1.0).map(lambda x: 10.0 ** x)
+               | st.floats(0.1, math.pi, exclude_max=True))
+
+
+# Explicit examples: the old closed-form threshold of a, and either side of
+# the series threshold.
+@given(theta=_arc_thetas, delta=st.floats(-math.pi, math.pi))
+@example(theta=1e-4, delta=0.3)
+@example(theta=core.SMOOTH_THRESHOLD, delta=0.3)
+@example(theta=math.nextafter(core.SMOOTH_THRESHOLD, 0.0), delta=0.3)
+def test_arc_quotients_match_a_50_digit_model(params, theta, delta):
+    # bend_position and its Jacobian to 1e-12 of their largest entry; g and
+    # w of arc_terms, and the slopes g' and w' that jacobian_v_derivatives
+    # uses, to 1e-11 of their own size.  g and w' pass through 0 near
+    # t = 2.33 and 2.08, so their errors are measured against max(|g|, 0.1)
+    # and max(|w'|, 0.1), which are |g| and |w'| wherever they cancel.
+    # arc_terms is odd (h, w) or even (s, g) in theta, exactly.
+    length = params.backbone_length
+    wx, wy = theta * math.cos(delta), theta * math.sin(delta)
+    with mpmath.workdps(50):
+        mwx, mwy, t = mpmath.mpf(wx), mpmath.mpf(wy), mpmath.mpf(theta)
+        a, s, _, _ = _mp_arc_quotients(mpmath.hypot(mwx, mwy))
+        position = [length * mwx * a, length * mwy * a, length * s]
+        jacobian = sum(_mp_bend_position_jacobian(length, mwx, mwy), [])
+        a, s, b, c = _mp_arc_quotients(t)
+        g, w = a + t * t * b, t * c
+        sn, cs = mpmath.sin(t), mpmath.cos(t)
+        dg = (t * t * cs - 2 * t * sn - 2 * cs + 2) / t ** 3
+        dw = (2 * sn - t * t * sn - 2 * t * cs) / t ** 3
+        got = core.bend_position(length, wx, wy)
+        assert _relative_error(got, position, max(map(abs, position))) <= 1e-12
+        got = core.bend_position_jacobian(length, wx, wy)
+        assert _relative_error(got, jacobian, max(map(abs, jacobian))) <= 1e-12
+        got_h, got_s, got_g, got_w = core.arc_terms(theta)
+        assert core.arc_terms(-theta) == (-got_h, got_s, got_g, -got_w)
+        assert _relative_error([got_g], [g], max(abs(g), 0.1)) <= 1e-11
+        assert _relative_error([got_w], [w], abs(w)) <= 1e-11
+        d_theta, _ = jacobian_v_derivatives(params, Configuration(theta, 0.0))
+        assert _relative_error([d_theta[0, 0] / length], [dg], abs(dg)) <= 1e-11
+        assert _relative_error([d_theta[2, 0] / length], [dw], max(abs(dw), 0.1)) <= 1e-11
+
+
+@pytest.mark.parametrize("theta", [0.0, 5e-324])
+def test_arc_quotients_are_finite_at_straight(theta):
+    # theta = 5e-324 halves to 0, the one other point where a = 1/2 by limit.
+    h, s, g, w = core.arc_terms(theta)
+    assert (s, g) == (1.0, 0.5)
+    assert core.arc_terms(-theta) == (-h, s, g, -w)
+    values = [h, w, *core.hessian_quotients(theta),
+              *core.bend_position(0.25, theta, 0.0), *core.bend_position(0.25, 0.0, -theta),
+              *core.bend_position_jacobian(0.25, theta, 0.0)]
+    assert all(map(math.isfinite, values))
 
 
 @pytest.mark.parametrize("index,value", [
@@ -755,6 +829,28 @@ def test_perching_sweep_matches_point_solves(params, bend30):
 def test_perching_sweep_rejects_non_finite_offsets(params, bend30):
     with pytest.raises(ConfigurationError):
         run_perching_sweep(params, bend30, [np.zeros(3), np.array([np.inf, 0.0, 0.0])])
+
+
+@pytest.mark.parametrize("anchor_shift,offset", [
+    ([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [0.0, math.nan, 0.0]),
+    ([math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, -math.inf]),
+], ids=["nan-anchor", "nan-offset", "inf-anchor", "inf-offset"])
+def test_perching_rejects_non_finite_anchor_or_offset(params, bend30, monkeypatch,
+                                                      anchor_shift, offset):
+    ik_solves = []
+    kernel = core.solve_tip_constraint
+
+    def counting_kernel(*args):
+        ik_solves.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "solve_tip_constraint", counting_kernel)
+    anchor = forward_kinematics(params, bend30).position + anchor_shift
+    with pytest.raises(ConfigurationError, match="finite"):
+        solve_perching_reaction(params, bend30, anchor, offset)
+    assert ik_solves == []
 
 
 def test_perching_unreachable_anchor(params, bend30):

@@ -2,15 +2,13 @@
 
 ``tests/data/*_truth.csv`` hold the default sweeps' distinct points solved
 with tight tolerances (``tests/make_truth.py``).  The sweep CSVs must stay
-near them, and a change to the stiffness sweep's golden bytes
-(``tests/data/stiffness.csv``) must keep every value within the benchmark's
-bound of ``perfbench/reference/stiffness.csv`` and move none of them away
-from the truth.  The perching sweeps' golden bytes are still
-``perfbench/reference/perching_*.csv`` (see test_cli).
+near them, and a change to a default sweep's golden bytes
+(``tests/data/stiffness.csv`` and ``tests/data/perching_{x,z}.csv``, see
+test_cli) must keep every value within the benchmark's bound of its
+``perfbench/reference`` CSV and move none of them away from the truth.
 """
 
 import csv
-import math
 
 import pytest
 
@@ -28,6 +26,9 @@ STIFFNESS_TRUTH_TOL = 1e-11       # m
 PERCHING_TRUTH_TOL = 1e-6         # N, N*m
 # perfbench's DISP_ABS_TOL: the benchmark fails a row farther than this.
 REFERENCE_DISP_TOL = 1e-12        # m
+# perfbench's WRENCH_REL_TOL: the benchmark fails a row farther than this
+# share of the column's largest magnitude in the reference.
+REFERENCE_WRENCH_REL_TOL = 1e-9
 
 
 def _rows(path):
@@ -80,34 +81,44 @@ def test_default_perching_sweeps_are_near_truth(default_sweeps):
                 assert abs(float(got) - want) <= PERCHING_TRUTH_TOL, row
 
 
+def _assert_truth_rule(rows, reference, columns, tolerances, truth_of):
+    # Every column outside `columns` unchanged; each value inside within its
+    # tolerance of the reference and no farther than it from the truth.
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        assert row[:columns.start] == ref[:columns.start]
+        assert row[columns.stop:] == ref[columns.stop:]
+        for got, was, want, tol in zip(row[columns], ref[columns], truth_of(row), tolerances):
+            got, was = float(got), float(was)
+            assert abs(got - was) <= tol, (row, ref)
+            assert abs(got - want) <= abs(was - want), (row, ref)
+
+
 def test_stiffness_golden_bytes_follow_the_truth_rule(default_sweeps):
     # A re-baseline of the stiffness sweep may move a displacement only
     # within the benchmark's bound, only toward the truth, and never its
     # status or iteration count.
     truth = _stiffness_truth()
-    rows = default_sweeps["stiffness"]
-    reference = _rows(REFERENCE / "stiffness.csv")
-    assert len(rows) == len(reference)
-    for row, ref in zip(rows, reference):
-        assert row[:4] == ref[:4]
-        assert row[7:] == ref[7:]         # iterations, status
-        expected = truth[_stiffness_key(row[0], row[3])]
-        for got, was, want in zip(row[DISP_COLUMNS], ref[DISP_COLUMNS], expected):
-            got, was = float(got), float(was)
-            assert abs(got - was) <= REFERENCE_DISP_TOL, (row, ref)
-            assert abs(got - want) <= abs(was - want), (row, ref)
+    _assert_truth_rule(default_sweeps["stiffness"], _rows(REFERENCE / "stiffness.csv"),
+                       DISP_COLUMNS, [REFERENCE_DISP_TOL] * 3,
+                       lambda row: truth[_stiffness_key(row[0], row[3])])
+
+
+@pytest.mark.parametrize("axis", ["x", "z"])
+def test_perching_golden_bytes_follow_the_truth_rule(default_sweeps, axis):
+    # The same rule for a perching sweep: a reaction may move only within the
+    # benchmark's bound, only toward the truth, and never its offset or status.
+    truth = {round(float(row[1]), 9): [float(v) for v in row[2:]]
+             for row in _rows(make_truth.PERCHING_TRUTH) if row[0] == axis}
+    reference = _rows(REFERENCE / f"perching_{axis}.csv")
+    tolerances = [REFERENCE_WRENCH_REL_TOL * max(abs(float(row[i])) for row in reference)
+                  for i in range(WRENCH_COLUMNS.start, WRENCH_COLUMNS.stop)]
+    _assert_truth_rule(default_sweeps[f"perching_{axis}"], reference, WRENCH_COLUMNS,
+                       tolerances, lambda row: truth[round(float(row[0]), 9)])
 
 
 def test_truth_files_match_their_generator():
-    # One bend and one perching axis re-solved by the generator: a solver
-    # change that moves the truth beyond round-off must regenerate the files.
-    committed = _rows(make_truth.STIFFNESS_TRUTH)
-    fresh = make_truth.stiffness_rows([30])
-    assert len(fresh) == 6
-    for row in fresh:
-        match = [r for r in committed if r[:2] == row[:2]]
-        assert len(match) == 1
-        for got, want in zip(row[2:], match[0][2:]):
-            assert math.isclose(float(got), float(want), rel_tol=0.0, abs_tol=1e-15), row
-    committed = _rows(make_truth.PERCHING_TRUTH)
-    assert make_truth.perching_rows(["z"]) == [r for r in committed if r[0] == "z"]
+    # Every truth row re-solved by the generator, to the last digit written:
+    # a solver change that moves the truth at all must regenerate the files.
+    assert make_truth.stiffness_rows() == _rows(make_truth.STIFFNESS_TRUTH)
+    assert make_truth.perching_rows() == _rows(make_truth.PERCHING_TRUTH)
