@@ -34,7 +34,8 @@ def forward_kinematics(params, psi):
 
     Rotation is RotZ(delta) RotY(theta) RotZ(-delta); position is the
     constant-curvature arc endpoint (L/theta)[cos d (1-cos t), sin d (1-cos t),
-    sin t], with series limits below the straight-configuration threshold.
+    sin t], from the arc quotients of ``_kernels.core.arc_quotients``, which
+    take their limits only where theta/2 is 0.
     """
     rot = np.array(core.rotation(psi.theta, psi.delta)).reshape(3, 3)
     pos = np.array(core.position(params.backbone_length, psi.theta, psi.delta))

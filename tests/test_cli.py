@@ -112,6 +112,20 @@ def test_stiffness_singular_exit_code(capsys):
     assert "sigma_min" in err
 
 
+def test_tiny_bend_is_singular_not_infeasible(capsys, tmp_path):
+    # at 5e-10 deg the allocated tensions are about 1e-12 N; the allocation's
+    # tolerances are relative to that size, so the point is the straight
+    # singularity (exit 4, as at 0 deg) and a sweep through it succeeds
+    code, _, err = run_cli(capsys, "stiffness", "--theta-deg", "5e-10", "--delta-deg", "28")
+    assert code == cli.EXIT_SINGULAR and "sigma_min" in err
+    out = tmp_path / "tiny.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "stiffness", "--configs-deg", "5e-10",
+                         "--delta-deg", "28", "--out", str(out))
+    assert code == cli.EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",ok") for row in rows)
+
+
 def test_stiffness_equilibrium(capsys):
     code, out, _ = run_cli(capsys, "stiffness", "--theta-deg", "30", "--equilibrium")
     assert code == 0

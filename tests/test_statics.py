@@ -1,18 +1,20 @@
 import dataclasses
 import itertools
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarm import (Configuration, ConfigurationError, ConvergenceError,
-                   InfeasibleTensionsError, Wrench, allocate_tensions, cli, elastic_energy,
-                   energy_gradient, equilibrium_residual, jacobian_q_psi, jacobian_x_psi,
-                   statics)
+from ccarm import (Configuration, ConfigurationError, InfeasibleTensionsError, Wrench,
+                   allocate_tensions, cli, elastic_energy, energy_gradient,
+                   equilibrium_residual, jacobian_q_psi, jacobian_x_psi, statics)
+from ccarm._kernels import core
 from ccarm.sim import finite_difference_oracle
-from ccarm.statics import _min_norm_shift, _solve_tension_qp
+from ccarm.statics import _arc_tensions
 
 from conftest import random_configs
 
@@ -168,28 +170,25 @@ def test_allocation_huge_pretension(params, pretension):
     assert np.min(tensions) >= pretension * (1.0 - 1e-12)
 
 
-def test_infeasible_out_of_span_target():
-    # the public wrench path cannot leave the row space, so exercise the
-    # shift solver directly with an unsatisfiable constraint set
-    constraints = np.array([[1.0], [-1.0]])
-    deficit = np.array([1.0, 1.0])
-    assert _min_norm_shift(constraints, deficit, 1.0) is None
+def test_infeasible_out_of_span_target(params):
+    # the three tendons of this uneven arm pull within a half-plane; the
+    # pure bend's generalized force points out of the cone they span, so no
+    # pull-only tension vector realizes it
+    with pytest.warns(UserWarning, match="unevenly"):
+        arm = dataclasses.replace(params, tendon_count=3, tendon_division_angle=1.5)
+    with pytest.raises(InfeasibleTensionsError, match="no tension vector"):
+        allocate_tensions(arm, Configuration(0.3, -3.07), None, 0.0)
+    with pytest.raises(InfeasibleTensionsError):
+        _reference_tensions(arm, Configuration(0.3, -3.07), None, 0.0)
 
 
-def test_min_norm_shift_known_solution():
-    constraints = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    deficit = np.array([0.3, -1.0, -1.0, -1.0])
-    z = _min_norm_shift(constraints, deficit, 1.0)
-    assert np.allclose(z, [0.3, 0.0], atol=1e-12)
-
-
-def test_infeasible_out_of_span_rhs(params):
+def test_infeasible_out_of_span_rhs():
     # at the straight configuration the tendon map cannot carry any
     # delta-direction generalized force; such a right-hand side must be
     # reported as infeasible, not silently clamped
-    jq_t = jacobian_q_psi(params, Configuration(0.0, 0.0)).T
+    cos_v, sin_v = core.tendon_cos_sin(math.pi / 2, 4, 0.0)
     with pytest.raises(InfeasibleTensionsError, match="outside the span"):
-        _solve_tension_qp(jq_t, np.array([0.0, 1.0]), 0.0)
+        _arc_tensions(cos_v, sin_v, 0.02, 0.0, 0.0, 1.0, 0.0)
 
 
 def _exhaustive_min_norm_shift(constraints, deficit, scale):
@@ -197,98 +196,94 @@ def _exhaustive_min_norm_shift(constraints, deficit, scale):
 
     Exact active-set enumeration: the optimizer of this tiny QP activates at
     most dim(z) constraints, so trying every subset of that size is both
-    exhaustive and deterministic.
+    exhaustive and deterministic.  A subset whose z is also a KKT point (z =
+    C_S^T mu with mu >= 0; Nocedal and Wright, Numerical Optimization, 2006,
+    ch. 16) wins over a shorter one that is not: where the optimum is flat,
+    norms a rounding apart can lie far apart in z.
     """
     n, dim = constraints.shape
     eq_tol = 1e-10 * scale
     feas_tol = 1e-12 * scale
     best = None
-    best_norm2 = np.inf
+    best_key = (True, np.inf)
     for size in range(0, dim + 1):
         for idx in itertools.combinations(range(n), size):
             if size == 0:
                 z = np.zeros(dim)
+                kkt = True
             else:
                 rows = constraints[list(idx)]
                 rhs = deficit[list(idx)]
                 z, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
                 if np.linalg.norm(rows @ z - rhs) > eq_tol:
                     continue
+                mu, *_ = np.linalg.lstsq(rows.T, z, rcond=None)
+                kkt = bool(np.all(mu >= -1e-14 * scale))
             if np.all(constraints @ z >= deficit - feas_tol):
-                norm2 = float(z @ z)
-                if norm2 < best_norm2 - 1e-30:
-                    best = z
-                    best_norm2 = norm2
+                key = (not kkt, float(z @ z))
+                if key < best_key:
+                    best, best_key = z, key
     return best
 
 
-def _assert_kkt(constraints, deficit, scale, z):
-    """z = C_S^T lam with lam >= 0 for some set S of at most dim tight rows.
+def _reference_tensions(params, psi, w_ext, floor):
+    """Reference allocation: min-norm lstsq, svd null basis, exhaustive shift.
 
-    The KKT conditions of min ||z||^2 / 2 subject to C z >= d (Nocedal and
-    Wright, Numerical Optimization, 2006, ch. 16), to a normwise backward
-    error of 1e-12: a float lam leaves a residual of order eps ||C_S|| ||lam||,
-    which passes 1e-12 ||z|| where nearly dependent tight rows need large
-    multipliers.  The subsets are searched by hand because the package does
-    not depend on scipy.
+    The rows of J_q^T are scaled by 1/r and 1/(r theta), to unit tendon
+    columns, and the right-hand side and floor by the problem's size, so the
+    rank decisions and tolerances hold at every bend; when r theta = 0 the
+    second row is zero and a moment arm below 1e-15 r counts as zero, as in
+    the allocation.  Raises InfeasibleTensionsError like the allocation.
     """
-    tight = np.flatnonzero(constraints @ z - deficit <= 1e-9 * scale)
-    for size in range(min(constraints.shape[1], len(tight)) + 1):
-        for idx in itertools.combinations(tight, size):
-            rows_t = constraints[list(idx)].T
-            lam, *_ = np.linalg.lstsq(rows_t, z, rcond=None)
-            magnitude = max(1.0, np.linalg.norm(z), np.linalg.norm(rows_t) * np.linalg.norm(lam))
-            if np.all(lam >= -1e-12) and np.linalg.norm(rows_t @ lam - z) <= 1e-12 * magnitude:
-                return
-    pytest.fail(f"no non-negative multipliers on the tight rows {tight.tolist()} give z = {z}")
-
-
-def _assert_like_enumeration(constraints, deficit, scale, z):
-    # the same verdict, feasible, as short as the enumeration's pick and a KKT point
-    z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
-    assert (z is None) == (z_ref is None)
-    if z is not None:
-        assert np.all(constraints @ z >= deficit - 1e-12 * scale)
-        assert abs(np.linalg.norm(z) - np.linalg.norm(z_ref)) <= 4e-12 * scale
-        _assert_kkt(constraints, deficit, scale, z)
-
-
-def _shift_problem(seed, count, rows, degenerate):
-    # orthonormal columns like a null basis; twin rows and many constraints
-    # tight at one point are where an active-set shortcut would pick the
-    # other twin or miss a tie
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, count - 1))
-    constraints, _ = np.linalg.qr(rng.normal(size=(count, dim)))
-    i, j = rng.choice(count, 2, replace=False)
-    if rows == "duplicate":
-        constraints[j] = constraints[i]
-    elif rows in ("parallel", "stricter twin"):
-        constraints[j] = constraints[i] * rng.uniform(0.2, 1.0)
-    if degenerate:
-        deficit = constraints @ rng.normal(size=dim)
-        deficit[rng.random(count) < 0.5] -= 0.1
+    cos_v, sin_v = core.tendon_cos_sin(params.tendon_division_angle, params.tendon_count,
+                                       psi.delta)
+    b = energy_gradient(params, psi)
+    if w_ext is not None:
+        b = b - jacobian_x_psi(params, psi).T @ w_ext.as_vector()
+    rt = params.pitch_radius * psi.theta
+    if rt == 0.0:
+        a = np.array([[x if abs(x) > 1e-15 else 0.0 for x in cos_v], [0.0] * len(cos_v)])
+        c = np.array([b[0] / params.pitch_radius, b[1]])
     else:
-        deficit = rng.normal(size=count) * 10.0 ** rng.integers(-3, 2)
-    scale = max(1.0, float(np.abs(deficit).max()))
-    if rows == "stricter twin":
-        # stricter than its partner by more than the feasibility tolerance,
-        # yet so little that the twin enters the NNLS dependent on it
-        deficit[j] = deficit[i] * (constraints[j] @ constraints[i]) / (
-            constraints[i] @ constraints[i]) + 1e-10 * scale
-    return constraints, deficit, scale
+        a = np.array([cos_v, np.negative(sin_v)])
+        c = np.array([b[0] / params.pitch_radius, b[1] / rt])
+    scale = max(floor, math.hypot(*c)) or 1.0
+    c, floor = c / scale, floor / scale
+    tau, *_ = np.linalg.lstsq(a, c, rcond=None)
+    if np.linalg.norm(a @ tau - c) > 1e-9:
+        raise InfeasibleTensionsError("outside the span")
+    if np.min(tau) < floor - 1e-12:
+        _, singulars, vt = np.linalg.svd(a)
+        null_basis = vt[int(np.sum(singulars > singulars[0] * 1e-12)):].T
+        shift = _exhaustive_min_norm_shift(null_basis, floor - tau, 1.0)
+        if shift is None:
+            raise InfeasibleTensionsError("no tension vector")
+        tau = tau + null_basis @ shift
+    return np.maximum(tau, floor) * scale
 
 
-def _arm(params, tendon_count):
-    return dataclasses.replace(params, tendon_count=tendon_count,
-                               tendon_division_angle=2.0 * math.pi / tendon_count)
+def _arm(params, tendon_count, division=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an uneven division warns
+        return dataclasses.replace(params, tendon_count=tendon_count,
+                                   tendon_division_angle=division or 2.0 * math.pi / tendon_count)
 
 
-def _tensions_or_error(*args):
+def _tensions_or_error(allocate, *args):
     try:
-        return allocate_tensions(*args).tensions
+        return allocate(*args)
     except InfeasibleTensionsError as exc:
         return type(exc)
+
+
+def _assert_like_reference(args):
+    # the same verdict, and tensions within 1e-12 of the reference's scale
+    expected = _tensions_or_error(_reference_tensions, *args)
+    got = _tensions_or_error(lambda *a: allocate_tensions(*a).tensions, *args)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 _DELTAS = [k * math.pi / 4 for k in range(-4, 5)] + [math.pi / 6]
@@ -296,185 +291,129 @@ _DELTAS = [k * math.pi / 4 for k in range(-4, 5)] + [math.pi / 6]
 
 @settings(max_examples=200)
 @given(tendon_count=st.integers(3, 8),
-       theta=st.one_of(st.just(0.0), st.floats(0.0, math.pi)),
+       division=st.one_of(st.none(), st.floats(0.5, 2.5)),
+       theta=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, math.pi)),
        delta=st.one_of(st.sampled_from(_DELTAS), st.floats(-math.pi, math.pi)),
        force=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
        moment=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
        pretension=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
-def test_allocation_matches_exhaustive_enumeration(params, tendon_count, theta, delta,
+def test_allocation_matches_exhaustive_enumeration(params, tendon_count, division, theta, delta,
                                                    force, moment, pretension):
-    args = (_arm(params, tendon_count), Configuration(theta, delta),
-            Wrench(force=np.array(force), moment=np.array(moment)), pretension)
-    shifts = []
-
-    def exhaustive(constraints, deficit, scale):
-        shifts.append((constraints, deficit, scale))
-        return _exhaustive_min_norm_shift(constraints, deficit, scale)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(statics, "_min_norm_shift", exhaustive)
-        expected = _tensions_or_error(*args)
-    got = _tensions_or_error(*args)
-    if isinstance(expected, type):
-        assert got is expected
-    else:
-        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
-    for constraints, deficit, scale in shifts:
-        _assert_like_enumeration(constraints, deficit, scale,
-                                 _min_norm_shift(constraints, deficit, scale))
-
-
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 10),
-       rows=st.sampled_from(["distinct", "duplicate", "parallel"]),
-       degenerate=st.booleans())
-def test_min_norm_shift_matches_exhaustive_enumeration(seed, count, rows, degenerate):
-    constraints, deficit, scale = _shift_problem(seed, count, rows, degenerate)
-    _assert_like_enumeration(constraints, deficit, scale,
-                             _min_norm_shift(constraints, deficit, scale))
-
-
-def test_min_norm_shift_keeps_a_dependent_twin_out_of_the_active_set(monkeypatch):
-    # rows tied at one point, a parallel twin among them, enter the NNLS
-    # dependent on the passive ones; each trades places with one of them or
-    # sits out the pass, and one lstsq solves the positive set
-    constraints, deficit, scale = _shift_problem(1, 9, "parallel", True)
-    calls = _count_lapack(monkeypatch)
-    z = _min_norm_shift(constraints, deficit, scale)
-    assert calls["lstsq"] <= 1
-    monkeypatch.undo()
-    _assert_like_enumeration(constraints, deficit, scale, z)
-
-
-@pytest.mark.parametrize("stricter", [0, 1])
-def test_min_norm_shift_takes_the_stricter_of_two_parallel_rows(monkeypatch, stricter):
-    # the twin 1e-10 stricter enters the NNLS dependent on the looser one;
-    # dropping it would return z = 1, which violates it by 1e-10
-    constraints = np.array([[1.0], [0.5]])
-    deficit = np.array([1.0, 0.5]) + 1e-10 * (np.arange(2) == stricter)
-    calls = _count_lapack(monkeypatch)
-    z = _min_norm_shift(constraints, deficit, 1.0)
-    assert calls["lstsq"] <= 1
-    monkeypatch.undo()
-    _assert_like_enumeration(constraints, deficit, 1.0, z)
-    assert z[0] >= deficit[1] / 0.5 - 1e-12 and z[0] >= deficit[0] - 1e-12
-
-
-@pytest.mark.parametrize("seed", [344, 355])
-def test_min_norm_shift_with_a_slightly_stricter_twin(seed):
-    # the stricter twin enters the NNLS dependent on several rows tied with
-    # it and must trade places with one of them
-    constraints, deficit, scale = _shift_problem(seed, 9, "stricter twin", True)
-    _assert_like_enumeration(constraints, deficit, scale,
-                             _min_norm_shift(constraints, deficit, scale))
+    # even and uneven arms, tiny bends included, against the reference
+    _assert_like_reference((_arm(params, tendon_count, division), Configuration(theta, delta),
+                            Wrench(force=np.array(force), moment=np.array(moment)), pretension))
 
 
 @pytest.mark.parametrize("delta", [0.9327003222544674, 0.15048498492511886])
 def test_uneven_three_tendon_arm_where_two_floor_bounds_cross(params, delta):
     # one null direction makes all three rows parallel; at these deltas two
-    # tendons' bounds d_i / v_i differ by about 1e-10 and the looser one
-    # enters the NNLS first, which once made a feasible allocation fail
-    with pytest.warns(UserWarning, match="unevenly"):
-        arm = dataclasses.replace(params, tendon_count=3, tendon_division_angle=2.6)
-    args = (arm, Configuration(1.5, delta), None, 0.3)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(statics, "_min_norm_shift", _exhaustive_min_norm_shift)
-        expected = allocate_tensions(*args).tensions
-    got = allocate_tensions(*args).tensions
-    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+    # tendons' bounds d_i / v_i differ by about 1e-10, which once made a
+    # feasible allocation fail
+    _assert_like_reference((_arm(params, 3, 2.6), Configuration(1.5, delta), None, 0.3))
 
 
-def test_min_norm_shift_raises_when_nnls_budget_runs_out(monkeypatch, params, capsys):
-    # no enumeration to fall back on: an exhausted NNLS is a solver failure (exit 5)
-    monkeypatch.setattr(statics, "_nnls", lambda a, b: None)
-    constraints = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    deficit = np.array([0.3, -1.0, -1.0, -1.0])
-    with pytest.raises(ConvergenceError, match="NNLS"):
-        _min_norm_shift(constraints, deficit, 1.0)
-    with pytest.raises(ConvergenceError):
-        allocate_tensions(params, Configuration(0.6, 0.7), None, 0.3)
-    assert cli.main(["stiffness", "--theta-deg", "30", "--delta-deg", "40",
-                     "--pretension", "0.3"]) == 5
-    assert "NNLS" in capsys.readouterr().err
+def test_tiny_bend_allocation(params):
+    # about 1e-12 N of tension: the tolerances are relative to the problem's
+    # size, so this bend is feasible like 0 and 1e-6 deg
+    psi = Configuration(4.539573390586897e-12, -1.1224350202195152)
+    report = allocate_tensions(params, psi, None, 0.0)
+    assert np.min(report.tensions) >= 0.0 and 0.0 < np.max(report.tensions) < 1e-11
+    assert np.max(np.abs(report.tensions - _reference_tensions(params, psi, None, 0.0))) <= (
+        1e-12 * np.max(report.tensions))
+    assert np.linalg.norm(report.residual) <= 1e-12 * np.linalg.norm(energy_gradient(params, psi))
+
+
+@pytest.mark.parametrize("tendon_count", [4, 5])
+@pytest.mark.parametrize("pretension", [0.0, 0.3])
+def test_subnormal_bend_takes_the_straight_path(params, tendon_count, pretension):
+    # r * theta underflows to 0 at theta = 5e-324: the second row of J_q^T
+    # drops out as at theta = 0, and a wrench gives the same tensions
+    arm = _arm(params, tendon_count)
+    wrench = Wrench(force=np.array([0.3, -0.2, 0.1]), moment=np.array([0.01, 0.02, -0.01]))
+    for w in (None, wrench):
+        straight = allocate_tensions(arm, Configuration(0.0, 0.4), w, pretension).tensions
+        tiny = allocate_tensions(arm, Configuration(5e-324, 0.4), w, pretension).tensions
+        assert np.array_equal(tiny, straight)
+
+
+def test_straight_arm_without_a_moment_arm(params):
+    # tendons pi apart at delta = pi/2: at theta = 0 every moment arm is the
+    # rounding of cos(pi/2), so only the floor is feasible, and only when
+    # nothing loads theta
+    arm = _arm(params, 3, math.pi)
+    straight = Configuration(0.0, math.pi / 2)
+    assert np.array_equal(allocate_tensions(arm, straight, None, 0.3).tensions, [0.3] * 3)
+    push = Wrench(force=np.array([0.0, 0.3, 0.0]), moment=np.zeros(3))
+    with pytest.raises(InfeasibleTensionsError):
+        allocate_tensions(arm, straight, push, 0.3)
+    for w in (None, push):
+        _assert_like_reference((arm, straight, w, 0.3))
+
+
+def _count_arc_solves(monkeypatch):
+    calls = []
+    solve = statics._solve_arc
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(statics, "_solve_arc", counting)
+    return calls
+
+
+@pytest.mark.parametrize("tendon_count", [12, 32, 64])
+def test_floor_tie_solves_at_most_every_arc(params, monkeypatch, tendon_count):
+    # at 5 deg and delta = 0 half the tendons tie at the 0.3 N floor; the
+    # search solves the full ring, each of the n(n-1) proper arcs and the
+    # winner once more, whatever the ties
+    calls = _count_arc_solves(monkeypatch)
+    report = allocate_tensions(_arm(params, tendon_count), Configuration(math.radians(5), 0.0),
+                               None, 0.3)
+    assert np.min(report.tensions) >= 0.3
+    assert len(calls) <= tendon_count * (tendon_count - 1) + 2
+
+
+def _forbid_lapack(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the tension allocation calls no least squares or SVD")
+
+    for name in ("lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
 
 
 @pytest.mark.parametrize("delta", [math.pi / 6, 1.234])
 def test_six_tendon_allocation_solves_few_least_squares(params, monkeypatch, delta):
-    # one lstsq for the min-norm tensions, one on the NNLS positive set
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counting_lstsq(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(statics.np.linalg, "lstsq", counting_lstsq)
+    # no lstsq at all: 2x2 systems, one for each arc of the ring at most
+    _forbid_lapack(monkeypatch)
+    calls = _count_arc_solves(monkeypatch)
     report = allocate_tensions(_arm(params, 6), Configuration(math.radians(30), delta),
                                Wrench.zero(), 0.3)
     assert np.min(report.tensions) >= 0.3
-    assert len(calls) <= 2
-
-
-def _count_lapack(monkeypatch):
-    calls = {"lstsq": 0, "svd": 0}
-    for name in calls:
-        original = getattr(np.linalg, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(statics.np.linalg, name, counting)
-    return calls
-
-
-@pytest.mark.parametrize("pretension", [0.0, 0.3])
-def test_allocation_calls_lapack_only_for_returned_bits(params, monkeypatch, pretension):
-    # min-norm lstsq, the null basis and one lstsq on the NNLS positive set;
-    # the NNLS runs on floats
-    calls = _count_lapack(monkeypatch)
-    report = allocate_tensions(params, Configuration(0.6, 0.7), None, pretension)
-    assert np.min(report.tensions) >= pretension
-    assert calls["lstsq"] <= 2 and calls["svd"] <= 1
+    assert len(calls) <= 6 * 5 + 2
 
 
 @pytest.mark.parametrize("theta_deg", [0, 15, 30, 45, 60])
 def test_default_stiffness_bends_call_lapack_no_more(params, monkeypatch, theta_deg):
-    # at delta = 0 three tendons tie at the floor; the NNLS positive set
-    # breaks the tie, so one lstsq follows the min-norm one (none at 0,
-    # where no tendon goes slack)
-    calls = _count_lapack(monkeypatch)
-    allocate_tensions(params, Configuration(math.radians(theta_deg), 0.0), None, 0.0)
-    assert calls["lstsq"] <= (1 if theta_deg == 0 else 2)
-    assert calls["svd"] <= (0 if theta_deg == 0 else 1)
+    # at delta = 0 three tendons tie at the floor; the arc search breaks the
+    # tie without lstsq or svd
+    _forbid_lapack(monkeypatch)
+    report = allocate_tensions(params, Configuration(math.radians(theta_deg), 0.0), None, 0.0)
+    assert np.min(report.tensions) >= 0.0
+    assert np.linalg.norm(report.residual) < 1e-12
 
 
-@pytest.mark.parametrize("tendon_count", [12, 32])
-def test_floor_tie_calls_lapack_twice(params, monkeypatch, tendon_count):
-    # at 5 deg and delta = 0 half the tendons tie at the 0.3 N floor; the
-    # cost must not grow with the subsets of the tied rows
-    calls = _count_lapack(monkeypatch)
-    report = allocate_tensions(_arm(params, tendon_count), Configuration(math.radians(5), 0.0),
-                               None, 0.3)
-    assert np.min(report.tensions) >= 0.3
-    assert calls["lstsq"] <= 2 and calls["svd"] <= 1
-
-
-def test_min_norm_shift_large_optimum_with_parallel_rows():
-    # a parallel-rows problem whose optimum has norm ~3000: the least-distance
-    # residual is ~1e-7, so an NNLS that squared the condition number (normal
-    # equations) could lose the active set here and return no shift
-    rng = np.random.default_rng(1082)
-    count = int(rng.integers(3, 11))
-    dim = int(rng.integers(1, count - 1))
-    constraints, _ = np.linalg.qr(rng.normal(size=(count, dim)))
-    i, j = rng.choice(count, 2, replace=False)
-    constraints[j] = constraints[i] * rng.uniform(0.2, 1.0)
-    deficit = rng.normal(size=count) * 10.0 ** rng.integers(-3, 2)
-    scale = max(1.0, float(np.abs(deficit).max()))
-    z_ref = _exhaustive_min_norm_shift(constraints, deficit, scale)
-    assert constraints.shape == (7, 4) and 2900.0 < np.linalg.norm(z_ref) < 3100.0
-    _assert_like_enumeration(constraints, deficit, scale,
-                             _min_norm_shift(constraints, deficit, scale))
+@pytest.mark.parametrize("experiment, extra", [
+    ("stiffness", []), ("perching", ["--axis", "x"]), ("perching", ["--axis", "z"])])
+def test_default_sweeps_run_without_lapack_solves(monkeypatch, tmp_path, capsys,
+                                                  experiment, extra):
+    # lstsq and svd raise, and the default sweeps still write their golden bytes
+    _forbid_lapack(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--experiment", experiment, "--out", str(out), *extra]) == 0
+    golden = "stiffness.csv" if experiment == "stiffness" else f"perching_{extra[1]}.csv"
+    assert out.read_bytes() == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("theta, delta, pretension", [
