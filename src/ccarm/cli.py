@@ -27,13 +27,16 @@ from .kinematics import (forward_kinematics, jacobian_q_psi, jacobian_v_psi,
                          jacobian_x_psi)
 from .model import (Wrench, default_parameters, load_parameters,
                     wrap_configuration)
-from .sim import (STANDARD_GRAVITY, finite_difference_oracle, run_perching_sweep,
-                  run_stiffness_sweep)
+from .sim import (STANDARD_GRAVITY, _perching_points, _stiffness_points,
+                  finite_difference_oracle)
 from .statics import allocate_tensions, equilibrium_residual
 from .stiffness import configuration_stiffness, task_stiffness, tendon_stiffness
 
 PARAMS_ENV_VAR = "CONTINUUM_PARAMS"
 _MAX_SWEEP_ROWS = 100_000  # CSV rows of one sweep, either experiment
+_STIFFNESS_HEADER = ["config_theta_deg", "config_delta_deg", "cycle", "load_N",
+                     "disp_x_m", "disp_y_m", "disp_z_m", "iterations", "status"]
+_PERCHING_HEADER = ["offset_m", "fx_N", "fy_N", "fz_N", "mx_Nm", "my_Nm", "mz_Nm", "status"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -175,9 +178,13 @@ def _csv_text(header, rows):
 def _out_and_back(items):
     """Items, then back through them to the first: both sweeps' protocol.
 
-    The model is memoryless, so return-leg records repeat the outward ones.
+    The model is memoryless, so return-leg rows repeat the outward ones.
     """
     return items + items[-2::-1]
+
+
+def _status(converged):
+    return "ok" if converged else "no_converge"
 
 
 def _stiffness_sweep_rows(params, args):
@@ -187,51 +194,47 @@ def _stiffness_sweep_rows(params, args):
         raise ConfigurationError(
             f"--configs-deg, --cycles and --steps give {row_count} rows, "
             f"more than {_MAX_SWEEP_ROWS}")
+    configs = [wrap_configuration(math.radians(theta_deg), math.radians(args.delta_deg))
+               for theta_deg in configs_deg]
+    if not args.cycles:
+        return _STIFFNESS_HEADER, []
     loads = [args.increment_n * k for k in range(args.steps + 1)]
+    sweep = _stiffness_points(params, configs, loads, args.direction, args.pretension,
+                              args.max_iter, strict=False)
     rows = []
-    cycles = range(1, args.cycles + 1)
-    for theta_deg in configs_deg:
-        config = wrap_configuration(math.radians(theta_deg), math.radians(args.delta_deg))
-        if not cycles:
-            continue
+    for theta_deg, (_, _, points) in zip(configs_deg, sweep):
         # Every cycle repeats the first, so solve and format each distinct
         # load once; a cycle starts at the first increment and ends unloaded.
-        fields = _out_and_back([[
-            _fmt(np.linalg.norm(record.applied_force)),
-            _fmt(record.tip_displacement[0]),
-            _fmt(record.tip_displacement[1]),
-            _fmt(record.tip_displacement[2]),
-            str(record.solver_iterations),
-            "ok" if record.converged else "no_converge",
-        ] for record in run_stiffness_sweep(
-            params, [config], loads, args.direction, args.pretension,
-            strict=False, max_iter=args.max_iter)])[1:]
-        for cycle in cycles:
+        # load_N is numpy's norm of the applied force, as the rows built from
+        # records printed it: its BLAS dot product may fuse multiply-adds,
+        # which no float expression here reproduces bit for bit.
+        fields = _out_and_back([
+            [_fmt(np.linalg.norm(force)), _fmt(disp[0]), _fmt(disp[1]), _fmt(disp[2]),
+             str(iterations), _status(converged)]
+            for force, disp, iterations, _, _, converged in points])[1:]
+        for cycle in range(1, args.cycles + 1):
             prefix = [_fmt(theta_deg), _fmt(args.delta_deg), str(cycle)]
             rows += [prefix + row for row in fields]
-    header = ["config_theta_deg", "config_delta_deg", "cycle", "load_N",
-              "disp_x_m", "disp_y_m", "disp_z_m", "iterations", "status"]
-    return header, rows
+    return _STIFFNESS_HEADER, rows
 
 
 def _perching_sweep_rows(params, args):
     config = wrap_configuration(math.radians(args.theta_deg), math.radians(args.delta_deg))
-    axis = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}[args.axis]
+    axis = {"x": (1.0, 0.0, 0.0), "z": (0.0, 0.0, 1.0)}[args.axis]
     ratio = args.travel_mm / args.step_mm
-    steps = round(min(ratio, _MAX_SWEEP_ROWS))  # the ratio may overflow to inf
+    # The most whole steps within the travel (the ratio may overflow to inf);
+    # the slack keeps 0.3/0.1 = 2.9999999999999996 at 3 steps.
+    steps = math.floor(min(ratio, _MAX_SWEEP_ROWS) * (1.0 + 1e-9))
     if 2 * steps + 1 > _MAX_SWEEP_ROWS:
         raise ConfigurationError(
             f"--travel-mm/--step-mm gives {ratio:g} steps out and back, "
             f"more than {_MAX_SWEEP_ROWS} rows")
     out = [k * args.step_mm * 1e-3 for k in range(0, steps + 1)]
-    records = run_perching_sweep(params, config, [offset * axis for offset in out],
-                                 args.pretension, max_iter=args.max_iter)
-    rows = [[_fmt(offset)] + [_fmt(v) for v in record.reaction_force]
-            + [_fmt(v) for v in record.reaction_moment]
-            + ["ok" if record.converged else "no_converge"]
-            for offset, record in zip(_out_and_back(out), _out_and_back(records))]
-    header = ["offset_m", "fx_N", "fy_N", "fz_N", "mx_Nm", "my_Nm", "mz_Nm", "status"]
-    return header, rows
+    sweep = _perching_points(params, config, [[offset * a for a in axis] for offset in out],
+                             args.pretension, args.max_iter)
+    rows = [[_fmt(offset)] + [_fmt(v) for v in force + moment] + [_status(converged)]
+            for offset, (_, (force, moment, *_, converged)) in zip(out, sweep)]
+    return _PERCHING_HEADER, _out_and_back(rows)
 
 
 def cmd_sweep(params, args):
@@ -308,8 +311,11 @@ def _build_parser():
     p_sweep.add_argument("--direction", choices=("inward", "outward"), default="inward")
     # perching protocol: 10 mm out and back at a 30 degree bend
     p_sweep.add_argument("--theta-deg", type=float, default=30.0)
-    p_sweep.add_argument("--travel-mm", type=float, default=10.0)
-    p_sweep.add_argument("--step-mm", type=float, default=0.5)
+    p_sweep.add_argument("--travel-mm", type=float, default=10.0,
+                         help="largest base offset, mm: the base moves out in whole "
+                              "--step-mm steps up to it, then back (default 10)")
+    p_sweep.add_argument("--step-mm", type=float, default=0.5,
+                         help="base offset step, mm (default 0.5)")
     p_sweep.add_argument("--axis", choices=("x", "z"), default="x")
     p_sweep.set_defaults(handler=cmd_sweep)
     return parser

@@ -137,6 +137,11 @@ def wrap_configuration(theta, delta, theta_max=DEFAULT_THETA_MAX):
     A negative theta maps to (-theta, delta + pi), the same physical bend.
     Raises ConfigurationError for non-finite input or theta beyond theta_max.
     """
+    return Configuration(*_wrapped_angles(theta, delta, theta_max))
+
+
+def _wrapped_angles(theta, delta, theta_max=DEFAULT_THETA_MAX):
+    # wrap_configuration's (theta, delta) and errors, without the record.
     if not (math.isfinite(theta) and math.isfinite(delta)):
         raise ConfigurationError(
             f"non-finite configuration ({float(theta)!r}, {float(delta)!r})")
@@ -147,7 +152,7 @@ def wrap_configuration(theta, delta, theta_max=DEFAULT_THETA_MAX):
         raise ConfigurationError(
             f"bending angle {theta:.6g} rad exceeds theta_max {theta_max:.6g} rad"
         )
-    return Configuration(theta, wrap_delta(delta))
+    return theta, wrap_delta(delta)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,22 @@ pins the tip in space, moves the base and reports the reaction wrench felt
 by the carrier.  Motors are displacement-locked throughout: tendon tensions
 follow tau(psi) = max(0, tau0 - K_q (q(psi) - q_cmd)).
 
+Each experiment has one per-point core on Python floats
+(``_solve_radial_load`` for a stiffness point, ``_perch`` for a perching
+one) and one sweep loop over it (``_stiffness_points``,
+``_perching_points``) that returns float rows.  Records are built from
+those rows only at the API boundary: run_stiffness_sweep,
+run_perching_sweep, solve_deflection and solve_perching_reaction.  The CLI
+formats its CSV rows from the same float rows, so a sweep written to CSV
+builds no record and no Configuration per point.
+
 Solvers run in the smooth bend-vector chart internally (kernels module) and
 every returned record carries a residual re-evaluated here, independently of
-the solver's internal bookkeeping.  Records are built on Python floats: one
-helper gives the locked-motor generalized force g = (g_theta, g_delta), which
-both the deflection residual g - J_v^T f and the perching reaction start
-from.  The reaction -(J_v^T)^+ g is in closed form: J_v's columns c_theta and
-c_delta are orthogonal, so it is -(g_theta/|c_theta|^2) c_theta -
+the solver's internal bookkeeping.  One helper gives the locked-motor
+generalized force g = (g_theta, g_delta), which both the deflection residual
+g - J_v^T f and the perching reaction start from.  The reaction
+-(J_v^T)^+ g is in closed form: J_v's columns c_theta and c_delta are
+orthogonal, so it is -(g_theta/|c_theta|^2) c_theta -
 (g_delta/|c_delta|^2) c_delta.  As numpy's pinv does, it drops a column no
 longer than 1e-15 times the other; c_delta vanishes at theta = 0.
 """
@@ -25,8 +34,8 @@ import numpy as np
 
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
-from .kinematics import configuration_to_joints, forward_kinematics
-from .model import Configuration, _readonly, wrap_configuration
+from .kinematics import configuration_to_joints
+from .model import Configuration, _readonly, _wrapped_angles
 from .statics import allocate_tensions
 
 # Newton loads beyond this are refused; the bench protocol stays around 1 N.
@@ -38,6 +47,7 @@ _IK_TOL = 1e-8       # m, reachable-component positional residual of the IK
 _DEFLECTION_TOL = 1e-10  # N*m, configuration-space residual of a deflection
 _MAX_ITER = 100      # default Newton/IK iteration budget of one solve
 _PINV_RCOND = 1e-15  # relative cutoff of the perching reaction's J_v columns
+_NAN3 = (math.nan, math.nan, math.nan)  # a failed point's force, displacement, moment
 
 # Errors that mark one sweep point failed rather than abort the sweep.  The
 # drivers validate their inputs and build the commanded state before the loop,
@@ -99,10 +109,11 @@ def _bend_vector(psi):
     return psi.theta * math.cos(psi.delta), psi.theta * math.sin(psi.delta)
 
 
-def _wrap_bend(wx, wy, fallback_delta):
+def _bend_angles(wx, wy, fallback_delta):
+    # (theta, delta) of the bend vector w, canonical and checked as
+    # wrap_configuration makes them; delta falls back where w = 0.
     theta = math.hypot(wx, wy)
-    delta = math.atan2(wy, wx) if theta > 0.0 else fallback_delta
-    return wrap_configuration(theta, delta)
+    return _wrapped_angles(theta, math.atan2(wy, wx) if theta > 0.0 else fallback_delta)
 
 
 def _check_max_iter(max_iter):
@@ -124,25 +135,25 @@ def _arm(params):
             params.tendon_count, params.flexural_rigidity, params.tendon_axial_stiffness)
 
 
-def _locked_motor_force(params, psi, q_cmd, tau0):
+def _locked_motor_force(params, theta, delta, q_cmd, tau0):
     # (g_theta, g_delta) = grad E - J_q^T tau with the motors locked at q_cmd,
     # tau = max(0, tau0 - k (q - q_cmd)), on floats.
     cos_v, sin_v = core.tendon_cos_sin(
-        params.tendon_division_angle, params.tendon_count, psi.delta)
+        params.tendon_division_angle, params.tendon_count, delta)
     r, k = params.pitch_radius, params.tendon_axial_stiffness
-    rt = r * psi.theta
+    rt = r * theta
     pull_cos = pull_sin = 0.0
     for c, s, qc, t0 in zip(cos_v, sin_v, q_cmd, tau0):
         tau = max(0.0, t0 - k * (rt * c - qc))
         pull_cos += c * tau
         pull_sin += s * tau
-    return (psi.theta * params.flexural_rigidity / params.backbone_length - r * pull_cos,
+    return (theta * params.flexural_rigidity / params.backbone_length - r * pull_cos,
             rt * pull_sin)
 
 
-def _jacobian_v_columns(params, psi):
+def _jacobian_v_columns(params, theta, delta):
     # The columns (c_theta, c_delta) of J_v, each a float 3-tuple.
-    a, b, c, d, e, f = core.jac_v(params.backbone_length, psi.theta, psi.delta)
+    a, b, c, d, e, f = core.jac_v(params.backbone_length, theta, delta)
     return (a, c, e), (b, d, f)
 
 
@@ -150,37 +161,44 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _equilibrium(params, commanded_config, q_cmd, tau0, f, max_iter, start=None):
-    # The solve alone: returns (wx, wy, iterations, wrapped configuration).
+def _equilibrium(arm, state, f, w0, fallback_delta, max_iter, start=None):
+    # The solve alone, on floats: returns (wx, wy, iterations, theta, delta).
     magnitude = math.hypot(*f)
     if magnitude > DEFAULT_FORCE_CAP:
         raise ConfigurationError(
             f"tip force {magnitude:.3g} N exceeds cap {DEFAULT_FORCE_CAP:.3g} N")
     wx, wy, iters, _, ok = core.solve_deflection(
-        *_arm(params), q_cmd, tau0, f[0], f[1], f[2], *_bend_vector(commanded_config),
-        0.5 * _DEFLECTION_TOL, max_iter, start,
-    )
+        *arm, *state, *f, *w0, 0.5 * _DEFLECTION_TOL, max_iter, start)
     if not ok:
         raise ConvergenceError(
             f"deflection solve did not converge in {max_iter} iterations",
             iterations=iters,
         )
-    return wx, wy, iters, _wrap_bend(wx, wy, commanded_config.delta)
+    return (wx, wy, iters, *_bend_angles(wx, wy, fallback_delta))
 
 
-def _deflection_record(params, commanded_config, q_cmd, tau0, f, equilibrium):
-    wx, wy, iters, psi_eq = equilibrium
-    g_theta, g_delta = _locked_motor_force(params, psi_eq, q_cmd, tau0)
-    c_theta, c_delta = _jacobian_v_columns(params, psi_eq)
-    w0x, w0y = _bend_vector(commanded_config)
-    p0 = core.bend_position(params.backbone_length, w0x, w0y)
-    p1 = core.bend_position(params.backbone_length, wx, wy)
+def _deflection_point(length, p0, f, equilibrium):
+    # The float row of a converged point, p0 being the unloaded tip:
+    # (f, tip displacement, iterations, theta, delta, True).
+    wx, wy, iters, theta, delta = equilibrium
+    p1 = core.bend_position(length, wx, wy)
+    return f, (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), iters, theta, delta, True
+
+
+def _deflection_record(params, state, point):
+    f, disp, iters, theta, delta, converged = point
+    residual = math.nan
+    if converged:
+        g_theta, g_delta = _locked_motor_force(params, theta, delta, *state)
+        c_theta, c_delta = _jacobian_v_columns(params, theta, delta)
+        residual = math.hypot(g_theta - _dot(c_theta, f), g_delta - _dot(c_delta, f))
     return DeflectionRecord(
         applied_force=f,
-        equilibrium_config=psi_eq,
-        tip_displacement=[b - a for a, b in zip(p0, p1)],
+        equilibrium_config=Configuration(theta, delta),
+        tip_displacement=disp,
         solver_iterations=iters,
-        residual_norm=math.hypot(g_theta - _dot(c_theta, f), g_delta - _dot(c_delta, f)),
+        residual_norm=residual,
+        converged=converged,
     )
 
 
@@ -201,8 +219,11 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
     if not all(map(math.isfinite, f)):
         raise ConfigurationError(f"tip force must be finite, got {list(f)}")
     state = _commanded_state(params, commanded_config, pretension)
-    return _deflection_record(params, commanded_config, *state, f,
-                              _equilibrium(params, commanded_config, *state, f, max_iter))
+    w0 = _bend_vector(commanded_config)
+    equilibrium = _equilibrium(_arm(params), state, f, w0, commanded_config.delta, max_iter)
+    length = params.backbone_length
+    return _deflection_record(params, state, _deflection_point(
+        length, core.bend_position(length, *w0), f, equilibrium))
 
 
 def _direction_sign(direction):
@@ -211,10 +232,10 @@ def _direction_sign(direction):
     return 1.0 if direction == "inward" else -1.0
 
 
-def _radial_direction(psi, sign):
+def _radial_direction(theta, delta, sign):
     # Float 3-tuple; each entry is bitwise numpy's sign * array([...]).
-    st, ct = math.sin(psi.theta), math.cos(psi.theta)
-    sd, cd = math.sin(psi.delta), math.cos(psi.delta)
+    st, ct = math.sin(theta), math.cos(theta)
+    sd, cd = math.sin(delta), math.cos(delta)
     return sign * (ct * cd), sign * (ct * sd), sign * -st
 
 
@@ -224,22 +245,69 @@ def radial_load_direction(psi, direction):
     "inward" points toward the arc center (it deepens the bend), "outward"
     is its opposite.  Any other direction raises ConfigurationError.
     """
-    return np.array(_radial_direction(psi, _direction_sign(direction)))
+    return np.array(_radial_direction(psi.theta, psi.delta, _direction_sign(direction)))
 
 
-def _solve_radial_load(params, config, state, start, load, sign, max_iter):
+def _solve_radial_load(arm, fallback_delta, w0, state, start, d0, load, sign,
+                       max_iter):
     # The bench rig re-aims the pull so it stays radial at the *deflected*
-    # configuration: iterate direction and equilibrium to a joint fixed point.
-    # Only the settled pass becomes a record.
-    d = _radial_direction(config, sign)
+    # configuration: iterate direction and equilibrium to a joint fixed
+    # point, from the commanded direction d0.  Returns the settled pass as
+    # (f, equilibrium).
+    d = d0
     for _ in range(_MAX_REAIM):
         f = (load * d[0], load * d[1], load * d[2])
-        equilibrium = _equilibrium(params, config, *state, f, max_iter, start)
-        d_new = _radial_direction(equilibrium[-1], sign)
-        if all(abs(a - b) < _REAIM_TOL for a, b in zip(d_new, d)):
-            return _deflection_record(params, config, *state, f, equilibrium)
+        equilibrium = _equilibrium(arm, state, f, w0, fallback_delta, max_iter, start)
+        d_new = _radial_direction(equilibrium[3], equilibrium[4], sign)
+        if (abs(d_new[0] - d[0]) < _REAIM_TOL and abs(d_new[1] - d[1]) < _REAIM_TOL
+                and abs(d_new[2] - d[2]) < _REAIM_TOL):
+            return f, equilibrium
         d = d_new
     raise ConvergenceError("radial load direction did not settle while re-aiming")
+
+
+def _stiffness_points(params, configs, load_schedule, direction, pretension, max_iter,
+                      strict):
+    """Float rows of a stiffness sweep: (config, state, points) per configuration.
+
+    points holds one row per load, (f, tip displacement, iterations, theta,
+    delta, converged); a failed point keeps the first pass's force, NaN
+    displacements and the commanded (theta, delta), or with strict=True
+    raises, annotated with (config, load).  Inputs are validated before any
+    point is solved.
+    """
+    _check_max_iter(max_iter)
+    sign = _direction_sign(direction)
+    loads = [float(load) for load in load_schedule]
+    if not all(map(math.isfinite, loads)):
+        raise ConfigurationError("sweep loads must be finite")
+    arm = _arm(params)
+    length = params.backbone_length
+    sweep = []
+    for config in configs:
+        state = _commanded_state(params, config, pretension)
+        w0 = _bend_vector(config)
+        # every solve of this configuration starts at its bend vector
+        start = core.deflection_start(*arm, *state, *w0)
+        p0 = core.bend_position(length, *w0)
+        d0 = _radial_direction(config.theta, config.delta, sign)
+        points = []
+        for load in loads:
+            try:
+                f, equilibrium = _solve_radial_load(arm, config.delta, w0, state, start,
+                                                    d0, load, sign, max_iter)
+            except _POINT_FAILURES as exc:
+                if strict:
+                    raise type(exc)(
+                        f"sweep point theta={math.degrees(config.theta):.3g} deg, "
+                        f"load={load:.4g} N: {exc}") from exc
+                points.append(((load * d0[0], load * d0[1], load * d0[2]), _NAN3,
+                               getattr(exc, "iterations", 0) or 0,
+                               config.theta, config.delta, False))
+            else:
+                points.append(_deflection_point(length, p0, f, equilibrium))
+        sweep.append((config, state, points))
+    return sweep
 
 
 def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
@@ -254,34 +322,10 @@ def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
     direction or a max_iter that is not a non-negative integer raises
     ConfigurationError before any point is solved.
     """
-    _check_max_iter(max_iter)
-    sign = _direction_sign(direction)
-    loads = [float(load) for load in load_schedule]
-    if not all(map(math.isfinite, loads)):
-        raise ConfigurationError("sweep loads must be finite")
-    records = []
-    for config in configs:
-        state = _commanded_state(params, config, pretension)
-        # every solve of this configuration starts at its bend vector
-        start = core.deflection_start(*_arm(params), *state, *_bend_vector(config))
-        for load in loads:
-            try:
-                records.append(_solve_radial_load(
-                    params, config, state, start, load, sign, max_iter))
-            except _POINT_FAILURES as exc:
-                if strict:
-                    raise type(exc)(
-                        f"sweep point theta={math.degrees(config.theta):.3g} deg, "
-                        f"load={load:.4g} N: {exc}") from exc
-                records.append(DeflectionRecord(
-                    applied_force=load * radial_load_direction(config, direction),
-                    equilibrium_config=config,
-                    tip_displacement=np.full(3, np.nan),
-                    solver_iterations=getattr(exc, "iterations", 0) or 0,
-                    residual_norm=float("nan"),
-                    converged=False,
-                ))
-    return records
+    sweep = _stiffness_points(params, configs, load_schedule, direction, pretension,
+                              max_iter, strict)
+    return [_deflection_record(params, state, point)
+            for _, state, points in sweep for point in points]
 
 
 def mirrored_schedule(increment, steps):
@@ -291,12 +335,12 @@ def mirrored_schedule(increment, steps):
     return up + down
 
 
-def _reaction(params, psi, generalized):
+def _reaction(params, theta, delta, generalized):
     # -(J_v^T)^+ g in closed form.  J_v's columns are orthogonal, so
     # J_v^T J_v is diagonal and the pseudoinverse scales each column by
     # 1/|c|^2.  A column no longer than 1e-15 times the longer one is dropped,
     # numpy pinv's default cutoff: c_delta vanishes with theta.
-    c_theta, c_delta = _jacobian_v_columns(params, psi)
+    c_theta, c_delta = _jacobian_v_columns(params, theta, delta)
     norms2 = (_dot(c_theta, c_theta), _dot(c_delta, c_delta))
     cutoff2 = _PINV_RCOND * _PINV_RCOND * max(norms2)
     a, b = (g / n2 if n2 > cutoff2 else 0.0 for g, n2 in zip(generalized, norms2))
@@ -305,7 +349,9 @@ def _reaction(params, psi, generalized):
 
 
 def _perch(params, commanded_config, state, anchor, offset, max_iter):
-    # anchor and offset are float 3-lists
+    # One perching point on floats, anchor and offset being float 3-sequences:
+    # returns the row (force, moment, theta, delta, ik_residual, iterations,
+    # True), or raises the point's failure.
     target = [a - o for a, o in zip(anchor, offset)]
     length = params.backbone_length
     reach = math.hypot(*target)
@@ -322,18 +368,25 @@ def _perch(params, commanded_config, state, anchor, offset, max_iter):
             f"constrained-tip IK did not converge in {max_iter} iterations",
             iterations=iters, residual=reach_residual,
         )
-    psi = _wrap_bend(wx, wy, commanded_config.delta)
-
-    fx, fy, fz = _reaction(params, psi, _locked_motor_force(params, psi, *state))
+    theta, delta = _bend_angles(wx, wy, commanded_config.delta)
+    fx, fy, fz = _reaction(params, theta, delta,
+                           _locked_motor_force(params, theta, delta, *state))
     # tip x force, each entry one product minus another as np.cross does it
     px, py, pz = core.bend_position(length, wx, wy)
+    return ((fx, fy, fz), (py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx),
+            theta, delta, float(reach_residual), iters, True)
+
+
+def _perching_record(offset, point):
+    force, moment, theta, delta, residual, iters, converged = point
     return PerchingRecord(
         base_offset=offset,
-        reaction_force=(fx, fy, fz),
-        reaction_moment=(py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx),
-        equilibrium_config=psi,
-        ik_residual_norm=float(reach_residual),
+        reaction_force=force,
+        reaction_moment=moment,
+        equilibrium_config=Configuration(theta, delta),
+        ik_residual_norm=residual,
         iterations=iters,
+        converged=converged,
     )
 
 
@@ -358,7 +411,34 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
         raise ConfigurationError(
             f"perching tip anchor and base offset must be finite, got {anchor} and {offset}")
     state = _commanded_state(params, commanded_config, pretension)
-    return _perch(params, commanded_config, state, anchor, offset, _MAX_ITER)
+    return _perching_record(offset, _perch(
+        params, commanded_config, state, anchor, offset, _MAX_ITER))
+
+
+def _perching_points(params, commanded_config, base_offsets, pretension, max_iter):
+    """Float rows of a perching sweep: (offset, point) per base offset.
+
+    offset is a float 3-list and point _perch's row; a failed point has NaN
+    force, moment and IK residual and the commanded (theta, delta).  The tip
+    stays pinned at the commanded tip.  Inputs are validated, and the
+    commanded state built, before any point is solved.
+    """
+    _check_max_iter(max_iter)
+    offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3)
+    if not np.isfinite(offsets).all():
+        raise ConfigurationError("perching base offsets must be finite")
+    theta, delta = commanded_config.theta, commanded_config.delta
+    anchor = core.position(params.backbone_length, theta, delta)
+    state = _commanded_state(params, commanded_config, pretension)
+    sweep = []
+    for offset in offsets.tolist():
+        try:
+            point = _perch(params, commanded_config, state, anchor, offset, max_iter)
+        except _POINT_FAILURES as exc:
+            point = (_NAN3, _NAN3, theta, delta, math.nan,
+                     getattr(exc, "iterations", 0) or 0, False)
+        sweep.append((offset, point))
+    return sweep
 
 
 def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *,
@@ -371,24 +451,6 @@ def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *
     non-finite offset or a max_iter that is not a non-negative integer raises
     ConfigurationError before any point is solved.
     """
-    _check_max_iter(max_iter)
-    offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3)
-    if not np.isfinite(offsets).all():
-        raise ConfigurationError("perching base offsets must be finite")
-    anchor = forward_kinematics(params, commanded_config).position.tolist()
-    state = _commanded_state(params, commanded_config, pretension)
-    records = []
-    for offset in offsets.tolist():
-        try:
-            records.append(_perch(params, commanded_config, state, anchor, offset, max_iter))
-        except _POINT_FAILURES as exc:
-            records.append(PerchingRecord(
-                base_offset=offset,
-                reaction_force=np.full(3, np.nan),
-                reaction_moment=np.full(3, np.nan),
-                equilibrium_config=commanded_config,
-                ik_residual_norm=float("nan"),
-                iterations=getattr(exc, "iterations", 0) or 0,
-                converged=False,
-            ))
-    return records
+    return [_perching_record(offset, point)
+            for offset, point in _perching_points(params, commanded_config, base_offsets,
+                                                  pretension, max_iter)]

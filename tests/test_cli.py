@@ -10,7 +10,7 @@ import pytest
 
 import ccarm
 from ccarm import (__version__, allocate_tensions, backend_name, cli, dump_parameters,
-                   run_stiffness_sweep, wrap_configuration)
+                   run_perching_sweep, run_stiffness_sweep, wrap_configuration)
 
 # The golden bytes of the three default sweeps.
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -238,20 +238,21 @@ def test_stiffness_sweep_header_only(capsys, tmp_path):
 
 def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
     calls = []
+    radial_load = ccarm.sim._solve_radial_load
 
-    def counting_sweep(*args, **kwargs):
-        calls.append(list(args[2]))  # the loads of this call
-        return run_stiffness_sweep(*args, **kwargs)
+    def counting_point(*args):
+        calls.append((args[2], args[6]))  # the commanded bend vector and the load
+        return radial_load(*args)
 
-    monkeypatch.setattr(cli, "run_stiffness_sweep", counting_sweep)
+    monkeypatch.setattr(ccarm.sim, "_solve_radial_load", counting_point)
     out_file = tmp_path / "cycles.csv"
     code, _, _ = run_cli(capsys, "sweep", "--experiment", "stiffness",
                          "--out", str(out_file),
                          "--configs-deg", "0,30", "--steps", "2", "--cycles", "3")
     assert code == 0
-    assert len(calls) == 2  # one solve per configuration, not per cycle
-    # the unloading steps repeat loading ones, so each load is solved once
-    assert all(len(set(loads)) == len(loads) for loads in calls)
+    # one solve per configuration and load, not per cycle: the unloading
+    # steps repeat loading ones, so each load is solved once
+    assert len(calls) == 2 * 3 and len(set(calls)) == len(calls)
     rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
     assert len(rows) == 2 * 3 * 4
     by_cycle = {}
@@ -448,6 +449,124 @@ def test_default_sweeps_match_reference_csvs(capsys, tmp_path, experiment, extra
                          "--out", str(out_file), *extra)
     assert code == cli.EXIT_OK
     assert out_file.read_bytes() == (GOLDEN / reference).read_bytes()
+
+
+def test_default_sweeps_build_no_per_point_record(capsys, tmp_path, monkeypatch):
+    # The CLI formats its rows from sim's float rows: no record and no
+    # Configuration is built for any point of the default sweeps.
+    def no_record(*args, **kwargs):
+        raise AssertionError("a CSV sweep built a per-point record")
+
+    for name in ("DeflectionRecord", "PerchingRecord", "Configuration"):
+        monkeypatch.setattr(ccarm.sim, name, no_record)
+    for experiment, extra, reference in [("stiffness", [], "stiffness.csv"),
+                                         ("perching", ["--axis", "x"], "perching_x.csv"),
+                                         ("perching", ["--axis", "z"], "perching_z.csv")]:
+        out_file = tmp_path / reference
+        code, _, _ = run_cli(capsys, "sweep", "--experiment", experiment,
+                             "--out", str(out_file), *extra)
+        assert code == cli.EXIT_OK
+        assert out_file.read_bytes() == (GOLDEN / reference).read_bytes()
+
+
+def _record_fmt(x):
+    return format(float(x), ".12g")
+
+
+def _record_status(record):
+    return "ok" if record.converged else "no_converge"
+
+
+def _stiffness_csv_from_records(params, args):
+    # How the CLI turned run_stiffness_sweep's records into rows before the
+    # sweeps ran on float rows: one call per bend, cycles repeating the first.
+    loads = [args.increment_n * k for k in range(args.steps + 1)]
+    lines = ["config_theta_deg,config_delta_deg,cycle,load_N,"
+             "disp_x_m,disp_y_m,disp_z_m,iterations,status"]
+    for theta_deg in [float(v) for v in args.configs_deg.split(",")]:
+        config = wrap_configuration(math.radians(theta_deg), math.radians(args.delta_deg))
+        fields = [[_record_fmt(np.linalg.norm(record.applied_force))]
+                  + [_record_fmt(v) for v in record.tip_displacement]
+                  + [str(record.solver_iterations), _record_status(record)]
+                  for record in run_stiffness_sweep(
+                      params, [config], loads, args.direction, args.pretension,
+                      strict=False, max_iter=args.max_iter)]
+        fields = (fields + fields[-2::-1])[1:]
+        for cycle in range(1, args.cycles + 1):
+            prefix = [_record_fmt(theta_deg), _record_fmt(args.delta_deg), str(cycle)]
+            lines += [",".join(prefix + row) for row in fields]
+    return "\n".join(lines) + "\n"
+
+
+def _perching_csv_from_records(params, args):
+    # How the CLI turned run_perching_sweep's records into rows, out and back.
+    config = wrap_configuration(math.radians(args.theta_deg), math.radians(args.delta_deg))
+    axis = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}[args.axis]
+    steps = math.floor(args.travel_mm / args.step_mm * (1.0 + 1e-9))
+    out = [k * args.step_mm * 1e-3 for k in range(steps + 1)]
+    records = run_perching_sweep(params, config, [offset * axis for offset in out],
+                                 args.pretension, max_iter=args.max_iter)
+    lines = ["offset_m,fx_N,fy_N,fz_N,mx_Nm,my_Nm,mz_Nm,status"]
+    for offset, record in zip(out + out[-2::-1], records + records[-2::-1]):
+        lines.append(",".join([_record_fmt(offset)]
+                              + [_record_fmt(v) for v in record.reaction_force]
+                              + [_record_fmt(v) for v in record.reaction_moment]
+                              + [_record_status(record)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("experiment,flags,failures", [
+    ("stiffness", [], 0),
+    ("stiffness", ["--configs-deg", "15,45", "--pretension", "0.3", "--cycles", "2"], 0),
+    ("stiffness", ["--configs-deg", "15,45", "--delta-deg", "40", "--cycles", "2"], 0),
+    ("stiffness", ["--configs-deg", "30", "--steps", "2", "--cycles", "2",
+                   "--max-iter", "1"], 6),
+    ("stiffness", ["--configs-deg", "30", "--increment-n", "1", "--steps", "3",
+                   "--cycles", "1"], 1),                          # over the force cap
+    ("stiffness", ["--configs-deg", "175", "--increment-n", "0.6", "--steps", "3",
+                   "--cycles", "1"], 1),                          # bent past pi
+    ("stiffness", ["--configs-deg", "0", "--direction", "outward", "--steps", "1",
+                   "--cycles", "1"], 1),                          # re-aiming never settles
+    ("perching", ["--axis", "x"], 0),
+    ("perching", ["--axis", "z"], 0),
+    ("perching", ["--pretension", "0.3"], 0),
+    ("perching", ["--delta-deg", "40", "--axis", "z"], 0),
+    ("perching", ["--max-iter", "1"], 39),                        # all but offset 0
+    ("perching", ["--axis", "z", "--travel-mm", "200", "--step-mm", "10"], 5),
+    ("perching", ["--theta-deg", "0"], 39),                       # anchors out of reach
+], ids=["stiffness", "pretension", "delta", "max-iter", "force-cap", "past-pi",
+        "outward-straight", "perching-x", "perching-z", "perching-pretension",
+        "perching-delta", "perching-max-iter", "perching-past-pi", "perching-straight"])
+def test_sweep_rows_match_the_public_records(capsys, tmp_path, params, experiment, flags,
+                                             failures):
+    # The CSV that cli.main writes is the pre-float-row formatting applied to
+    # the records of run_stiffness_sweep or run_perching_sweep, byte for byte.
+    out_file = tmp_path / "sweep.csv"
+    argv = ["sweep", "--experiment", experiment, "--out", str(out_file), *flags]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == (cli.EXIT_SOLVER if failures else cli.EXIT_OK)
+    assert (f"error: {failures} sweep points" in err) == bool(failures)
+    args = cli._build_parser().parse_args(argv)
+    oracle = (_stiffness_csv_from_records if experiment == "stiffness"
+              else _perching_csv_from_records)
+    assert out_file.read_text() == oracle(params, args)
+
+
+@pytest.mark.parametrize("travel,step,largest,rows", [
+    ("10.75", "0.5", 0.0105, 43),   # banker's rounding of 21.5 went to 11 mm
+    ("10.25", "0.5", 0.01, 41),
+    ("0.3", "0.1", 0.0003, 7),      # 0.3/0.1 = 2.9999999999999996 is 3 steps
+])
+def test_perching_travel_is_the_largest_offset(capsys, tmp_path, travel, step, largest, rows):
+    out_file = tmp_path / "travel.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching", "--out", str(out_file),
+                         "--travel-mm", travel, "--step-mm", step)
+    assert code == cli.EXIT_OK
+    offsets = [float(line.split(",")[0]) for line in out_file.read_text().splitlines()[1:]]
+    assert len(offsets) == rows
+    assert offsets == offsets[::-1]
+    assert max(offsets) == pytest.approx(largest, rel=1e-12)
+    assert max(offsets) <= float(travel) * 1e-3 * (1.0 + 1e-9)
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys, tmp_path):

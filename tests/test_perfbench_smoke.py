@@ -17,11 +17,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Per traced unit, whatever the seed.
+# Per traced unit, whatever the seed.  model.calls counts only the set-up:
+# default_parameters and one wrap_configuration per commanded bend of each
+# request; the sweep points build no Configuration through the model.
 TRACED_COUNTS = {
     "stiffness_sweep": {"kernels.solve_deflection.calls": 200,
-                        "kernels.solve_deflection.newton_iters": 639},
-    "perching_sweep": {"kernels.solve_tip_constraint.calls": 42},
+                        "kernels.solve_deflection.newton_iters": 639,
+                        "model.calls": 6},
+    "perching_sweep": {"kernels.solve_tip_constraint.calls": 42, "model.calls": 4},
 }
 
 

@@ -778,8 +778,8 @@ def test_perching_reaction_matches_the_pseudoinverse(params, tendon_count, theta
         singular = np.linalg.svd(jv_t, compute_uv=False)
         assert (singular.min() > 1e-15 * singular.max()) == (theta >= 1e-12)
         expected = -np.linalg.pinv(jv_t) @ generalized
-        force = ccarm.sim._reaction(
-            arm, psi, ccarm.sim._locked_motor_force(arm, psi, q_cmd.tolist(), tau0.tolist()))
+        force = ccarm.sim._reaction(arm, theta, delta, ccarm.sim._locked_motor_force(
+            arm, theta, delta, q_cmd.tolist(), tau0.tolist()))
         assert np.linalg.norm(np.subtract(force, expected)) <= 1e-13 * np.linalg.norm(expected)
         if delta == 0.0:
             assert all(math.copysign(1.0, v) > 0.0 for v in force if v == 0.0), force
