@@ -14,11 +14,10 @@ central difference over the step 1e-7*(1+|w|), in closed form: the slope
 the central-difference Jacobian that this replaced took there, which keeps
 the default sweeps' Newton paths.  The residual and its Jacobian split into
 a force-free part and the tip-force term.  Every solve of one commanded
-configuration starts at the same w, so ``deflection_start`` evaluates the
-force-free residual, Jacobian and tip Hessian rows there once;
-``solve_deflection`` takes that start as an optional last argument, checks
-that it was built from its own inputs, and builds one itself when none is
-given.  The results are bitwise the same either way.
+configuration starts at the same w with the same arm and motor state, so
+the solve's constants and the force-free residual, Jacobian and tip Hessian
+rows at its start are memoized on exactly those inputs: the loads of one
+configuration share one evaluation, and a hit gives the bits of a fresh one.
 
 Angles are radians, lengths meters.  Every arc quotient of the
 constant-curvature kinematics comes from one source: ``arc_quotients`` gives
@@ -32,6 +31,7 @@ below ``SMOOTH_THRESHOLD``.  The solvers work in "bend vector" coordinates
 coordinate singularity of (theta, delta) at theta = 0.
 """
 
+import functools
 import math
 
 # Below this bending angle b, c, e and h use their Taylor expansions (4th
@@ -39,6 +39,10 @@ import math
 SMOOTH_THRESHOLD = 0.05
 
 _HALF_PI = 0.5 * math.pi
+
+# Commanded configurations whose deflection start stays memoized: the default
+# stiffness sweep solves at 5, each configuration's solves in a row.
+_START_CACHE_SIZE = 32
 
 
 def arc_quotients(theta):
@@ -275,51 +279,29 @@ def _psi_residual_norm(rx, ry, wx, wy):
     return math.hypot(r1, r2)
 
 
-def _start_inputs(length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx0, wy0):
-    return (float(length), float(radius), float(beta), count, float(flexural),
-            float(k_tendon), list(map(float, q_cmd)), list(map(float, tau0)),
-            float(wx0), float(wy0))
-
-
-class DeflectionStart:
-    """The force-free part of a deflection solve at its start point.
-
-    Built by ``deflection_start`` from the inputs of ``solve_deflection`` that
-    do not involve the tip force.  ``inputs`` holds them as floats, so a solve
-    can check that it was given the start of its own problem; ``part`` holds
-    the force-free residual, Jacobian and Hessian rows at w0.
-    """
-
-    __slots__ = ("inputs", "model", "part")
-
-    def __init__(self, inputs):
-        length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx, wy = inputs
-        kr = k_tendon * radius
-        tendons = tuple(
-            (cphi, sphi, qc, t0, abs(kr * cphi), abs(kr * sphi),
-             kr * radius * cphi, kr * radius * sphi)
-            for cphi, sphi, qc, t0 in zip(*tendon_phase_cos_sin(beta, count), q_cmd, tau0,
-                                          strict=True))
-        self.inputs = inputs
-        self.model = (length, radius, flexural / length, k_tendon, tendons)
-        self.part = _force_free_part(*self.model, wx, wy)
-
-
-def deflection_start(length, radius, beta, count, flexural, k_tendon, q_cmd, tau0,
-                     wx0, wy0):
-    """Force-free residual, Jacobian and Hessian rows at the start w0.
-
-    Every solve of one commanded configuration starts at the same w0, and its
-    first Newton step needs the residual and its Jacobian there.  Only the
-    tip-force term differs between loads, so a start built once serves every
-    ``solve_deflection`` of that configuration.
-    """
-    return DeflectionStart(_start_inputs(length, radius, beta, count, flexural, k_tendon,
-                                         q_cmd, tau0, wx0, wy0))
+@functools.lru_cache(maxsize=_START_CACHE_SIZE)
+def _deflection_model(length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx0, wy0,
+                      wx0_sign, wy0_sign):
+    # The constants of a deflection solve and its force-free part at w0, as
+    # (model, part): model is _force_free_part's leading arguments, the
+    # tendon tuple included, and part its value at w0.  Memoized on exactly
+    # the ten inputs it reads, floats and float tuples, so the solves of one
+    # commanded configuration share one evaluation and a start from other
+    # inputs cannot be reused.  The signs of w0's components complete the
+    # key: -0.0 == 0.0, but a solve from either can end on a zero of that
+    # sign (a straight start with an in-plane force).
+    kr = k_tendon * radius
+    tendons = tuple(
+        (cphi, sphi, qc, t0, abs(kr * cphi), abs(kr * sphi),
+         kr * radius * cphi, kr * radius * sphi)
+        for cphi, sphi, qc, t0 in zip(*tendon_phase_cos_sin(beta, count), q_cmd, tau0,
+                                      strict=True))
+    model = (length, radius, flexural / length, k_tendon, tendons)
+    return model, _force_free_part(*model, wx0, wy0)
 
 
 def solve_deflection(length, radius, beta, count, flexural, k_tendon,
-                     q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter, start=None):
+                     q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter):
     """Newton solve of the locked-motor bending equilibrium under a tip force.
 
     Damped Newton iteration (closed-form 2x2 Jacobian, backtracking line
@@ -329,24 +311,20 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
     Jacobian of the next.  The Jacobian is exact except at a tendon's slack
     kink, where it takes the central difference over the step
     1e-7*(1+|w|) in closed form.  Convergence is judged on the residual norm
-    in (theta, delta) coordinates.  ``start``, from ``deflection_start``
-    with the same inputs, supplies the force-free residual, Jacobian and
-    Hessian rows at w0; without it the solve builds its own.  A start built
-    from other inputs raises ValueError; inputs compare with ==, so a start
-    built from a NaN input matches no solve.
+    in (theta, delta) coordinates.  The constants and the force-free
+    residual, Jacobian and Hessian rows at w0 depend on every input but the
+    force, tol and max_iter; they are memoized on those inputs, so solves
+    that differ only in the force share them.
 
     Returns (wx, wy, iterations, residual_norm, converged).
     """
-    inputs = _start_inputs(length, radius, beta, count, flexural, k_tendon,
-                           q_cmd, tau0, wx0, wy0)
-    if start is None:
-        start = DeflectionStart(inputs)
-    elif start.inputs != inputs:
-        raise ValueError("deflection start was built from other inputs")
-    model = start.model
+    wx, wy = float(wx0), float(wy0)
+    model, part = _deflection_model(
+        float(length), float(radius), float(beta), count, float(flexural), float(k_tendon),
+        tuple(map(float, q_cmd)), tuple(map(float, tau0)), wx, wy,
+        math.copysign(1.0, wx), math.copysign(1.0, wy))
     fx, fy, fz, tol = float(fx), float(fy), float(fz), float(tol)
-    wx, wy = inputs[-2:]
-    rx, ry, j11, j12, j21, j22 = _with_force(start.part, fx, fy, fz)
+    rx, ry, j11, j12, j21, j22 = _with_force(part, fx, fy, fz)
     iters = 0
     while True:
         res = _psi_residual_norm(rx, ry, wx, wy)

@@ -205,11 +205,9 @@ def _stiffness_sweep_rows(params, args):
     for theta_deg, (_, _, points) in zip(configs_deg, sweep):
         # Every cycle repeats the first, so solve and format each distinct
         # load once; a cycle starts at the first increment and ends unloaded.
-        # load_N is numpy's norm of the applied force, as the rows built from
-        # records printed it: its BLAS dot product may fuse multiply-adds,
-        # which no float expression here reproduces bit for bit.
+        # load_N is the force's hypot, whose bits no BLAS kernel choice moves.
         fields = _out_and_back([
-            [_fmt(np.linalg.norm(force)), _fmt(disp[0]), _fmt(disp[1]), _fmt(disp[2]),
+            [_fmt(math.hypot(*force)), _fmt(disp[0]), _fmt(disp[1]), _fmt(disp[2]),
              str(iterations), _status(converged)]
             for force, disp, iterations, _, _, converged in points])[1:]
         for cycle in range(1, args.cycles + 1):

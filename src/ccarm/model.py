@@ -6,6 +6,7 @@ is SI.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,14 +68,15 @@ class ArmParameters:
         for name, value in names.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ParameterError(f"non-positive {name}: {value!r}")
-        if self.tendon_count < 3:
+        count = self.tendon_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ParameterError(f"tendon_count must be an integer, got {count!r}")
+        if count < 3:
             raise ParameterError(
-                f"tendon_count must be >= 3 to span the bending plane, got {self.tendon_count}"
-            )
-        if self.tendon_count > MAX_TENDON_COUNT:
-            raise ParameterError(
-                f"tendon_count must be <= {MAX_TENDON_COUNT}, got {self.tendon_count}")
-        even = 2.0 * math.pi / self.tendon_count
+                f"tendon_count must be >= 3 to span the bending plane, got {count}")
+        if count > MAX_TENDON_COUNT:
+            raise ParameterError(f"tendon_count must be <= {MAX_TENDON_COUNT}, got {count}")
+        even = 2.0 * math.pi / count
         if not math.isclose(self.tendon_division_angle, even, rel_tol=1e-9):
             warnings.warn(
                 "tendon_division_angle %.6g rad is not 2*pi/tendon_count = %.6g rad; "

@@ -161,14 +161,14 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _equilibrium(arm, state, f, w0, fallback_delta, max_iter, start=None):
+def _equilibrium(arm, state, f, w0, fallback_delta, max_iter):
     # The solve alone, on floats: returns (wx, wy, iterations, theta, delta).
     magnitude = math.hypot(*f)
     if magnitude > DEFAULT_FORCE_CAP:
         raise ConfigurationError(
             f"tip force {magnitude:.3g} N exceeds cap {DEFAULT_FORCE_CAP:.3g} N")
     wx, wy, iters, _, ok = core.solve_deflection(
-        *arm, *state, *f, *w0, 0.5 * _DEFLECTION_TOL, max_iter, start)
+        *arm, *state, *f, *w0, 0.5 * _DEFLECTION_TOL, max_iter)
     if not ok:
         raise ConvergenceError(
             f"deflection solve did not converge in {max_iter} iterations",
@@ -248,8 +248,7 @@ def radial_load_direction(psi, direction):
     return np.array(_radial_direction(psi.theta, psi.delta, _direction_sign(direction)))
 
 
-def _solve_radial_load(arm, fallback_delta, w0, state, start, d0, load, sign,
-                       max_iter):
+def _solve_radial_load(arm, fallback_delta, w0, state, d0, load, sign, max_iter):
     # The bench rig re-aims the pull so it stays radial at the *deflected*
     # configuration: iterate direction and equilibrium to a joint fixed
     # point, from the commanded direction d0.  Returns the settled pass as
@@ -257,7 +256,7 @@ def _solve_radial_load(arm, fallback_delta, w0, state, start, d0, load, sign,
     d = d0
     for _ in range(_MAX_REAIM):
         f = (load * d[0], load * d[1], load * d[2])
-        equilibrium = _equilibrium(arm, state, f, w0, fallback_delta, max_iter, start)
+        equilibrium = _equilibrium(arm, state, f, w0, fallback_delta, max_iter)
         d_new = _radial_direction(equilibrium[3], equilibrium[4], sign)
         if (abs(d_new[0] - d[0]) < _REAIM_TOL and abs(d_new[1] - d[1]) < _REAIM_TOL
                 and abs(d_new[2] - d[2]) < _REAIM_TOL):
@@ -287,15 +286,13 @@ def _stiffness_points(params, configs, load_schedule, direction, pretension, max
     for config in configs:
         state = _commanded_state(params, config, pretension)
         w0 = _bend_vector(config)
-        # every solve of this configuration starts at its bend vector
-        start = core.deflection_start(*arm, *state, *w0)
         p0 = core.bend_position(length, *w0)
         d0 = _radial_direction(config.theta, config.delta, sign)
         points = []
         for load in loads:
             try:
-                f, equilibrium = _solve_radial_load(arm, config.delta, w0, state, start,
-                                                    d0, load, sign, max_iter)
+                f, equilibrium = _solve_radial_load(arm, config.delta, w0, state, d0, load,
+                                                    sign, max_iter)
             except _POINT_FAILURES as exc:
                 if strict:
                     raise type(exc)(

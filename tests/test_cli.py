@@ -241,7 +241,7 @@ def test_stiffness_sweep_solves_each_cycle_once(capsys, tmp_path, monkeypatch):
     radial_load = ccarm.sim._solve_radial_load
 
     def counting_point(*args):
-        calls.append((args[2], args[6]))  # the commanded bend vector and the load
+        calls.append((args[2], args[5]))  # the commanded bend vector and the load
         return radial_load(*args)
 
     monkeypatch.setattr(ccarm.sim, "_solve_radial_load", counting_point)
@@ -485,7 +485,7 @@ def _stiffness_csv_from_records(params, args):
              "disp_x_m,disp_y_m,disp_z_m,iterations,status"]
     for theta_deg in [float(v) for v in args.configs_deg.split(",")]:
         config = wrap_configuration(math.radians(theta_deg), math.radians(args.delta_deg))
-        fields = [[_record_fmt(np.linalg.norm(record.applied_force))]
+        fields = [[_record_fmt(math.hypot(*record.applied_force))]
                   + [_record_fmt(v) for v in record.tip_displacement]
                   + [str(record.solver_iterations), _record_status(record)]
                   for record in run_stiffness_sweep(

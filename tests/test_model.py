@@ -89,6 +89,16 @@ def test_tendon_count_ceiling(count):
                                tendon_division_angle=2.0 * math.pi / 64).tendon_count == 64
 
 
+@pytest.mark.parametrize("count", [4.5, 6.0, "6", None])
+def test_tendon_count_must_be_an_integer(count):
+    # a float count used to pass here and fail at the first allocation
+    with pytest.raises(ParameterError, match="tendon_count must be an integer"):
+        dataclasses.replace(default_parameters(), tendon_count=count)
+    six = dataclasses.replace(default_parameters(), tendon_count=np.int64(6),
+                              tendon_division_angle=2.0 * math.pi / 6)
+    assert six.tendon_count == 6
+
+
 def test_parse_text_formats(tmp_path):
     text = "\n".join([
         "# comment",

@@ -281,34 +281,63 @@ def _deflection_problems(draw):
     tau0 = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
     forces = draw(st.lists(_forces, min_size=2, max_size=2))
     w0 = (theta * math.cos(delta), theta * math.sin(delta))
-    return arm, q_cmd, tau0, w0, forces, draw(st.sampled_from([0, 1, 100]))
+    # the same inputs with every zero of w0 and q_cmd of the other sign: equal keys
+    flipped = [-x if x == 0.0 else x for x in (*w0, *q_cmd)]
+    return (arm, q_cmd, tau0, w0, forces, draw(st.sampled_from([0, 1, 100])),
+            (flipped[:2], flipped[2:]))
+
+
+# A straight start under a force in the xz (yz) plane: after one Newton step
+# wy (wx) is a zero whose sign follows that of w0's component in the
+# force-free part, so a part built at (0.0, 0.0) must not serve a start at
+# (0.0, -0.0) or (-0.0, 0.0).
+_ARM = (0.25, 0.02, math.pi / 2, 4, 2.4543692606170264e-03, 1580.0)
 
 
 @given(problem=_deflection_problems())
+@example(problem=(_ARM, [0.0] * 4, [0.0] * 4, (0.0, -0.0),
+                  [(-0.5, 0.0, 0.5), (-0.25, 0.0, 0.5)], 1, ((0.0, 0.0), [-0.0] * 4)))
+@example(problem=(_ARM, [0.0] * 4, [0.0] * 4, (-0.0, 0.0),
+                  [(0.0, -0.5, 0.5), (0.0, -0.25, 0.5)], 1, ((0.0, 0.0), [-0.0] * 4)))
 def test_kernel_agrees_with_central_difference_solver(problem):
-    # With or without a shared start, and with one start serving two forces,
-    # the kernel gives the same bits.  Where it and the central-difference
-    # solver both converge to the one equilibrium, the bend vectors agree; a
-    # non-finite force never converges.  Warnings are errors inside the test
-    # body only, so that hypothesis can still report a failing example.
+    # A warm hit of the memoized start, numpy q_cmd and tau0 included, gives
+    # the bits of a cold solve, also right after a solve whose zeros of w0
+    # and q_cmd have the other sign.  Where the kernel and the
+    # central-difference solver both converge to the one equilibrium, the
+    # bend vectors agree; a non-finite force never converges.  Warnings are
+    # errors inside the test body only, so that hypothesis can still report
+    # a failing example.
     #
     # The equilibrium is unique when the potential is strongly convex: the
     # tendon energy is convex, and sum_k u_k Hess(p_k) has spectral norm at
     # most length/3 for a unit u, so |f| * length < 1.5 * k_bend suffices
     # (margin 2).  A larger load can buckle the arm, and then the two
     # solvers may settle on different equilibria.
-    arm, q_cmd, tau0, w0, forces, max_iter = problem
+    arm, q_cmd, tau0, w0, forces, max_iter, (flipped_w0, flipped_q_cmd) = problem
     unique_below = 1.5 * arm[4] / arm[0] / arm[0]
+
+    def solve(force, q, w):
+        return core.solve_deflection(*arm, q, tau0, *force, *w, 5e-11, max_iter)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        start = core.deflection_start(*arm, q_cmd, tau0, *w0)
+        cold = []
         for force in forces:
-            args = (*arm, q_cmd, tau0, *force, *w0, 5e-11, max_iter)
-            result = core.solve_deflection(*args)
-            assert _bits(core.solve_deflection(*args, start)) == _bits(result)
+            core._deflection_model.cache_clear()
+            cold.append(solve(force, q_cmd, w0))
+        core._deflection_model.cache_clear()
+        solve(forces[0], flipped_q_cmd, flipped_w0)
+        for k, (force, result) in enumerate(zip(forces, cold)):
+            hits = core._deflection_model.cache_info().hits
+            warm = core.solve_deflection(*arm, np.array(q_cmd), np.array(tau0), *force, *w0,
+                                         5e-11, max_iter)
+            assert _bits(warm) == _bits(result)
+            if k:
+                assert core._deflection_model.cache_info().hits == hits + 1
             if not all(map(math.isfinite, force)):
                 assert result[4] == 0
                 continue
+            args = (*arm, q_cmd, tau0, *force, *w0, 5e-11, max_iter)
             expected = _parent_solve_deflection(*args)
             if result[4] and expected[4] and math.hypot(*force) < unique_below:
                 assert math.hypot(result[0] - expected[0], result[1] - expected[1]) <= 1e-9
@@ -405,7 +434,8 @@ def test_kernel_jacobian_matches_finite_differences(problem):
     # kink rule reproduces.  (The kernel's own float residual is too noisy to
     # difference just above SERIES_THRESHOLD, where 1 - cos(theta) cancels.)
     arm, q_cmd, tau0, force, w = problem
-    model = core.deflection_start(*arm, q_cmd, tau0, *w).model
+    model, _ = core._deflection_model(*arm, tuple(q_cmd), tuple(tau0), *w,
+                                      math.copysign(1.0, w[0]), math.copysign(1.0, w[1]))
     jacobian = np.array(core._with_force(core._force_free_part(*model, *w), *force)[2:])
     residual = _exact_residual(arm, q_cmd, tau0, force, w)
     fd = np.column_stack([
@@ -474,20 +504,34 @@ def test_arc_quotients_are_finite_at_straight(theta):
     assert all(map(math.isfinite, values))
 
 
+def _outcome(args):
+    # The solve's bits, or the type of the error it raised.
+    try:
+        return _bits(core.solve_deflection(*args))
+    except ValueError as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize("index,value", [
     (0, 0.3), (1, 0.021), (2, 1.5), (3, 5), (4, 2.5e-3), (5, 1500.0),
     (6, [0.0105, 0.0, -0.0105, 0.0]), (7, [0.25, 0.0, 0.0, 0.0]), (11, 0.52), (12, 0.01),
 ], ids=["length", "radius", "beta", "count", "flexural", "k_tendon", "q_cmd", "tau0", "wx0",
         "wy0"])
 def test_kernel_rejects_start_of_other_inputs(index, value):
+    # The start memoized for one solve is not reused by a solve that differs
+    # in a single input of it: that solve gives what it gives with the cache
+    # cleared, so the cache key holds every input.  Five tendons with four
+    # motor states raise ValueError.
     args = [0.25, 0.02, math.pi / 2, 4, 2.4543692606170264e-03, 1580.0,
             [0.0104719755, 0.0, -0.0104719755, 0.0], [0.2454369261, 0.0, 0.0, 0.0],
             0.42, 0.0, -0.24, 0.5236, 0.0, 5e-11, 100]
-    start = core.deflection_start(*args[:8], *args[11:13])
-    assert core.solve_deflection(*args, start) == core.solve_deflection(*args)
-    args[index] = value
-    with pytest.raises(ValueError, match="start"):
-        core.solve_deflection(*args, start)
+    other = list(args)
+    other[index] = value
+    core._deflection_model.cache_clear()
+    cold = _outcome(other)
+    core._deflection_model.cache_clear()
+    assert _outcome(args) != cold
+    assert _outcome(other) == cold
 
 
 def test_iteration_budget_reported(params, bend30):
@@ -642,26 +686,20 @@ def _default_protocol_sweep(params):
 
 
 def test_sweep_shares_one_start_per_bend(params, monkeypatch):
-    starts = []
-    start_extras = []
-    build = core.deflection_start
+    # 200 kernel solves from 5 start builds, one per commanded bend
+    solves = []
     kernel = core.solve_deflection
 
-    def counting_start(*args):
-        starts.append(build(*args))
-        return starts[-1]
-
     def counting_kernel(*args):
-        start_extras.append(args[15:])
+        solves.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(core, "deflection_start", counting_start)
     monkeypatch.setattr(core, "solve_deflection", counting_kernel)
+    core._deflection_model.cache_clear()
     _default_protocol_sweep(params)
-    assert len(starts) == 5
-    assert len(start_extras) == 200
-    assert all(len(extra) == 1 and any(extra[0] is s for s in starts)
-               for extra in start_extras)
+    info = core._deflection_model.cache_info()
+    assert len(solves) == 200
+    assert (info.misses, info.hits) == (5, 195)
 
 
 def test_sweep_evaluates_fewer_residuals(params, monkeypatch):

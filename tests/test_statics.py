@@ -407,8 +407,14 @@ def test_default_stiffness_bends_call_lapack_no_more(params, monkeypatch, theta_
     ("stiffness", []), ("perching", ["--axis", "x"]), ("perching", ["--axis", "z"])])
 def test_default_sweeps_run_without_lapack_solves(monkeypatch, tmp_path, capsys,
                                                   experiment, extra):
-    # lstsq and svd raise, and the default sweeps still write their golden bytes
+    # lstsq, svd and norm raise, and the default sweeps still write their
+    # golden bytes: load_N's bits do not hang on the BLAS kernel in use
     _forbid_lapack(monkeypatch)
+
+    def forbidden_norm(*args, **kwargs):
+        raise AssertionError("the default sweeps take no numpy norm")
+
+    monkeypatch.setattr(np.linalg, "norm", forbidden_norm)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--experiment", experiment, "--out", str(out), *extra]) == 0
     golden = "stiffness.csv" if experiment == "stiffness" else f"perching_{extra[1]}.csv"
