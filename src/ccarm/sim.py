@@ -34,9 +34,9 @@ import numpy as np
 
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
-from .kinematics import configuration_to_joints
+from .kinematics import _dot, _jacobian_v_columns
 from .model import Configuration, _readonly, _wrapped_angles
-from .statics import allocate_tensions
+from .statics import _allocate, _generalized_force
 
 # Newton loads beyond this are refused; the bench protocol stays around 1 N.
 DEFAULT_FORCE_CAP = 2.0
@@ -123,10 +123,13 @@ def _check_max_iter(max_iter):
 
 
 def _commanded_state(params, commanded_config, pretension):
-    # Float tuples (q_cmd, tau0): the motor lengths and tensions held locked.
-    q_cmd = configuration_to_joints(params, commanded_config).displacements
-    tau0 = allocate_tensions(params, commanded_config, None, pretension).tensions
-    return tuple(q_cmd.tolist()), tuple(tau0.tolist())
+    # Float tuples (q_cmd, tau0): the motor lengths r theta cos(delta + i beta)
+    # and the zero-wrench tensions held locked.
+    cos_v, _ = core.tendon_cos_sin(
+        params.tendon_division_angle, params.tendon_count, commanded_config.delta)
+    rt = params.pitch_radius * commanded_config.theta
+    tau0, _, _ = _allocate(params, commanded_config, None, pretension)
+    return tuple(rt * c for c in cos_v), tuple(tau0)
 
 
 def _arm(params):
@@ -140,25 +143,9 @@ def _locked_motor_force(params, theta, delta, q_cmd, tau0):
     # tau = max(0, tau0 - k (q - q_cmd)), on floats.
     cos_v, sin_v = core.tendon_cos_sin(
         params.tendon_division_angle, params.tendon_count, delta)
-    r, k = params.pitch_radius, params.tendon_axial_stiffness
-    rt = r * theta
-    pull_cos = pull_sin = 0.0
-    for c, s, qc, t0 in zip(cos_v, sin_v, q_cmd, tau0):
-        tau = max(0.0, t0 - k * (rt * c - qc))
-        pull_cos += c * tau
-        pull_sin += s * tau
-    return (theta * params.flexural_rigidity / params.backbone_length - r * pull_cos,
-            rt * pull_sin)
-
-
-def _jacobian_v_columns(params, theta, delta):
-    # The columns (c_theta, c_delta) of J_v, each a float 3-tuple.
-    a, b, c, d, e, f = core.jac_v(params.backbone_length, theta, delta)
-    return (a, c, e), (b, d, f)
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    k, rt = params.tendon_axial_stiffness, params.pitch_radius * theta
+    tau = [max(0.0, t0 - k * (rt * c - qc)) for c, qc, t0 in zip(cos_v, q_cmd, tau0)]
+    return _generalized_force(params, theta, cos_v, sin_v, tau)
 
 
 def _equilibrium(arm, state, f, w0, fallback_delta, max_iter):

@@ -11,6 +11,10 @@ ring sorted by angle.  The allocation tries the full ring, then the empty
 set and the n(n-1) proper arcs, a 2x2 system each, and keeps the KKT point
 among those with tau >= floor: an exact search, with no lstsq, SVD or
 iteration budget.
+
+The allocation, the generalized force and the residual run on Python floats
+in one core, ``_allocate``, which the solvers in ``sim`` call directly;
+numpy only builds the arrays a public function returns.
 """
 
 import math
@@ -20,7 +24,6 @@ import numpy as np
 
 from ._kernels import core
 from .errors import ConfigurationError, InfeasibleTensionsError
-from .kinematics import jacobian_q_psi, jacobian_x_psi
 from .model import _readonly
 
 
@@ -53,25 +56,67 @@ def energy_gradient(params, psi):
     return np.array([psi.theta * params.flexural_rigidity / params.backbone_length, 0.0])
 
 
-def _check_tensions(tensions, count):
-    tau = np.asarray(tensions, dtype=float).reshape(-1)
-    if tau.shape != (count,):
-        raise ConfigurationError(f"expected {count} tensions, got {tau.shape[0]}")
-    values = tau.tolist()
+def _check_tension_list(values, count):
+    # values, a list of floats, once they are count finite tensions >= 0
+    if len(values) != count:
+        raise ConfigurationError(f"expected {count} tensions, got {len(values)}")
     if not all(map(math.isfinite, values)):
-        raise ConfigurationError(f"tendon tensions must be finite, got {tau}")
+        raise ConfigurationError(f"tendon tensions must be finite, got {values}")
     if min(values) < -1e-12:
         raise ConfigurationError(f"negative tendon tension: {min(values)!r}")
-    return tau
+    return values
+
+
+def _check_tensions(tensions, count):
+    """Any array-like of tensions as a checked list of floats."""
+    return _check_tension_list(np.asarray(tensions, dtype=float).reshape(-1).tolist(), count)
+
+
+def _pulls(cos_v, sin_v, tau):
+    # (sum c_i tau_i, sum s_i tau_i), summed in tendon order
+    pull_cos = pull_sin = 0.0
+    for c, s, t in zip(cos_v, sin_v, tau):
+        pull_cos += c * t
+        pull_sin += s * t
+    return pull_cos, pull_sin
+
+
+def _generalized_force(params, theta, cos_v, sin_v, tau):
+    # grad(E) - J_q^T tau on floats: (theta EI/L - r sum c_i tau_i, r theta sum s_i tau_i)
+    pull_cos, pull_sin = _pulls(cos_v, sin_v, tau)
+    r = params.pitch_radius
+    return (theta * params.flexural_rigidity / params.backbone_length - r * pull_cos,
+            r * theta * pull_sin)
+
+
+def _external_force(params, psi, w_ext):
+    # J_x^T w_ext on floats, or None for no wrench.  A zero wrench (any signs
+    # of zero) would project to +0.0 entries, and x - (+0.0) has the bits of
+    # x for every x, -0.0 included: it is None too.
+    if w_ext is None:
+        return None
+    fx, fy, fz, mx, my, mz = w = w_ext.force.tolist() + w_ext.moment.tolist()
+    if not any(w):
+        return None
+    v = core.jac_v(params.backbone_length, psi.theta, psi.delta)
+    o = core.jac_w(psi.theta, psi.delta)
+    return (v[0] * fx + v[2] * fy + v[4] * fz + o[0] * mx + o[2] * my + o[4] * mz,
+            v[1] * fx + v[3] * fy + v[5] * fz + o[1] * mx + o[3] * my + o[5] * mz)
+
+
+def _residual(generalized, external):
+    if external is None:
+        return generalized
+    return generalized[0] - external[0], generalized[1] - external[1]
 
 
 def equilibrium_residual(params, psi, tensions, w_ext):
     """Configuration-space force imbalance grad(E) - J_q^T tau - J_x^T w_ext."""
     tau = _check_tensions(tensions, params.tendon_count)
-    res = energy_gradient(params, psi) - jacobian_q_psi(params, psi).T @ tau
-    if w_ext is not None:
-        res -= jacobian_x_psi(params, psi).T @ w_ext.as_vector()
-    return res
+    cos_v, sin_v = core.tendon_cos_sin(
+        params.tendon_division_angle, params.tendon_count, psi.delta)
+    return np.array(_residual(_generalized_force(params, psi.theta, cos_v, sin_v, tau),
+                              _external_force(params, psi, w_ext)))
 
 
 # A pretension past 2**500 N (about 3.3e150) would overflow squared tension norms.
@@ -169,11 +214,11 @@ def _arc_tensions(cos_v, sin_v, radius, theta, b1, b2, floor):
     return tau
 
 
-def allocate_tensions(params, psi, w_ext, pretension=0.0):
-    """Minimum-norm tau >= pretension with J_q^T tau = grad(E) - J_x^T w_ext.
+def _allocate(params, psi, w_ext, pretension):
+    """allocate_tensions on floats: (tensions, generalized force, residual).
 
-    w_ext None means no wrench.  Raises ConfigurationError for a pretension
-    < 0, non-finite or > 2**500 N, InfeasibleTensionsError when no tau does.
+    tensions is a list, the other two are float pairs re-evaluated from the
+    tensions by the products equilibrium_residual uses, so they share its bits.
     """
     if not (math.isfinite(pretension) and pretension >= 0.0):
         raise ConfigurationError(
@@ -182,19 +227,23 @@ def allocate_tensions(params, psi, w_ext, pretension=0.0):
         raise ConfigurationError(
             f"pretension {pretension:.3g} N exceeds {_MAX_PRETENSION:.3g} N, past which "
             "the tension allocation's squared norms overflow")
-    jq_t = jacobian_q_psi(params, psi).T
-    grad = energy_gradient(params, psi)
-    # A zero wrench (any signs of zero) projects to +0.0 entries, and
-    # x - (+0.0) has the bits of x for every x, -0.0 included: skip it.
-    external = None
-    if w_ext is not None and (w_ext.force.any() or w_ext.moment.any()):
-        external = jacobian_x_psi(params, psi).T @ w_ext.as_vector()
-    b = grad if external is None else grad - external
+    theta = psi.theta
     cos_v, sin_v = core.tendon_cos_sin(
         params.tendon_division_angle, params.tendon_count, psi.delta)
-    tau = _check_tensions(_arc_tensions(cos_v, sin_v, params.pitch_radius, psi.theta,
-                                        *b.tolist(), float(pretension)), params.tendon_count)
-    # bitwise equilibrium_residual(params, psi, tau, w_ext), from the same products
-    generalized = grad - jq_t @ tau
-    residual = generalized if external is None else generalized - external
+    external = _external_force(params, psi, w_ext)
+    grad = theta * params.flexural_rigidity / params.backbone_length
+    b1, b2 = (grad, 0.0) if external is None else (grad - external[0], 0.0 - external[1])
+    tau = _check_tension_list(_arc_tensions(cos_v, sin_v, params.pitch_radius, theta,
+                                            b1, b2, float(pretension)), params.tendon_count)
+    generalized = _generalized_force(params, theta, cos_v, sin_v, tau)
+    return tau, generalized, _residual(generalized, external)
+
+
+def allocate_tensions(params, psi, w_ext, pretension=0.0):
+    """Minimum-norm tau >= pretension with J_q^T tau = grad(E) - J_x^T w_ext.
+
+    w_ext None means no wrench.  Raises ConfigurationError for a pretension
+    < 0, non-finite or > 2**500 N, InfeasibleTensionsError when no tau does.
+    """
+    tau, generalized, residual = _allocate(params, psi, w_ext, pretension)
     return EquilibriumReport(residual=residual, tensions=tau, generalized_force=generalized)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ccarm
-from ccarm import (__version__, allocate_tensions, backend_name, cli, dump_parameters,
+from ccarm import (__version__, backend_name, cli, dump_parameters,
                    run_perching_sweep, run_stiffness_sweep, wrap_configuration)
 
 # The golden bytes of the three default sweeps.
@@ -350,12 +350,13 @@ def test_perching_sweep_csv(capsys, tmp_path):
 
 def test_perching_sweep_builds_commanded_state_once(capsys, tmp_path, monkeypatch):
     calls = []
+    allocate = ccarm.sim._allocate
 
     def counting_allocation(*args, **kwargs):
         calls.append(1)
-        return allocate_tensions(*args, **kwargs)
+        return allocate(*args, **kwargs)
 
-    monkeypatch.setattr(ccarm.sim, "allocate_tensions", counting_allocation)
+    monkeypatch.setattr(ccarm.sim, "_allocate", counting_allocation)
     ik_solves = []
     solve_tip_constraint = ccarm._kernels.core.solve_tip_constraint
 

@@ -639,12 +639,13 @@ def test_sweep_out_of_domain_points(params, deg, load, message):
 
 def test_sweep_builds_each_commanded_state_once(params, monkeypatch):
     calls = []
+    allocate = ccarm.sim._allocate
 
     def counting_allocation(*args, **kwargs):
         calls.append(args[1])
-        return allocate_tensions(*args, **kwargs)
+        return allocate(*args, **kwargs)
 
-    monkeypatch.setattr(ccarm.sim, "allocate_tensions", counting_allocation)
+    monkeypatch.setattr(ccarm.sim, "_allocate", counting_allocation)
     configs = [wrap_configuration(math.radians(deg), 0.0) for deg in (15, 45)]
     records = run_stiffness_sweep(params, configs, mirrored_schedule(0.196133, 3))
     assert len(records) == 12 and all(r.converged for r in records)

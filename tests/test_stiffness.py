@@ -1,8 +1,12 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccarm
 from ccarm import (Configuration, ConfigurationError, SingularConfigurationError,
                    Wrench, allocate_tensions, configuration_stiffness,
                    configuration_to_joints, energy_gradient, elastic_energy,
@@ -10,7 +14,7 @@ from ccarm import (Configuration, ConfigurationError, SingularConfigurationError
                    jacobian_q_psi_derivative_tensor, jacobian_v_derivatives,
                    jacobian_v_pinv_t_derivatives, jacobian_v_psi, stiffness_set,
                    task_stiffness, tendon_stiffness)
-from ccarm.sim import finite_difference_oracle
+from ccarm.sim import finite_difference_oracle, solve_deflection, solve_perching_reaction
 
 from conftest import random_configs
 
@@ -153,6 +157,10 @@ def test_task_stiffness_singular_at_straight(params):
     damped = task_stiffness(params, Configuration(0.0, 0.0), np.zeros(4),
                             np.zeros(2), damped=True)
     assert damped.shape == (3, 3) and np.all(np.isfinite(damped))
+    with pytest.raises(SingularConfigurationError):
+        jacobian_v_pinv_t_derivatives(params, Configuration(0.0, 0.0))
+    assert np.all(np.isfinite(jacobian_v_pinv_t_derivatives(
+        params, Configuration(0.0, 0.0), damping=1e-6)))
 
 
 def test_task_stiffness_zero_fstar_is_pure_congruence(params, rng):
@@ -212,3 +220,127 @@ def test_stiffness_set_bundle(params):
     assert np.allclose(np.diag(bundle.k_q), params.tendon_axial_stiffness)
     singular = stiffness_set(params, Configuration(0.0, 0.0), np.zeros(4))
     assert singular.k_x is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f_star", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, math.nan]])
+def test_task_stiffness_rejects_non_finite_fstar(params, f_star):
+    psi = ccarm.wrap_configuration(0.5, 0.3)
+    tau = allocate_tensions(params, psi, None, 0.0).tensions
+    for theta in (0.5, 0.0):  # checked before the straight-arm singularity
+        psi = Configuration(theta, 0.3)
+        with pytest.raises(ConfigurationError, match="finite"):
+            task_stiffness(params, psi, tau, f_star)
+        with pytest.raises(ConfigurationError, match="finite"):
+            stiffness_set(params, psi, tau, f_star)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f_star", [[1e308, 0.0], [0.0, -1e308], [1.7e308, 1.7e308]])
+def test_task_stiffness_rejects_overflowing_kx(params, f_star):
+    # a finite F* whose K_X does not fit a float raises, with no RuntimeWarning
+    psi = ccarm.wrap_configuration(0.5, 0.3)
+    tau = allocate_tensions(params, psi, None, 0.0).tensions
+    with pytest.raises(ConfigurationError, match="not finite"):
+        task_stiffness(params, psi, tau, f_star)
+    with pytest.raises(ConfigurationError, match="not finite"):
+        stiffness_set(params, psi, tau, f_star)
+
+
+def _numpy_task_stiffness(params, psi, tensions, f_star, damped):
+    """(sigma_min, K_X) by the numpy formula: svd, inv and column_stack.
+
+    K_X is None where the undamped map is singular.
+    """
+    jv = jacobian_v_psi(params, psi)
+    sigma_min = float(np.linalg.svd(jv, compute_uv=False)[-1])
+    if not damped and sigma_min < 1e-8 * params.backbone_length:
+        return sigma_min, None
+    m_inv = np.linalg.inv(jv.T @ jv + (1e-6 if damped else 0.0) * np.eye(2))
+    pinv_t = jv @ m_inv
+    slices = []
+    for dj in jacobian_v_derivatives(params, psi):
+        dm = dj.T @ jv + jv.T @ dj
+        slices.append(dj @ m_inv - jv @ m_inv @ dm @ m_inv)
+    first = np.column_stack([slices[0] @ f_star, slices[1] @ f_star]) @ pinv_t.T
+    return sigma_min, first + pinv_t @ configuration_stiffness(params, psi, tensions) @ pinv_t.T
+
+
+def _six_tendon(params):
+    return dataclasses.replace(params, tendon_count=6, tendon_division_angle=2.0 * math.pi / 6)
+
+
+@pytest.mark.parametrize("tendon_count", [4, 6])
+@pytest.mark.parametrize("damped", [False, True])
+def test_float_task_stiffness_matches_numpy_formula(params, tendon_count, damped):
+    # theta = 1.5e-8 and below is singular (sigma_min = L theta / 2 < 1e-8 L),
+    # 2.5e-8 and above is not
+    arm = params if tendon_count == 4 else _six_tendon(params)
+    f_star = np.array([3e-3, -2e-3])
+    for theta in (0.0, 1e-12, 1e-9, 1.5e-8, 2.5e-8, 1e-6, 1e-3, 0.3, 1.2, 2.8):
+        for delta in (-2.9, -0.4, 0.0, 0.7, 1.9):
+            psi = Configuration(theta, delta)
+            tau = allocate_tensions(arm, psi, None, 0.2).tensions
+            sigma_min, expected = _numpy_task_stiffness(arm, psi, tau, f_star, damped)
+            if expected is None:
+                with pytest.raises(SingularConfigurationError) as info:
+                    task_stiffness(arm, psi, tau, f_star, damped=damped)
+                assert abs(info.value.sigma_min - sigma_min) <= 4 * math.ulp(sigma_min)
+                continue
+            k_x = task_stiffness(arm, psi, tau, f_star, damped=damped)
+            assert np.linalg.norm(k_x - expected) <= 1e-12 * np.linalg.norm(expected)
+            bundle = stiffness_set(arm, psi, tau, f_star, damped=damped)
+            assert np.array_equal(bundle.k_x, k_x)
+
+
+def test_stiffness_set_evaluates_configuration_stiffness_once(params, monkeypatch):
+    calls = []
+    stiffness_core = ccarm.stiffness._configuration_stiffness
+
+    def counting(*args):
+        calls.append(1)
+        return stiffness_core(*args)
+
+    monkeypatch.setattr(ccarm.stiffness, "_configuration_stiffness", counting)
+    psi = Configuration(math.radians(30), 0.4)
+    tau = allocate_tensions(params, psi, None, 0.1).tensions
+    bundle = stiffness_set(params, psi, tau, [1e-3, 2e-3])
+    assert len(calls) == 1
+    assert np.array_equal(bundle.k_psi, configuration_stiffness(params, psi, tau))
+    assert np.array_equal(bundle.k_x, task_stiffness(params, psi, tau, [1e-3, 2e-3]))
+
+
+def test_point_queries_run_without_lapack(params, monkeypatch):
+    # svd, inv, lstsq and norm raise, and every single-call solver still returns
+    psi = Configuration(math.radians(40), 0.6)
+    six = _six_tendon(params)
+    anchor = np.array(ccarm.forward_kinematics(params, psi).position)
+    offset = anchor - np.array(ccarm.forward_kinematics(
+        params, Configuration(psi.theta + 0.02, psi.delta - 0.03)).position)
+    wrench = Wrench.from_force([0.1, -0.2, 0.05])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a single-call solver calls no numpy.linalg routine")
+
+    for name in ("svd", "inv", "lstsq", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for arm in (params, six):
+        report = allocate_tensions(arm, psi, wrench, 0.2)
+        assert task_stiffness(arm, psi, report.tensions, report.generalized_force).shape == (3, 3)
+        assert stiffness_set(arm, psi, report.tensions, damped=True).k_x.shape == (3, 3)
+        assert solve_deflection(arm, psi, [0.1, 0.2, -0.3], 0.1).converged
+    assert solve_perching_reaction(params, psi, anchor, offset, 0.1).converged
+
+
+def test_algebra_modules_make_no_linalg_call():
+    # statics and stiffness work on 2x2 and 3x2 operands in closed form
+    source = Path(ccarm.__file__).resolve().parent
+    for module in ("statics.py", "stiffness.py"):
+        tree = ast.parse((source / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "linalg", f"{module}:{node.lineno} uses numpy.linalg"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", "")]
+                assert not any("linalg" in (name or "") for name in names), \
+                    f"{module}:{node.lineno} imports numpy.linalg"
