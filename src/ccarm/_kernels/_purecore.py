@@ -132,6 +132,17 @@ def jac_v(length, theta, delta):
     )
 
 
+def jac_v_columns(length, theta, delta):
+    """The columns (c_theta, c_delta) of ``jac_v``, each a 3-tuple."""
+    a, b, c, d, e, f = jac_v(length, theta, delta)
+    return (a, c, e), (b, d, f)
+
+
+def dot(u, v):
+    """Dot product of two 3-sequences, summed in index order."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def jac_w(theta, delta):
     """Angular-velocity Jacobian, row-major 3x2."""
     st = math.sin(theta)

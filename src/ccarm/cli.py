@@ -6,6 +6,10 @@ print with 12 significant digits; sweep output is CSV written atomically
 
 Exit codes: 0 ok, 2 usage, 3 parameter file, 4 singular configuration,
 5 solver failure.
+
+The sweeps load no numpy.  The subcommands that print matrices (pose,
+jacobians, stiffness) import numpy and the kinematics and stiffness modules
+when they run.
 """
 
 import argparse
@@ -16,21 +20,15 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
 from ._kernels import backend_name
 from .errors import (CcarmError, ConfigurationError, ParameterError,
                      SingularConfigurationError)
-from .kinematics import (forward_kinematics, jacobian_q_psi, jacobian_v_psi,
-                         jacobian_w_psi, jacobian_w_psi_vectorized,
-                         jacobian_x_psi)
 from .model import (Wrench, default_parameters, load_parameters,
                     wrap_configuration)
 from .sim import (STANDARD_GRAVITY, _perching_points, _stiffness_points,
                   finite_difference_oracle)
 from .statics import allocate_tensions, equilibrium_residual
-from .stiffness import configuration_stiffness, task_stiffness, tendon_stiffness
 
 PARAMS_ENV_VAR = "CONTINUUM_PARAMS"
 _MAX_SWEEP_ROWS = 100_000  # CSV rows of one sweep, either experiment
@@ -50,6 +48,8 @@ def _fmt(x):
 
 
 def _print_matrix(name, matrix):
+    import numpy as np
+
     print(name)
     for row in np.atleast_2d(matrix):
         print(" ".join(_fmt(v) for v in row))
@@ -89,6 +89,8 @@ def _add_config_flags(parser):
 
 
 def cmd_pose(params, args):
+    from .kinematics import forward_kinematics
+
     pose = forward_kinematics(params, _config_from_args(args))
     print("position_m " + " ".join(_fmt(v) for v in pose.position))
     print("rotation_row_major " + " ".join(_fmt(v) for v in pose.rotation.ravel()))
@@ -96,6 +98,11 @@ def cmd_pose(params, args):
 
 
 def cmd_jacobians(params, args):
+    import numpy as np
+
+    from .kinematics import (forward_kinematics, jacobian_q_psi, jacobian_v_psi,
+                             jacobian_w_psi, jacobian_w_psi_vectorized, jacobian_x_psi)
+
     psi = _config_from_args(args)
     jq = jacobian_q_psi(params, psi)
     jv = jacobian_v_psi(params, psi)
@@ -149,6 +156,10 @@ def cmd_jacobians(params, args):
 
 
 def cmd_stiffness(params, args):
+    import numpy as np
+
+    from .stiffness import configuration_stiffness, task_stiffness, tendon_stiffness
+
     psi = _config_from_args(args)
     if args.tensions is not None:
         tau = np.array([float(v) for v in args.tensions.split(",")])

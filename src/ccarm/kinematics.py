@@ -83,16 +83,6 @@ def jacobian_v_psi(params, psi):
     return np.array(core.jac_v(params.backbone_length, psi.theta, psi.delta)).reshape(3, 2)
 
 
-def _jacobian_v_columns(params, theta, delta):
-    # The columns (c_theta, c_delta) of J_v, each a float 3-tuple.
-    a, b, c, d, e, f = core.jac_v(params.backbone_length, theta, delta)
-    return (a, c, e), (b, d, f)
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def jacobian_w_psi(params, psi):
     """Angular-velocity Jacobian, 3x2 closed form."""
     return np.array(core.jac_w(psi.theta, psi.delta)).reshape(3, 2)

@@ -1,19 +1,27 @@
 """Domain types, arm parameters and parameter-file ingestion.
 
-All records are frozen dataclasses holding read-only numpy arrays, so they
-can be shared across threads freely.  Angles are radians and every quantity
-is SI.
+All records are frozen dataclasses, so they can be shared across threads
+freely.  ArmParameters and Configuration hold floats; the other records hold
+read-only numpy arrays.  Angles are radians and every quantity is SI.
+
+numpy is imported only where an array is built or read, so that loading
+the parameters and the configurations loads no numpy.
 """
 
+from __future__ import annotations
+
+import functools
 import math
 import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_THETA_MAX = math.pi
 
@@ -35,6 +43,8 @@ _INERTIA_KEYS = ("backbone_second_moment_m4", "backbone_diameter_m")
 
 
 def _readonly(values, shape=None):
+    import numpy as np
+
     arr = np.array(values, dtype=float)
     if shape is not None:
         arr = arr.reshape(shape)
@@ -97,6 +107,8 @@ class ArmParameters:
     @property
     def tendon_phases(self):
         """Fixed angular offsets i*beta of the tendons on the pitch circle."""
+        import numpy as np
+
         return self.tendon_division_angle * np.arange(self.tendon_count)
 
 
@@ -165,6 +177,8 @@ class JointState:
     tensions: np.ndarray = None     # N, >= 0 when present
 
     def __post_init__(self):
+        import numpy as np
+
         q = _readonly(self.displacements, (-1,))
         if not np.all(np.isfinite(q)):
             raise ConfigurationError("non-finite tendon displacements")
@@ -186,6 +200,8 @@ class Pose:
     position: np.ndarray   # m
 
     def __post_init__(self):
+        import numpy as np
+
         rot = _readonly(self.rotation, (3, 3))
         pos = _readonly(self.position, (3,))
         if np.linalg.norm(rot.T @ rot - np.eye(3)) > 1e-10:
@@ -206,6 +222,8 @@ class Wrench:
     moment: np.ndarray   # N*m
 
     def __post_init__(self):
+        import numpy as np
+
         f = _readonly(self.force, (3,))
         m = _readonly(self.moment, (3,))
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(m))):
@@ -215,14 +233,16 @@ class Wrench:
 
     @classmethod
     def zero(cls):
-        return cls(np.zeros(3), np.zeros(3))
+        return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
     @classmethod
     def from_force(cls, force):
-        return cls(np.asarray(force, dtype=float), np.zeros(3))
+        return cls(force, (0.0, 0.0, 0.0))
 
     def as_vector(self):
         """Stacked 6-vector [force; moment]."""
+        import numpy as np
+
         return np.concatenate([self.force, self.moment])
 
 
@@ -243,6 +263,8 @@ class JacobianSet:
     @property
     def j_x_psi(self):
         """Stacked 6x2 twist Jacobian [j_v_psi; j_w_psi]."""
+        import numpy as np
+
         return np.vstack([self.j_v_psi, self.j_w_psi])
 
 
@@ -257,6 +279,8 @@ class StiffnessSet:
     tensions_at_point: np.ndarray  # N
 
     def __post_init__(self):
+        import numpy as np
+
         k_q = _readonly(self.k_q)
         diag = np.diag(k_q)
         if np.any(k_q - np.diag(diag)) or not np.allclose(diag, diag[0], rtol=1e-12):
@@ -371,12 +395,14 @@ def dump_parameters(params):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache  # the file ships with the package and the record is frozen
 def default_parameters():
     """Arm parameters shipped with the package.
 
     Desk-scale plausible values (0.25 m NiTi backbone, 20 mm pitch circle,
     braided-line tendons); they are stand-ins, not measurements of any
-    particular prototype.
+    particular prototype.  The file is read once per process and every call
+    returns the same record.
     """
     from importlib.resources import files
 

@@ -24,19 +24,25 @@ g - J_v^T f and the perching reaction start from.  The reaction
 orthogonal, so it is -(g_theta/|c_theta|^2) c_theta -
 (g_delta/|c_delta|^2) c_delta.  As numpy's pinv does, it drops a column no
 longer than 1e-15 times the other; c_delta vanishes at theta = 0.
+
+The sweep loops and the per-point cores need no numpy: it is imported only
+inside the functions that take or build arrays, so a CSV sweep loads none.
 """
+
+from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
-from .kinematics import _dot, _jacobian_v_columns
 from .model import Configuration, _readonly, _wrapped_angles
 from .statics import _allocate, _generalized_force
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Newton loads beyond this are refused; the bench protocol stays around 1 N.
 DEFAULT_FORCE_CAP = 2.0
@@ -94,6 +100,8 @@ class PerchingRecord:
 
 def finite_difference_oracle(f, x, step=1e-6):
     """Central-difference Jacobian of a vector map, column by column."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     cols = []
     for k in range(x.size):
@@ -177,8 +185,8 @@ def _deflection_record(params, state, point):
     residual = math.nan
     if converged:
         g_theta, g_delta = _locked_motor_force(params, theta, delta, *state)
-        c_theta, c_delta = _jacobian_v_columns(params, theta, delta)
-        residual = math.hypot(g_theta - _dot(c_theta, f), g_delta - _dot(c_delta, f))
+        c_theta, c_delta = core.jac_v_columns(params.backbone_length, theta, delta)
+        residual = math.hypot(g_theta - core.dot(c_theta, f), g_delta - core.dot(c_delta, f))
     return DeflectionRecord(
         applied_force=f,
         equilibrium_config=Configuration(theta, delta),
@@ -201,6 +209,8 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
     budget runs out, ConfigurationError for a non-finite force, past the force
     cap, a bend of pi or a max_iter that is not a non-negative integer.
     """
+    import numpy as np
+
     _check_max_iter(max_iter)
     f = tuple(np.asarray(tip_force, dtype=float).reshape(3).tolist())
     if not all(map(math.isfinite, f)):
@@ -232,6 +242,8 @@ def radial_load_direction(psi, direction):
     "inward" points toward the arc center (it deepens the bend), "outward"
     is its opposite.  Any other direction raises ConfigurationError.
     """
+    import numpy as np
+
     return np.array(_radial_direction(psi.theta, psi.delta, _direction_sign(direction)))
 
 
@@ -324,8 +336,8 @@ def _reaction(params, theta, delta, generalized):
     # J_v^T J_v is diagonal and the pseudoinverse scales each column by
     # 1/|c|^2.  A column no longer than 1e-15 times the longer one is dropped,
     # numpy pinv's default cutoff: c_delta vanishes with theta.
-    c_theta, c_delta = _jacobian_v_columns(params, theta, delta)
-    norms2 = (_dot(c_theta, c_theta), _dot(c_delta, c_delta))
+    c_theta, c_delta = core.jac_v_columns(params.backbone_length, theta, delta)
+    norms2 = (core.dot(c_theta, c_theta), core.dot(c_delta, c_delta))
     cutoff2 = _PINV_RCOND * _PINV_RCOND * max(norms2)
     a, b = (g / n2 if n2 > cutoff2 else 0.0 for g, n2 in zip(generalized, norms2))
     # + 0.0 turns -0.0 into 0.0: at delta = 0 the golden CSVs print fy as 0
@@ -389,6 +401,8 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
     no longer than 1e-15 times the other, which near theta = 0 is c_delta.
     A non-finite anchor or offset raises ConfigurationError before the IK.
     """
+    import numpy as np
+
     anchor = np.asarray(tip_anchor, dtype=float).reshape(3).tolist()
     offset = np.asarray(base_offset, dtype=float).reshape(3).tolist()
     if not all(map(math.isfinite, anchor + offset)):
@@ -402,20 +416,20 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
 def _perching_points(params, commanded_config, base_offsets, pretension, max_iter):
     """Float rows of a perching sweep: (offset, point) per base offset.
 
-    offset is a float 3-list and point _perch's row; a failed point has NaN
-    force, moment and IK residual and the commanded (theta, delta).  The tip
-    stays pinned at the commanded tip.  Inputs are validated, and the
-    commanded state built, before any point is solved.
+    base_offsets is a sequence of float 3-lists, each returned as the row's
+    offset beside _perch's row; a failed point has NaN force, moment and IK
+    residual and the commanded (theta, delta).  The tip stays pinned at the
+    commanded tip.  Inputs are validated, and the commanded state built,
+    before any point is solved.
     """
     _check_max_iter(max_iter)
-    offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3)
-    if not np.isfinite(offsets).all():
+    if not all(math.isfinite(v) for offset in base_offsets for v in offset):
         raise ConfigurationError("perching base offsets must be finite")
     theta, delta = commanded_config.theta, commanded_config.delta
     anchor = core.position(params.backbone_length, theta, delta)
     state = _commanded_state(params, commanded_config, pretension)
     sweep = []
-    for offset in offsets.tolist():
+    for offset in base_offsets:
         try:
             point = _perch(params, commanded_config, state, anchor, offset, max_iter)
         except _POINT_FAILURES as exc:
@@ -433,8 +447,12 @@ def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *
     not converged, anchor out of reach, an equilibrium bent past pi) is
     recorded with converged=False and NaN reaction force and moment; a
     non-finite offset or a max_iter that is not a non-negative integer raises
-    ConfigurationError before any point is solved.
+    ConfigurationError before any point is solved.  base_offsets is an (n, 3)
+    array-like or a flat sequence of 3n floats.
     """
+    import numpy as np
+
+    offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3).tolist()
     return [_perching_record(offset, point)
-            for offset, point in _perching_points(params, commanded_config, base_offsets,
+            for offset, point in _perching_points(params, commanded_config, offsets,
                                                   pretension, max_iter)]

@@ -14,17 +14,22 @@ iteration budget.
 
 The allocation, the generalized force and the residual run on Python floats
 in one core, ``_allocate``, which the solvers in ``sim`` call directly;
-numpy only builds the arrays a public function returns.
+numpy only builds the arrays a public function returns, and is imported
+inside the functions that do so: the sweeps in ``sim`` load no numpy.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._kernels import core
 from .errors import ConfigurationError, InfeasibleTensionsError
 from .model import _readonly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,8 @@ def elastic_energy(params, psi):
 
 def energy_gradient(params, psi):
     """Gradient of the elastic energy wrt (theta, delta)."""
+    import numpy as np
+
     return np.array([psi.theta * params.flexural_rigidity / params.backbone_length, 0.0])
 
 
@@ -69,6 +76,8 @@ def _check_tension_list(values, count):
 
 def _check_tensions(tensions, count):
     """Any array-like of tensions as a checked list of floats."""
+    import numpy as np
+
     return _check_tension_list(np.asarray(tensions, dtype=float).reshape(-1).tolist(), count)
 
 
@@ -112,6 +121,8 @@ def _residual(generalized, external):
 
 def equilibrium_residual(params, psi, tensions, w_ext):
     """Configuration-space force imbalance grad(E) - J_q^T tau - J_x^T w_ext."""
+    import numpy as np
+
     tau = _check_tensions(tensions, params.tendon_count)
     cos_v, sin_v = core.tendon_cos_sin(
         params.tendon_division_angle, params.tendon_count, psi.delta)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._kernels import core
 from .errors import ConfigurationError, SingularConfigurationError
-from .kinematics import _dot, _jacobian_v_columns, jacobian_q_psi
+from .kinematics import jacobian_q_psi
 from .model import StiffnessSet
 from .statics import _check_tensions, _pulls
 
@@ -120,7 +120,7 @@ def _pinv_t(columns, d_theta, d_delta, damping):
     # d[(J_v^T)^+] = dJ M^-1 - J M^-1 dM M^-1 has the columns
     # (dc_j - sum_i p_i dM_ij) / m_j with dM_ij = dc_i . c_j + c_i . dc_j.
     c1, c2 = columns
-    m1, m2 = _dot(c1, c1) + damping, _dot(c2, c2) + damping
+    m1, m2 = core.dot(c1, c1) + damping, core.dot(c2, c2) + damping
     if m1 == 0.0 or m2 == 0.0:
         raise SingularConfigurationError(
             "J_v^T J_v is singular: a column of J_v vanishes at theta = 0; "
@@ -129,7 +129,9 @@ def _pinv_t(columns, d_theta, d_delta, damping):
     p2 = [x / m2 for x in c2]
     slices = []
     for e1, e2 in (d_theta, d_delta):
-        dm11, dm12, dm22 = 2.0 * _dot(e1, c1), _dot(e1, c2) + _dot(c1, e2), 2.0 * _dot(e2, c2)
+        dm11 = 2.0 * core.dot(e1, c1)
+        dm12 = core.dot(e1, c2) + core.dot(c1, e2)
+        dm22 = 2.0 * core.dot(e2, c2)
         slices.append(([(e - x * dm11 - y * dm12) / m1 for e, x, y in zip(e1, p1, p2)],
                        [(e - x * dm12 - y * dm22) / m2 for e, x, y in zip(e2, p1, p2)]))
     return (p1, p2), slices[0], slices[1]
@@ -145,7 +147,7 @@ def jacobian_v_pinv_t_derivatives(params, psi, damping=0.0):
     SingularConfigurationError where a column vanishes and damping is 0.
     """
     return tuple(np.array(columns).T for columns in _pinv_t(
-        _jacobian_v_columns(params, psi.theta, psi.delta),
+        core.jac_v_columns(params.backbone_length, psi.theta, psi.delta),
         *_jacobian_v_slices(params.backbone_length, psi.theta, psi.delta), damping))
 
 
@@ -159,7 +161,7 @@ def _check_f_star(f_star):
 def _task_stiffness(params, psi, k_psi, f_star, damped):
     # K_X on floats, a row-major list of 9, from K_psi and F* as float pairs.
     length = params.backbone_length
-    columns = _jacobian_v_columns(params, psi.theta, psi.delta)
+    columns = core.jac_v_columns(params.backbone_length, psi.theta, psi.delta)
     # orthogonal columns: the singular values of J_v are the column norms
     sigma_min = min(math.hypot(*col) for col in columns)
     tol = 1e-8 * length

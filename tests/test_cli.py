@@ -335,6 +335,24 @@ def test_sweep_row_bound_solves_nothing(capsys, tmp_path, monkeypatch, experimen
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("axis", ["x", "z"])
+def test_perching_sweep_overflowing_offset_exit_code(capsys, tmp_path, monkeypatch, axis):
+    # three steps of max/3 mm round past the largest float: the last offset
+    # is inf on the axis, and inf * 0.0 = NaN off it
+    ik_solves = []
+    monkeypatch.setattr(ccarm._kernels.core, "solve_tip_constraint",
+                        lambda *args: ik_solves.append(1))
+    out_file = tmp_path / "overflow.csv"
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "perching",
+                             "--out", str(out_file), "--axis", axis,
+                             "--travel-mm", repr(sys.float_info.max),
+                             "--step-mm", repr(sys.float_info.max / 3))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: perching base offsets must be finite\n"
+    assert ik_solves == []
+    assert not out_file.exists()
+
+
 def test_perching_sweep_csv(capsys, tmp_path):
     out_file = tmp_path / "perch.csv"
     code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching",
@@ -603,24 +621,29 @@ def test_sweep_determinism(capsys, tmp_path):
 # ------------------------------------------------------- parameters and exits
 
 def test_params_file_flag(capsys, tmp_path, params):
+    # read on every call: only the packaged defaults are cached
     import dataclasses
-    longer = dataclasses.replace(params, backbone_length=0.5)
     path = tmp_path / "long.params"
-    path.write_text(dump_parameters(longer))
-    code, out, _ = run_cli(capsys, "pose", "--theta-deg", "0", "--params", str(path))
-    assert code == 0
-    assert _floats(out.splitlines()[0])[2] == pytest.approx(0.5)
+    for length in (0.5, 0.45):
+        path.write_text(dump_parameters(dataclasses.replace(params, backbone_length=length)))
+        code, out, _ = run_cli(capsys, "pose", "--theta-deg", "0", "--params", str(path))
+        assert code == 0
+        assert _floats(out.splitlines()[0])[2] == pytest.approx(length)
 
 
 def test_params_env_var(capsys, tmp_path, params, monkeypatch):
     import dataclasses
-    longer = dataclasses.replace(params, backbone_length=0.4)
     path = tmp_path / "env.params"
-    path.write_text(dump_parameters(longer))
     monkeypatch.setenv(cli.PARAMS_ENV_VAR, str(path))
-    code, out, _ = run_cli(capsys, "pose", "--theta-deg", "0")
-    assert code == 0
-    assert _floats(out.splitlines()[0])[2] == pytest.approx(0.4)
+    for length in (0.4, 0.35):
+        path.write_text(dump_parameters(dataclasses.replace(params, backbone_length=length)))
+        code, out, _ = run_cli(capsys, "pose", "--theta-deg", "0")
+        assert code == 0
+        assert _floats(out.splitlines()[0])[2] == pytest.approx(length)
+
+
+def test_default_parameters_read_once():
+    assert ccarm.default_parameters() is ccarm.default_parameters()
 
 
 def test_bad_params_exit_code(capsys, tmp_path):

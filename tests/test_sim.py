@@ -865,9 +865,45 @@ def test_perching_sweep_matches_point_solves(params, bend30):
     assert np.all(np.isnan(records[-1].reaction_moment))
 
 
-def test_perching_sweep_rejects_non_finite_offsets(params, bend30):
-    with pytest.raises(ConfigurationError):
-        run_perching_sweep(params, bend30, [np.zeros(3), np.array([np.inf, 0.0, 0.0])])
+def test_perching_sweep_rejects_non_finite_offsets(params, bend30, monkeypatch):
+    # in every offset form, and in the float loop under run_perching_sweep,
+    # before any IK solve
+    ik_solves = []
+    kernel = core.solve_tip_constraint
+
+    def counting_kernel(*args):
+        ik_solves.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "solve_tip_constraint", counting_kernel)
+    message = "perching base offsets must be finite"
+    for bad in (math.nan, math.inf):
+        rows = [[0.0, 0.0, 0.0], [1e-3, bad, 0.0]]
+        with pytest.raises(ConfigurationError, match=message):
+            ccarm.sim._perching_points(params, bend30, rows, 0.0, 100)
+        for offsets in (rows, [np.array(row) for row in rows], np.array(rows),
+                        [v for row in rows for v in row]):
+            with pytest.raises(ConfigurationError, match=message):
+                run_perching_sweep(params, bend30, offsets)
+    assert ik_solves == []
+
+
+def test_perching_sweep_offset_forms(params, bend30):
+    # run_perching_sweep takes (n, 3) array-likes or flat sequences of 3n
+    # floats; the sweep loop under it takes float 3-lists, as the CLI passes.
+    rows = [[k * 1e-3, 0.0, -2e-4 * k] for k in range(4)]
+    points = ccarm.sim._perching_points(params, bend30, rows, 0.0, 100)
+    assert [offset for offset, _ in points] == rows
+    for offsets in (rows, np.array(rows), [v for row in rows for v in row]):
+        records = run_perching_sweep(params, bend30, offsets)
+        assert [record.base_offset.tolist() for record in records] == rows
+        for record, (_, point) in zip(records, points):
+            force, moment, theta, delta, residual, iterations, converged = point
+            assert record.reaction_force.tolist() == list(force)
+            assert record.reaction_moment.tolist() == list(moment)
+            assert record.equilibrium_config == Configuration(theta, delta)
+            assert (record.ik_residual_norm, record.iterations, record.converged) == (
+                residual, iterations, converged)
 
 
 @pytest.mark.parametrize("anchor_shift,offset", [
