@@ -13,11 +13,13 @@ term is exact where a tendon is taut or slack; at the slack kink it is the
 central difference over the step 1e-7*(1+|w|), in closed form: the slope
 the central-difference Jacobian that this replaced took there, which keeps
 the default sweeps' Newton paths.  The residual and its Jacobian split into
-a force-free part and the tip-force term.  Every solve of one commanded
+a force-free part, evaluated as 21 flat floats, and the tip-force term,
+which the Newton loop contracts itself: the residual at every point, the
+Jacobian only where another step follows.  Every solve of one commanded
 configuration starts at the same w with the same arm and motor state, so
-the solve's constants and the force-free residual, Jacobian and tip Hessian
-rows at its start are memoized on exactly those inputs: the loads of one
-configuration share one evaluation, and a hit gives the bits of a fresh one.
+the solve's constants and the evaluation at its start are memoized on
+exactly those inputs: the loads of one configuration share one evaluation,
+and a hit gives the bits of a fresh one.
 
 Angles are radians, lengths meters.  Every arc quotient of the
 constant-curvature kinematics comes from one source: ``arc_quotients`` gives
@@ -199,19 +201,20 @@ def tendon_phase_cos_sin(beta, count):
     )
 
 
-def _force_free_part(length, radius, k_bend, k_tendon, tendons, wx, wy):
-    # Force-free parts of the bend-chart residual and its Jacobian at w.
-    # Returns (ax, ay, jp, k, hess): ax, ay = k_bend*w - g(w), the gradient
-    # of the total potential; jp = J_p(w), the tip Jacobian the force term
-    # contracts with; k = (k11, k12, k21, k22), the Jacobian of k_bend*w - g;
-    # and hess, the Hessian rows of bend_position, row-major like jp: rows
-    # d2p/dwx2, d2p/dwxdwy, d2p/dwy2, each holding the (x, y, z) components.
+def _force_free_part(model, wx, wy):
+    # One evaluation at w of the force-free parts of the bend-chart residual
+    # and its Jacobian, model being (length, radius, k_bend, k_tendon,
+    # tendons).  Returns 21 floats: ax, ay = k_bend*w - g(w), the gradient of
+    # the total potential; J_p(w), the tip Jacobian the force term contracts
+    # with, row-major 3x2; k11, k12, k21, k22, the Jacobian of k_bend*w - g;
+    # and the Hessian rows of bend_position, row-major like J_p: d2p/dwx2,
+    # d2p/dwxdwy, d2p/dwy2, each holding the (x, y, z) components.
     #
     # With a, b, c, e and h from hessian_quotients, the Hessian divided by
     # the length is d2px/dwx2 = 3wx b + wx^3 e, d2px/dwxdwy = wy b + wx^2 wy e,
     # d2px/dwy2 = wx b + wx wy^2 e, the py entries with x and y swapped, and
-    # d2pz/dwidwj = c delta_ij + wi wj h.  jp repeats _bend_point's Jacobian
-    # arithmetic inline, so that one evaluation of the quotients serves jp
+    # d2pz/dwidwj = c delta_ij + wi wj h.  J_p repeats _bend_point's Jacobian
+    # arithmetic inline, so that one evaluation of the quotients serves J_p
     # and the Hessian while the IK, which calls _bend_point, pays for no
     # Hessian.
     #
@@ -222,24 +225,15 @@ def _force_free_part(length, radius, k_bend, k_tendon, tendons, wx, wy):
     # h = 1e-7*(1+|w|) and m = |s|*h, it is s when t >= m, 0 when t <= -m and
     # s*(t + m)/(2m) in between.  tendons holds (cos phi, sin phi, q_cmd,
     # tau0, |s_x|, |s_y|, k r^2 cos phi, k r^2 sin phi) per tendon.
+    length, radius, k_bend, k_tendon, tendons = model
     a, _, b, c, e, h = hessian_quotients(math.hypot(wx, wy))
-    off = length * wx * wy * b
-    jp = (
-        length * (a + wx * wx * b), off,
-        off, length * (a + wy * wy * b),
-        length * wx * c, length * wy * c,
-    )
     xx = wx * wx
     yy = wy * wy
+    off = length * wx * wy * b
     bx = wx * b
     by = wy * b
     hxy = length * (by + xx * wy * e)       # d2px/dwxdwy = d2py/dwx2
     hyx = length * (bx + yy * wx * e)       # d2px/dwy2 = d2py/dwxdwy
-    hess = (
-        length * (3.0 * bx + xx * wx * e), hxy, length * (c + xx * h),
-        hxy, hyx, length * wx * wy * h,
-        hyx, length * (3.0 * by + yy * wy * e), length * (c + yy * h),
-    )
     hx = 1e-7 * (1.0 + abs(wx))
     hy = 1e-7 * (1.0 + abs(wy))
     gx = 0.0
@@ -262,22 +256,14 @@ def _force_free_part(length, radius, k_bend, k_tendon, tendons, wx, wy):
         t *= radius
         gx += t * cphi
         gy -= t * sphi
-    return k_bend * wx - gx, k_bend * wy - gy, jp, (k11, k12, k21, k22), hess
-
-
-def _with_force(part, fx, fy, fz):
-    # The residual k_bend*w - g(w) - J_p(w)^T f and its Jacobian
-    # k - sum_k f_k Hess(p_k), as (rx, ry, j11, j12, j21, j22).  Python
-    # evaluates the residual left to right, so it has the bits of the
-    # one-line expression whether or not the part was stored.
-    ax, ay, jp, k, hess = part
-    cross = hess[3] * fx + hess[4] * fy + hess[5] * fz
-    return (ax - (jp[0] * fx + jp[2] * fy + jp[4] * fz),
-            ay - (jp[1] * fx + jp[3] * fy + jp[5] * fz),
-            k[0] - (hess[0] * fx + hess[1] * fy + hess[2] * fz),
-            k[1] - cross,
-            k[2] - cross,
-            k[3] - (hess[6] * fx + hess[7] * fy + hess[8] * fz))
+    return (k_bend * wx - gx, k_bend * wy - gy,
+            length * (a + xx * b), off,
+            off, length * (a + yy * b),
+            length * wx * c, length * wy * c,
+            k11, k12, k21, k22,
+            length * (3.0 * bx + xx * wx * e), hxy, length * (c + xx * h),
+            hxy, hyx, length * wx * wy * h,
+            hyx, length * (3.0 * by + yy * wy * e), length * (c + yy * h))
 
 
 def _psi_residual_norm(rx, ry, wx, wy):
@@ -293,9 +279,9 @@ def _psi_residual_norm(rx, ry, wx, wy):
 @functools.lru_cache(maxsize=_START_CACHE_SIZE)
 def _deflection_model(length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx0, wy0,
                       wx0_sign, wy0_sign):
-    # The constants of a deflection solve and its force-free part at w0, as
-    # (model, part): model is _force_free_part's leading arguments, the
-    # tendon tuple included, and part its value at w0.  Memoized on exactly
+    # The constants of a deflection solve and its evaluation at w0, as
+    # (model, part): model is the constants _force_free_part takes, the
+    # tendon tuple included, and part its 21 floats at w0.  Memoized on exactly
     # the ten inputs it reads, floats and float tuples, so the solves of one
     # commanded configuration share one evaluation and a start from other
     # inputs cannot be reused.  The signs of w0's components complete the
@@ -308,7 +294,7 @@ def _deflection_model(length, radius, beta, count, flexural, k_tendon, q_cmd, ta
         for cphi, sphi, qc, t0 in zip(*tendon_phase_cos_sin(beta, count), q_cmd, tau0,
                                       strict=True))
     model = (length, radius, flexural / length, k_tendon, tendons)
-    return model, _force_free_part(*model, wx0, wy0)
+    return model, _force_free_part(model, wx0, wy0)
 
 
 def solve_deflection(length, radius, beta, count, flexural, k_tendon,
@@ -317,52 +303,61 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
 
     Damped Newton iteration (closed-form 2x2 Jacobian, backtracking line
     search halving the step; Nocedal and Wright, Numerical Optimization,
-    2006, ch. 11) on the bend-chart residual.  Every trial point evaluates
-    the residual and its Jacobian together, so an accepted step carries the
-    Jacobian of the next.  The Jacobian is exact except at a tendon's slack
-    kink, where it takes the central difference over the step
-    1e-7*(1+|w|) in closed form.  Convergence is judged on the residual norm
-    in (theta, delta) coordinates.  The constants and the force-free
-    residual, Jacobian and Hessian rows at w0 depend on every input but the
-    force, tol and max_iter; they are memoized on those inputs, so solves
-    that differ only in the force share them.
+    2006, ch. 11) on the bend-chart residual.  The start and every trial
+    point take one 21-float force-free evaluation, with which the loop
+    contracts the tip force itself: the residual at every point; at the
+    start or an accepted trial, the convergence test on the residual norm
+    in (theta, delta) coordinates; and only when another step follows, the
+    Jacobian.  The Jacobian is exact except at a tendon's slack kink, where
+    it takes the central difference over the step 1e-7*(1+|w|) in closed
+    form.  The constants and the evaluation at w0 depend on every input but
+    the force, tol and max_iter; they are memoized on those inputs, so
+    solves that differ only in the force share them.
 
     Returns (wx, wy, iterations, residual_norm, converged).
     """
-    wx, wy = float(wx0), float(wy0)
+    nwx, nwy = float(wx0), float(wy0)
     model, part = _deflection_model(
         float(length), float(radius), float(beta), count, float(flexural), float(k_tendon),
-        tuple(map(float, q_cmd)), tuple(map(float, tau0)), wx, wy,
-        math.copysign(1.0, wx), math.copysign(1.0, wy))
+        tuple(map(float, q_cmd)), tuple(map(float, tau0)), nwx, nwy,
+        math.copysign(1.0, nwx), math.copysign(1.0, nwy))
     fx, fy, fz, tol = float(fx), float(fy), float(fz), float(tol)
-    rx, ry, j11, j12, j21, j22 = _with_force(part, fx, fy, fz)
-    iters = 0
+    # The start is trial 0, taken as it is (alpha = 0); a later trial is
+    # taken on sufficient decrease, and the line search gives up after 40.
+    iters = -1
+    alpha = 0.0
     while True:
-        res = _psi_residual_norm(rx, ry, wx, wy)
-        if res < tol:
-            return wx, wy, iters, res, 1
-        if iters >= max_iter:
+        (ax, ay, p0, p1, p2, p3, p4, p5, k11, k12, k21, k22,
+         h0, h1, h2, h3, h4, h5, h6, h7, h8) = part
+        rx = ax - (p0 * fx + p2 * fy + p4 * fz)
+        ry = ay - (p1 * fx + p3 * fy + p5 * fz)
+        if not alpha or rx * rx + ry * ry <= phi0 * (1.0 - 1e-4 * alpha):
+            wx, wy = nwx, nwy
+            iters += 1
+            res = _psi_residual_norm(rx, ry, wx, wy)
+            if res < tol:
+                return wx, wy, iters, res, 1
+            if iters >= max_iter:
+                return wx, wy, iters, res, 0
+            cross = h3 * fx + h4 * fy + h5 * fz
+            j11 = k11 - (h0 * fx + h1 * fy + h2 * fz)
+            j12 = k12 - cross
+            j21 = k21 - cross
+            j22 = k22 - (h6 * fx + h7 * fy + h8 * fz)
+            det = j11 * j22 - j12 * j21
+            if not math.isfinite(det) or abs(det) < 1e-300:
+                return wx, wy, iters, res, 0
+            dx = -(j22 * rx - j12 * ry) / det
+            dy = -(j11 * ry - j21 * rx) / det
+            phi0 = rx * rx + ry * ry
+            alpha = 1.0
+        elif alpha == 0.5 ** 39:
             return wx, wy, iters, res, 0
-        det = j11 * j22 - j12 * j21
-        if not math.isfinite(det) or abs(det) < 1e-300:
-            return wx, wy, iters, res, 0
-        dx = -(j22 * rx - j12 * ry) / det
-        dy = -(j11 * ry - j21 * rx) / det
-        phi0 = rx * rx + ry * ry
-        alpha = 1.0
-        for _ in range(40):
-            nwx = wx + alpha * dx
-            nwy = wy + alpha * dy
-            trial = _with_force(_force_free_part(*model, nwx, nwy), fx, fy, fz)
-            nrx, nry = trial[0], trial[1]
-            if nrx * nrx + nry * nry <= phi0 * (1.0 - 1e-4 * alpha):
-                wx, wy = nwx, nwy
-                rx, ry, j11, j12, j21, j22 = trial
-                break
-            alpha *= 0.5
         else:
-            return wx, wy, iters, res, 0
-        iters += 1
+            alpha *= 0.5
+        nwx = wx + alpha * dx
+        nwy = wy + alpha * dy
+        part = _force_free_part(model, nwx, nwy)
 
 
 def solve_tip_constraint(length, wx0, wy0, tx, ty, tz, damping, tol, max_iter):

@@ -222,11 +222,9 @@ class Wrench:
     moment: np.ndarray   # N*m
 
     def __post_init__(self):
-        import numpy as np
-
         f = _readonly(self.force, (3,))
         m = _readonly(self.moment, (3,))
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(m))):
+        if not all(map(math.isfinite, f.tolist() + m.tolist())):
             raise ConfigurationError("non-finite wrench")
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "moment", m)

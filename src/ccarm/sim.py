@@ -156,26 +156,21 @@ def _locked_motor_force(params, theta, delta, q_cmd, tau0):
     return _generalized_force(params, theta, cos_v, sin_v, tau)
 
 
-def _equilibrium(arm, state, f, w0, fallback_delta, max_iter):
-    # The solve alone, on floats: returns (wx, wy, iterations, theta, delta).
+def _check_force_cap(f):
     magnitude = math.hypot(*f)
     if magnitude > DEFAULT_FORCE_CAP:
         raise ConfigurationError(
             f"tip force {magnitude:.3g} N exceeds cap {DEFAULT_FORCE_CAP:.3g} N")
-    wx, wy, iters, _, ok = core.solve_deflection(
-        *arm, *state, *f, *w0, 0.5 * _DEFLECTION_TOL, max_iter)
-    if not ok:
-        raise ConvergenceError(
-            f"deflection solve did not converge in {max_iter} iterations",
-            iterations=iters,
-        )
-    return (wx, wy, iters, *_bend_angles(wx, wy, fallback_delta))
 
 
-def _deflection_point(length, p0, f, equilibrium):
-    # The float row of a converged point, p0 being the unloaded tip:
+def _unconverged(iters, max_iter):
+    return ConvergenceError(f"deflection solve did not converge in {max_iter} iterations",
+                            iterations=iters)
+
+
+def _deflection_point(length, p0, f, wx, wy, iters, theta, delta):
+    # The float row of a converged point at w, p0 being the unloaded tip:
     # (f, tip displacement, iterations, theta, delta, True).
-    wx, wy, iters, theta, delta = equilibrium
     p1 = core.bend_position(length, wx, wy)
     return f, (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), iters, theta, delta, True
 
@@ -217,10 +212,15 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
         raise ConfigurationError(f"tip force must be finite, got {list(f)}")
     state = _commanded_state(params, commanded_config, pretension)
     w0 = _bend_vector(commanded_config)
-    equilibrium = _equilibrium(_arm(params), state, f, w0, commanded_config.delta, max_iter)
+    _check_force_cap(f)
+    wx, wy, iters, _, ok = core.solve_deflection(
+        *_arm(params), *state, *f, *w0, 0.5 * _DEFLECTION_TOL, max_iter)
+    if not ok:
+        raise _unconverged(iters, max_iter)
     length = params.backbone_length
     return _deflection_record(params, state, _deflection_point(
-        length, core.bend_position(length, *w0), f, equilibrium))
+        length, core.bend_position(length, *w0), f, wx, wy, iters,
+        *_bend_angles(wx, wy, commanded_config.delta)))
 
 
 def _direction_sign(direction):
@@ -251,15 +251,22 @@ def _solve_radial_load(arm, fallback_delta, w0, state, d0, load, sign, max_iter)
     # The bench rig re-aims the pull so it stays radial at the *deflected*
     # configuration: iterate direction and equilibrium to a joint fixed
     # point, from the commanded direction d0.  Returns the settled pass as
-    # (f, equilibrium).
+    # (f, wx, wy, iterations, theta, delta).
+    head = (*arm, *state)
+    w0x, w0y = w0
+    tol = 0.5 * _DEFLECTION_TOL
     d = d0
     for _ in range(_MAX_REAIM):
         f = (load * d[0], load * d[1], load * d[2])
-        equilibrium = _equilibrium(arm, state, f, w0, fallback_delta, max_iter)
-        d_new = _radial_direction(equilibrium[3], equilibrium[4], sign)
+        _check_force_cap(f)
+        wx, wy, iters, _, ok = core.solve_deflection(*head, *f, w0x, w0y, tol, max_iter)
+        if not ok:
+            raise _unconverged(iters, max_iter)
+        theta, delta = _bend_angles(wx, wy, fallback_delta)
+        d_new = _radial_direction(theta, delta, sign)
         if (abs(d_new[0] - d[0]) < _REAIM_TOL and abs(d_new[1] - d[1]) < _REAIM_TOL
                 and abs(d_new[2] - d[2]) < _REAIM_TOL):
-            return f, equilibrium
+            return f, wx, wy, iters, theta, delta
         d = d_new
     raise ConvergenceError("radial load direction did not settle while re-aiming")
 
@@ -290,8 +297,8 @@ def _stiffness_points(params, configs, load_schedule, direction, pretension, max
         points = []
         for load in loads:
             try:
-                f, equilibrium = _solve_radial_load(arm, config.delta, w0, state, d0, load,
-                                                    sign, max_iter)
+                settled = _solve_radial_load(arm, config.delta, w0, state, d0, load, sign,
+                                             max_iter)
             except _POINT_FAILURES as exc:
                 if strict:
                     raise type(exc)(
@@ -301,7 +308,7 @@ def _stiffness_points(params, configs, load_schedule, direction, pretension, max
                                getattr(exc, "iterations", 0) or 0,
                                config.theta, config.delta, False))
             else:
-                points.append(_deflection_point(length, p0, f, equilibrium))
+                points.append(_deflection_point(length, p0, *settled))
         sweep.append((config, state, points))
     return sweep
 

@@ -205,6 +205,23 @@ def test_joint_state_and_wrench_validation():
     assert Wrench.zero().as_vector().shape == (6,)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(6))
+def test_wrench_rejects_non_finite_entries(slot, bad):
+    values = [0.1, -0.2, 0.3, -0.01, 0.02, -0.03]
+    values[slot] = bad
+    with pytest.raises(ConfigurationError, match="non-finite wrench"):
+        Wrench(force=values[:3], moment=values[3:])
+
+
+def test_wrench_accepts_extreme_finite_entries():
+    values = [1e308, -1e308, 1e308, -1e308, 1e308, -1e308]
+    wrench = Wrench(force=np.array(values[:3]), moment=values[3:])
+    assert wrench.as_vector().tolist() == values
+    for array in (wrench.force, wrench.moment):
+        assert array.dtype == float and not array.flags.writeable
+
+
 def test_arm_parameters_frozen(params):
     with pytest.raises(AttributeError):
         params.backbone_length = 0.3

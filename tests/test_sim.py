@@ -436,7 +436,12 @@ def test_kernel_jacobian_matches_finite_differences(problem):
     arm, q_cmd, tau0, force, w = problem
     model, _ = core._deflection_model(*arm, tuple(q_cmd), tuple(tau0), *w,
                                       math.copysign(1.0, w[0]), math.copysign(1.0, w[1]))
-    jacobian = np.array(core._with_force(core._force_free_part(*model, *w), *force)[2:])
+    # The 21-float evaluation holds the force-free Jacobian at [8:12] and the
+    # tip Hessian rows d2p/dwx2, d2p/dwxdwy, d2p/dwy2 at [12:]; the force
+    # term is the Hessian contracted with the force.
+    part = core._force_free_part(model, *w)
+    second = np.reshape(part[12:], (3, 3)) @ np.array(force)
+    jacobian = np.array(part[8:12]) - second[[0, 1, 1, 2]]
     residual = _exact_residual(arm, q_cmd, tau0, force, w)
     fd = np.column_stack([
         finite_difference_oracle(residual, w, step=1e-7 * (1.0 + abs(w[axis])))[:, axis]
@@ -687,26 +692,29 @@ def _default_protocol_sweep(params):
 
 
 def test_sweep_shares_one_start_per_bend(params, monkeypatch):
-    # 200 kernel solves from 5 start builds, one per commanded bend
-    solves = []
+    # 200 kernel solves and 639 Newton iterations from 5 start builds, one
+    # per commanded bend
+    iterations = []
     kernel = core.solve_deflection
 
     def counting_kernel(*args):
-        solves.append(1)
-        return kernel(*args)
+        result = kernel(*args)
+        iterations.append(result[2])
+        return result
 
     monkeypatch.setattr(core, "solve_deflection", counting_kernel)
     core._deflection_model.cache_clear()
     _default_protocol_sweep(params)
     info = core._deflection_model.cache_info()
-    assert len(solves) == 200
+    assert (len(iterations), sum(iterations)) == (200, 639)
     assert (info.misses, info.hits) == (5, 195)
 
 
 def test_sweep_evaluates_fewer_residuals(params, monkeypatch):
     # One evaluation of the residual and its Jacobian per start and per
-    # line-search trial.  A central-difference Jacobian made 2440 residual
-    # evaluations here, four per Newton step on top of the trial points.
+    # line-search trial: 5 starts and 639 accepted trials, none rejected.  A
+    # central-difference Jacobian made 2440 residual evaluations here, four
+    # per Newton step on top of the trial points.
     evaluations = []
     evaluate = core._force_free_part
 
@@ -715,8 +723,9 @@ def test_sweep_evaluates_fewer_residuals(params, monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(core, "_force_free_part", counting_evaluation)
+    core._deflection_model.cache_clear()
     _default_protocol_sweep(params)
-    assert len(evaluations) <= 650
+    assert len(evaluations) == 644
 
 
 @pytest.mark.parametrize("max_iter", [-1, True, False, math.nan, 2.0, "3", None])
