@@ -155,8 +155,9 @@ def jac_w(theta, delta):
 
 
 def _bend_point(length, wx, wy):
-    # bend_position and bend_position_jacobian at w, from one evaluation of
-    # the arc quotients: the IK needs both at every trial point.
+    # The tip position at w and its Jacobian d/dw, row-major 3x2 and smooth
+    # through w = 0, from one evaluation of the arc quotients: the IK needs
+    # both at every trial point.
     a, s, b, c = arc_quotients(math.hypot(wx, wy))
     off = length * wx * wy * b
     return ((length * wx * a, length * wy * a, length * s),
@@ -168,11 +169,6 @@ def _bend_point(length, wx, wy):
 def bend_position(length, wx, wy):
     """Tip position in bend-vector coordinates w = theta*(cos d, sin d)."""
     return _bend_point(length, wx, wy)[0]
-
-
-def bend_position_jacobian(length, wx, wy):
-    """d(bend_position)/dw, row-major 3x2.  Smooth through w = 0."""
-    return _bend_point(length, wx, wy)[1]
 
 
 def tendon_cos_sin(beta, count, delta):
@@ -189,16 +185,6 @@ def tendon_cos_sin(beta, count, delta):
     cos_v = tuple(math.cos(delta + i * beta) for i in range(count))
     sin_v = tuple(math.sin(delta + i * beta) for i in range(count))
     return cos_v, sin_v
-
-
-def tendon_phase_cos_sin(beta, count):
-    """cos/sin of the fixed tendon phase angles i*beta."""
-    if count == 4 and beta == _HALF_PI:
-        return (1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)
-    return (
-        tuple(math.cos(i * beta) for i in range(count)),
-        tuple(math.sin(i * beta) for i in range(count)),
-    )
 
 
 def _force_free_part(model, wx, wy):
@@ -291,7 +277,7 @@ def _deflection_model(length, radius, beta, count, flexural, k_tendon, q_cmd, ta
     tendons = tuple(
         (cphi, sphi, qc, t0, abs(kr * cphi), abs(kr * sphi),
          kr * radius * cphi, kr * radius * sphi)
-        for cphi, sphi, qc, t0 in zip(*tendon_phase_cos_sin(beta, count), q_cmd, tau0,
+        for cphi, sphi, qc, t0 in zip(*tendon_cos_sin(beta, count, 0.0), q_cmd, tau0,
                                       strict=True))
     model = (length, radius, flexural / length, k_tendon, tendons)
     return model, _force_free_part(model, wx0, wy0)
@@ -423,6 +409,6 @@ def solve_tip_constraint(length, wx0, wy0, tx, ty, tz, damping, tol, max_iter):
                 break
             lam = lam * 10.0 + 1e-12
         if not stepped:
-            # error already at its floor; report the reachable residual as-is
-            return wx, wy, iters, reach, 1 if reach < tol else 0
+            # error already at its floor with reach >= tol: not converged
+            return wx, wy, iters, reach, 0
         iters += 1

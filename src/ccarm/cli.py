@@ -26,7 +26,7 @@ from .errors import (CcarmError, ConfigurationError, ParameterError,
                      SingularConfigurationError)
 from .model import (Wrench, default_parameters, load_parameters,
                     wrap_configuration)
-from .sim import (STANDARD_GRAVITY, _perching_points, _stiffness_points,
+from .sim import (STANDARD_GRAVITY, _out_and_back, _perching_points, _stiffness_points,
                   finite_difference_oracle)
 from .statics import allocate_tensions, equilibrium_residual
 
@@ -186,14 +186,6 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _out_and_back(items):
-    """Items, then back through them to the first: both sweeps' protocol.
-
-    The model is memoryless, so return-leg rows repeat the outward ones.
-    """
-    return items + items[-2::-1]
-
-
 def _status(converged):
     return "ok" if converged else "no_converge"
 
@@ -213,7 +205,7 @@ def _stiffness_sweep_rows(params, args):
     sweep = _stiffness_points(params, configs, loads, args.direction, args.pretension,
                               args.max_iter, strict=False)
     rows = []
-    for theta_deg, (_, _, points) in zip(configs_deg, sweep):
+    for theta_deg, (_, points) in zip(configs_deg, sweep):
         # Every cycle repeats the first, so solve and format each distinct
         # load once; a cycle starts at the first increment and ends unloaded.
         # load_N is the force's hypot, whose bits no BLAS kernel choice moves.
@@ -239,10 +231,10 @@ def _perching_sweep_rows(params, args):
             f"--travel-mm/--step-mm gives {ratio:g} steps out and back, "
             f"more than {_MAX_SWEEP_ROWS} rows")
     out = [k * args.step_mm * 1e-3 for k in range(0, steps + 1)]
-    sweep = _perching_points(params, config, [[offset * a for a in axis] for offset in out],
-                             args.pretension, args.max_iter)
+    points = _perching_points(params, config, [[offset * a for a in axis] for offset in out],
+                              args.pretension, args.max_iter)
     rows = [[_fmt(offset)] + [_fmt(v) for v in force + moment] + [_status(converged)]
-            for offset, (_, (force, moment, *_, converged)) in zip(out, sweep)]
+            for offset, (force, moment, *_, converged) in zip(out, points)]
     return _PERCHING_HEADER, _out_and_back(rows)
 
 

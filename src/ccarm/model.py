@@ -30,16 +30,20 @@ DEFAULT_THETA_MAX = math.pi
 # 128 (pure Python, one core), and a count of 100000 would run for hours.
 MAX_TENDON_COUNT = 64
 
-_REQUIRED_KEYS = (
-    "backbone_length_m",
-    "pitch_radius_m",
-    "tendon_division_angle_rad",
-    "tendon_count",
-    "backbone_youngs_modulus_pa",
-    "tendon_youngs_modulus_pa",
-    "tendon_cross_section_m2",
+# The parameter file's schema: one (ArmParameters field, file key) pair per
+# field, in field order.  backbone_diameter_m may stand in for the second
+# moment of area (I = pi d^4 / 64).
+_SCHEMA = (
+    ("backbone_length", "backbone_length_m"),
+    ("pitch_radius", "pitch_radius_m"),
+    ("tendon_division_angle", "tendon_division_angle_rad"),
+    ("tendon_count", "tendon_count"),
+    ("backbone_youngs_modulus", "backbone_youngs_modulus_pa"),
+    ("backbone_second_moment", "backbone_second_moment_m4"),
+    ("tendon_youngs_modulus", "tendon_youngs_modulus_pa"),
+    ("tendon_cross_section", "tendon_cross_section_m2"),
 )
-_INERTIA_KEYS = ("backbone_second_moment_m4", "backbone_diameter_m")
+_DIAMETER_KEY = "backbone_diameter_m"
 
 
 def _readonly(values, shape=None):
@@ -66,17 +70,9 @@ class ArmParameters:
     tendon_cross_section: float     # A, m^2
 
     def __post_init__(self):
-        names = {
-            "backbone_length": self.backbone_length,
-            "pitch_radius": self.pitch_radius,
-            "tendon_division_angle": self.tendon_division_angle,
-            "backbone_youngs_modulus": self.backbone_youngs_modulus,
-            "backbone_second_moment": self.backbone_second_moment,
-            "tendon_youngs_modulus": self.tendon_youngs_modulus,
-            "tendon_cross_section": self.tendon_cross_section,
-        }
-        for name, value in names.items():
-            if not (math.isfinite(value) and value > 0.0):
+        for name, _ in _SCHEMA:
+            value = getattr(self, name)
+            if name != "tendon_count" and not (math.isfinite(value) and value > 0.0):
                 raise ParameterError(f"non-positive {name}: {value!r}")
         count = self.tendon_count
         if isinstance(count, bool) or not isinstance(count, numbers.Integral):
@@ -323,24 +319,25 @@ def parameters_from_mapping(mapping):
     (backbone_second_moment_m4) or derived from a circular-backbone diameter
     (backbone_diameter_m, I = pi d^4 / 64); supplying both is rejected.
     """
-    known = set(_REQUIRED_KEYS) | set(_INERTIA_KEYS)
-    unknown = sorted(set(mapping) - known)
+    keys = dict(_SCHEMA)
+    moment_key = keys["backbone_second_moment"]
+    unknown = sorted(set(mapping) - set(keys.values()) - {_DIAMETER_KEY})
     if unknown:
         raise ParameterError(f"unknown parameter keys: {', '.join(unknown)}")
-    missing = sorted(k for k in _REQUIRED_KEYS if k not in mapping)
+    missing = sorted(k for k in keys.values() if k != moment_key and k not in mapping)
     if missing:
         raise ParameterError(f"missing parameter keys: {', '.join(missing)}")
 
-    has_moment = "backbone_second_moment_m4" in mapping
-    has_diameter = "backbone_diameter_m" in mapping
+    has_moment = moment_key in mapping
+    has_diameter = _DIAMETER_KEY in mapping
     if has_moment and has_diameter:
         raise ParameterError(
             "provide either backbone_second_moment_m4 or backbone_diameter_m, not both"
         )
     if has_moment:
-        second_moment = float(mapping["backbone_second_moment_m4"])
+        second_moment = float(mapping[moment_key])
     elif has_diameter:
-        d = float(mapping["backbone_diameter_m"])
+        d = float(mapping[_DIAMETER_KEY])
         if not (math.isfinite(d) and d > 0.0):
             raise ParameterError(f"non-positive backbone_diameter: {d!r}")
         second_moment = math.pi * d ** 4 / 64.0
@@ -349,20 +346,13 @@ def parameters_from_mapping(mapping):
             "missing parameter keys: backbone_second_moment_m4 or backbone_diameter_m"
         )
 
-    count = float(mapping["tendon_count"])
+    count = float(mapping[keys["tendon_count"]])
     if count != int(count):
         raise ParameterError(f"tendon_count must be an integer, got {count!r}")
 
-    return ArmParameters(
-        backbone_length=float(mapping["backbone_length_m"]),
-        pitch_radius=float(mapping["pitch_radius_m"]),
-        tendon_division_angle=float(mapping["tendon_division_angle_rad"]),
-        tendon_count=int(count),
-        backbone_youngs_modulus=float(mapping["backbone_youngs_modulus_pa"]),
-        backbone_second_moment=second_moment,
-        tendon_youngs_modulus=float(mapping["tendon_youngs_modulus_pa"]),
-        tendon_cross_section=float(mapping["tendon_cross_section_m2"]),
-    )
+    values = {name: float(mapping[key]) for name, key in _SCHEMA if key in mapping}
+    values.update(tendon_count=int(count), backbone_second_moment=second_moment)
+    return ArmParameters(**values)
 
 
 def load_parameters(path):
@@ -377,19 +367,16 @@ def load_parameters(path):
 def dump_parameters(params):
     """Serialize parameters to the flat key/value document format.
 
-    Floats are written with repr, so a load/dump/load round trip is
-    bit-for-bit stable.
+    One line per field, in field order, the second moment of area given
+    directly.  The tendon count is written as an integer and every other
+    field as repr(float(value)), so numpy scalars write plain numbers and a
+    load/dump/load round trip is bit-for-bit stable.
     """
-    lines = [
-        f"backbone_length_m = {params.backbone_length!r}",
-        f"pitch_radius_m = {params.pitch_radius!r}",
-        f"tendon_division_angle_rad = {params.tendon_division_angle!r}",
-        f"tendon_count = {params.tendon_count}",
-        f"backbone_youngs_modulus_pa = {params.backbone_youngs_modulus!r}",
-        f"backbone_second_moment_m4 = {params.backbone_second_moment!r}",
-        f"tendon_youngs_modulus_pa = {params.tendon_youngs_modulus!r}",
-        f"tendon_cross_section_m2 = {params.tendon_cross_section!r}",
-    ]
+    lines = []
+    for name, key in _SCHEMA:
+        value = getattr(params, name)
+        text = str(int(value)) if name == "tendon_count" else repr(float(value))
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

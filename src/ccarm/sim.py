@@ -273,7 +273,7 @@ def _solve_radial_load(arm, fallback_delta, w0, state, d0, load, sign, max_iter)
 
 def _stiffness_points(params, configs, load_schedule, direction, pretension, max_iter,
                       strict):
-    """Float rows of a stiffness sweep: (config, state, points) per configuration.
+    """Float rows of a stiffness sweep: (state, points) per configuration.
 
     points holds one row per load, (f, tip displacement, iterations, theta,
     delta, converged); a failed point keeps the first pass's force, NaN
@@ -309,7 +309,7 @@ def _stiffness_points(params, configs, load_schedule, direction, pretension, max
                                config.theta, config.delta, False))
             else:
                 points.append(_deflection_point(length, p0, *settled))
-        sweep.append((config, state, points))
+        sweep.append((state, points))
     return sweep
 
 
@@ -328,14 +328,20 @@ def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
     sweep = _stiffness_points(params, configs, load_schedule, direction, pretension,
                               max_iter, strict)
     return [_deflection_record(params, state, point)
-            for _, state, points in sweep for point in points]
+            for state, points in sweep for point in points]
+
+
+def _out_and_back(items):
+    """Items, then back through them to the first: both sweeps' protocol.
+
+    The model is memoryless, so return-leg rows repeat the outward ones.
+    """
+    return items + items[-2::-1]
 
 
 def mirrored_schedule(increment, steps):
     """Load schedule increasing in equal steps and mirrored back to zero."""
-    up = [increment * k for k in range(1, steps + 1)]
-    down = [increment * k for k in range(steps - 1, -1, -1)]
-    return up + down
+    return _out_and_back([increment * k for k in range(steps + 1)])[1:]
 
 
 def _reaction(params, theta, delta, generalized):
@@ -377,7 +383,7 @@ def _perch(params, commanded_config, state, anchor, offset, max_iter):
     # tip x force, each entry one product minus another as np.cross does it
     px, py, pz = core.bend_position(length, wx, wy)
     return ((fx, fy, fz), (py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx),
-            theta, delta, float(reach_residual), iters, True)
+            theta, delta, reach_residual, iters, True)
 
 
 def _perching_record(offset, point):
@@ -421,13 +427,12 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
 
 
 def _perching_points(params, commanded_config, base_offsets, pretension, max_iter):
-    """Float rows of a perching sweep: (offset, point) per base offset.
+    """Float rows of a perching sweep: _perch's row per base offset.
 
-    base_offsets is a sequence of float 3-lists, each returned as the row's
-    offset beside _perch's row; a failed point has NaN force, moment and IK
-    residual and the commanded (theta, delta).  The tip stays pinned at the
-    commanded tip.  Inputs are validated, and the commanded state built,
-    before any point is solved.
+    base_offsets is a sequence of float 3-lists.  A failed point has NaN
+    force, moment and IK residual and the commanded (theta, delta).  The tip
+    stays pinned at the commanded tip.  Inputs are validated, and the
+    commanded state built, before any point is solved.
     """
     _check_max_iter(max_iter)
     if not all(math.isfinite(v) for offset in base_offsets for v in offset):
@@ -435,15 +440,15 @@ def _perching_points(params, commanded_config, base_offsets, pretension, max_ite
     theta, delta = commanded_config.theta, commanded_config.delta
     anchor = core.position(params.backbone_length, theta, delta)
     state = _commanded_state(params, commanded_config, pretension)
-    sweep = []
+    points = []
     for offset in base_offsets:
         try:
             point = _perch(params, commanded_config, state, anchor, offset, max_iter)
         except _POINT_FAILURES as exc:
             point = (_NAN3, _NAN3, theta, delta, math.nan,
                      getattr(exc, "iterations", 0) or 0, False)
-        sweep.append((offset, point))
-    return sweep
+        points.append(point)
+    return points
 
 
 def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *,
@@ -461,5 +466,5 @@ def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *
 
     offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3).tolist()
     return [_perching_record(offset, point)
-            for offset, point in _perching_points(params, commanded_config, offsets,
-                                                  pretension, max_iter)]
+            for offset, point in zip(offsets, _perching_points(
+                params, commanded_config, offsets, pretension, max_iter))]

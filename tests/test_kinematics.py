@@ -37,7 +37,7 @@ def test_straight_configuration_limit(params):
     assert np.allclose(core.bend_position(length, wx, wy),
                        core.position(length, theta, delta), rtol=1e-14, atol=1e-18)
     dw_dpsi = np.array([[math.cos(delta), -wy], [math.sin(delta), wx]])
-    jp = np.array(core.bend_position_jacobian(length, wx, wy)).reshape(3, 2)
+    jp = np.array(core._bend_point(length, wx, wy)[1]).reshape(3, 2)
     assert np.allclose(jp @ dw_dpsi, np.array(core.jac_v(length, theta, delta)).reshape(3, 2),
                        rtol=1e-12, atol=1e-18)
 
@@ -146,7 +146,7 @@ def test_antagonism_exact(params, rng):
         assert q[0] + q[2] == 0.0
         assert q[1] + q[3] == 0.0
     # the evenly spaced four-tendon ring uses exact quadrant values
-    assert core.tendon_phase_cos_sin(math.pi / 2, 4) \
+    assert core.tendon_cos_sin(math.pi / 2, 4, 0.0) \
         == ((1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0))
 
 

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ccarm import (Configuration, ConfigurationError, JointState,
+from ccarm import (ArmParameters, Configuration, ConfigurationError, JointState,
                    ParameterError, Pose, Wrench, default_parameters,
-                   dump_parameters, forward_kinematics, parameters_from_mapping,
-                   parse_parameter_text, wrap_configuration, wrap_delta)
+                   dump_parameters, forward_kinematics, load_parameters,
+                   parameters_from_mapping, parse_parameter_text, wrap_configuration,
+                   wrap_delta)
+from ccarm.model import _SCHEMA
 
 DEFAULT_DOC = {
     "backbone_length_m": 0.25,
@@ -121,6 +123,38 @@ def test_round_trip_is_bit_for_bit(tmp_path):
     second = parameters_from_mapping(parse_parameter_text(path.read_text()))
     assert first == second
     assert dump_parameters(second) == dump_parameters(first)
+
+
+def test_schema_lists_every_field_in_order():
+    assert [name for name, _ in _SCHEMA] == [
+        field.name for field in dataclasses.fields(ArmParameters)]
+
+
+def test_dump_of_the_default_arm():
+    # field order, the second moment given directly, floats by repr
+    assert dump_parameters(default_parameters()) == (
+        "backbone_length_m = 0.25\n"
+        "pitch_radius_m = 0.02\n"
+        "tendon_division_angle_rad = 1.5707963267948966\n"
+        "tendon_count = 4\n"
+        "backbone_youngs_modulus_pa = 50000000000.0\n"
+        "backbone_second_moment_m4 = 4.908738521234053e-14\n"
+        "tendon_youngs_modulus_pa = 5000000000.0\n"
+        "tendon_cross_section_m2 = 7.9e-08\n")
+
+
+def test_dump_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    # numpy 2 reprs a float64 as np.float64(0.25), which the loader rejects
+    arm = dataclasses.replace(default_parameters(), backbone_length=np.float64(0.3),
+                              tendon_count=np.int64(6), tendon_division_angle=math.pi / 3)
+    text = dump_parameters(arm)
+    assert "backbone_length_m = 0.3\n" in text
+    assert "tendon_count = 6\n" in text
+    path = tmp_path / "arm.params"
+    path.write_text(text)
+    loaded = load_parameters(path)
+    assert loaded == arm
+    assert dump_parameters(loaded) == text
 
 
 def test_wrap_configuration_examples():

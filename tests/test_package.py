@@ -1,10 +1,12 @@
-"""The package surface: lazy public names, and a sweep path without numpy.
+"""The package surface: lazy public names, a sweep path without numpy, and
+no kernel function that only the tests call.
 
 ``import ccarm`` binds its public names and submodules on first access, so
 a CLI sweep process never loads numpy.  The numpy-free runs happen in a
 child interpreter in which ``import numpy`` fails.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -115,3 +117,24 @@ def test_cli_version_and_usage_errors_without_numpy(tmp_path):
     assert proc.stderr == "error: --step-mm must be finite and positive, got 0\n"
     assert not (tmp_path / "bad.csv").exists()
 
+
+# ------------------------------------------------------------ kernel callers
+
+def test_every_kernel_function_has_a_caller_outside_the_tests():
+    # A kernel function counts as used where its name is read in the package
+    # or the benchmark, other than inside its own definition.
+    package = Path(ccarm.__file__).resolve().parent
+    kernel = package / "_kernels" / "_purecore.py"
+    sources = [*package.rglob("*.py"),
+               *(Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")]
+    defined = [node.name for node in ast.parse(kernel.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.FunctionDef)]
+    used = set()
+    for path in sources:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+            if path == kernel:
+                names.discard(getattr(top, "name", None))
+            used |= names
+    assert defined and [name for name in defined if name not in used] == []

@@ -15,7 +15,7 @@ from ccarm import (Configuration, ConfigurationError, ConvergenceError,
                    jacobian_q_psi, jacobian_v_psi, mirrored_schedule, radial_load_direction,
                    run_perching_sweep, run_stiffness_sweep, solve_deflection,
                    solve_perching_reaction, task_stiffness, wrap_configuration)
-from ccarm._kernels._purecore import _psi_residual_norm, tendon_phase_cos_sin
+from ccarm._kernels._purecore import _psi_residual_norm
 from ccarm.sim import finite_difference_oracle
 from ccarm.stiffness import jacobian_v_derivatives
 
@@ -161,6 +161,16 @@ def test_kernels_report_non_finite_inputs_as_not_converged(params, bend30):
 _PARENT_SERIES_THRESHOLD = 1e-4
 
 
+def _parent_tendon_phase_cos_sin(beta, count):
+    """cos/sin of the fixed tendon phase angles i*beta."""
+    if count == 4 and beta == 0.5 * math.pi:
+        return (1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)
+    return (
+        tuple(math.cos(i * beta) for i in range(count)),
+        tuple(math.sin(i * beta) for i in range(count)),
+    )
+
+
 def _parent_bend_position_jacobian(length, wx, wy):
     """d(bend_position)/dw, row-major 3x2.  Smooth through w = 0."""
     theta = math.hypot(wx, wy)
@@ -210,7 +220,7 @@ def _parent_solve_deflection(length, radius, beta, count, flexural, k_tendon,
     q_cmd = [float(v) for v in q_cmd]
     tau0 = [float(v) for v in tau0]
     fx, fy, fz = float(fx), float(fy), float(fz)
-    cphi, sphi = tendon_phase_cos_sin(beta, count)
+    cphi, sphi = _parent_tendon_phase_cos_sin(beta, count)
     k_bend = flexural / length
     wx = float(wx0)
     wy = float(wy0)
@@ -364,7 +374,7 @@ def _jacobian_problems(draw):
     w = (theta * math.cos(delta), theta * math.sin(delta))
     theta_cmd = max(0.0, theta + draw(st.floats(-0.3, 0.3)))
     delta_cmd = delta + draw(st.floats(-0.5, 0.5))
-    cphi, sphi = tendon_phase_cos_sin(beta, count)
+    cphi, sphi = core.tendon_cos_sin(beta, count, 0.0)
     q_cmd = [radius * theta_cmd * math.cos(delta_cmd + i * beta) for i in range(count)]
     tau0 = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
     kink = draw(st.none() | st.tuples(st.integers(0, count - 1), st.floats(-1.5, 1.5),
@@ -401,7 +411,7 @@ def _exact_residual(arm, q_cmd, tau0, force, base):
     # 60-digit arithmetic from the kernel's float constants, less its value
     # at base so that the rounding to floats keeps the differences exact.
     length, radius, beta, count, flexural, k_tendon = arm
-    cphi, sphi = tendon_phase_cos_sin(beta, count)
+    cphi, sphi = core.tendon_cos_sin(beta, count, 0.0)
     mp = mpmath.mpf
 
     def exact(wx, wy):
@@ -486,7 +496,7 @@ def test_arc_quotients_match_a_50_digit_model(params, theta, delta):
         dw = (2 * sn - t * t * sn - 2 * t * cs) / t ** 3
         got = core.bend_position(length, wx, wy)
         assert _relative_error(got, position, max(map(abs, position))) <= 1e-12
-        got = core.bend_position_jacobian(length, wx, wy)
+        got = core._bend_point(length, wx, wy)[1]
         assert _relative_error(got, jacobian, max(map(abs, jacobian))) <= 1e-12
         got_h, got_s, got_g, got_w = core.arc_terms(theta)
         assert core.arc_terms(-theta) == (-got_h, got_s, got_g, -got_w)
@@ -505,7 +515,7 @@ def test_arc_quotients_are_finite_at_straight(theta):
     assert core.arc_terms(-theta) == (-h, s, g, -w)
     values = [h, w, *core.hessian_quotients(theta),
               *core.bend_position(0.25, theta, 0.0), *core.bend_position(0.25, 0.0, -theta),
-              *core.bend_position_jacobian(0.25, theta, 0.0)]
+              *core._bend_point(0.25, theta, 0.0)[1]]
     assert all(map(math.isfinite, values))
 
 
@@ -902,11 +912,11 @@ def test_perching_sweep_offset_forms(params, bend30):
     # floats; the sweep loop under it takes float 3-lists, as the CLI passes.
     rows = [[k * 1e-3, 0.0, -2e-4 * k] for k in range(4)]
     points = ccarm.sim._perching_points(params, bend30, rows, 0.0, 100)
-    assert [offset for offset, _ in points] == rows
+    assert len(points) == len(rows)
     for offsets in (rows, np.array(rows), [v for row in rows for v in row]):
         records = run_perching_sweep(params, bend30, offsets)
         assert [record.base_offset.tolist() for record in records] == rows
-        for record, (_, point) in zip(records, points):
+        for record, point in zip(records, points):
             force, moment, theta, delta, residual, iterations, converged = point
             assert record.reaction_force.tolist() == list(force)
             assert record.reaction_moment.tolist() == list(moment)
