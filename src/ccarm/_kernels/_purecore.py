@@ -93,7 +93,12 @@ def arc_terms(theta):
     a + t^2 b and w = s' = t c, so h and w are odd in t and s and g even,
     exactly, for either sign of theta.
     """
-    a, s, b, c = arc_quotients(abs(theta))
+    return _arc_terms(theta, arc_quotients(abs(theta)))
+
+
+def _arc_terms(theta, quotients):
+    # arc_terms of theta from quotients = arc_quotients(|theta|)
+    a, s, b, c = quotients
     return theta * a, s, a + theta * theta * b, theta * c
 
 
@@ -124,20 +129,17 @@ def position(length, theta, delta):
 
 def jac_v(length, theta, delta):
     """Linear-velocity Jacobian d(position)/d(theta, delta), row-major 3x2."""
-    h, _, g, w = arc_terms(theta)
+    (a, c, e), (b, d, f) = jac_v_columns(length, theta, delta, arc_quotients(abs(theta)))
+    return a, b, c, d, e, f
+
+
+def jac_v_columns(length, theta, delta, quotients):
+    """``jac_v``'s columns (c_theta, c_delta), from quotients = arc_quotients(|theta|)."""
+    h, _, g, w = _arc_terms(theta, quotients)
     sd = math.sin(delta)
     cd = math.cos(delta)
-    return (
-        length * cd * g, -length * sd * h,
-        length * sd * g, length * cd * h,
-        length * w, 0.0,
-    )
-
-
-def jac_v_columns(length, theta, delta):
-    """The columns (c_theta, c_delta) of ``jac_v``, each a 3-tuple."""
-    a, b, c, d, e, f = jac_v(length, theta, delta)
-    return (a, c, e), (b, d, f)
+    return ((length * cd * g, length * sd * g, length * w),
+            (-length * sd * h, length * cd * h, 0.0))
 
 
 def dot(u, v):
@@ -157,7 +159,8 @@ def jac_w(theta, delta):
 def _bend_point(length, wx, wy):
     # The tip position at w and its Jacobian d/dw, row-major 3x2 and smooth
     # through w = 0, from one evaluation of the arc quotients: the IK needs
-    # both at every trial point.
+    # both at every trial point.  The position is bend_tip's, written out
+    # because a call per trial would slow the IK by several percent.
     a, s, b, c = arc_quotients(math.hypot(wx, wy))
     off = length * wx * wy * b
     return ((length * wx * a, length * wy * a, length * s),
@@ -168,7 +171,13 @@ def _bend_point(length, wx, wy):
 
 def bend_position(length, wx, wy):
     """Tip position in bend-vector coordinates w = theta*(cos d, sin d)."""
-    return _bend_point(length, wx, wy)[0]
+    return bend_tip(length, wx, wy, arc_quotients(math.hypot(wx, wy)))
+
+
+def bend_tip(length, wx, wy, quotients):
+    """``bend_position`` from quotients = arc_quotients(hypot(wx, wy))."""
+    a, s, _, _ = quotients
+    return length * wx * a, length * wy * a, length * s
 
 
 def tendon_cos_sin(beta, count, delta):

@@ -1,8 +1,10 @@
 """Command-line front end: single-point queries and experiment sweeps.
 
 Angles are degrees at this boundary (radians everywhere inside).  Numbers
-print with 12 significant digits; sweep output is CSV written atomically
-(temp file + rename) so repeated runs are byte-comparable.
+print with 12 significant digits, from one format.  Sweep CSV, byte-comparable
+across runs, goes to a new file beside --out (mode 0o666 less the umask, as
+open() makes it) that is renamed over --out; an --out that cannot be written
+exits 2 and leaves no temporary file.
 
 Exit codes: 0 ok, 2 usage, 3 parameter file, 4 singular configuration,
 5 solver failure.
@@ -14,11 +16,9 @@ when they run.
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-import tempfile
 
 from . import __version__
 from ._kernels import backend_name
@@ -32,9 +32,15 @@ from .statics import allocate_tensions, equilibrium_residual
 
 PARAMS_ENV_VAR = "CONTINUUM_PARAMS"
 _MAX_SWEEP_ROWS = 100_000  # CSV rows of one sweep, either experiment
-_STIFFNESS_HEADER = ["config_theta_deg", "config_delta_deg", "cycle", "load_N",
-                     "disp_x_m", "disp_y_m", "disp_z_m", "iterations", "status"]
-_PERCHING_HEADER = ["offset_m", "fx_N", "fy_N", "fz_N", "mx_Nm", "my_Nm", "mz_Nm", "status"]
+_FORMAT = "%.12g"  # every number the CLI prints
+_STIFFNESS_HEADER = ("config_theta_deg,config_delta_deg,cycle,load_N,"
+                     "disp_x_m,disp_y_m,disp_z_m,iterations,status")
+# A stiffness row is a prefix per cycle and the fields of one distinct load.
+_STIFFNESS_PREFIX = ",".join([_FORMAT, _FORMAT, "%s", ""])
+_STIFFNESS_FIELDS = ",".join([_FORMAT] * 4 + ["%s", "%s"])
+_PERCHING_HEADER = "offset_m,fx_N,fy_N,fz_N,mx_Nm,my_Nm,mz_Nm,status"
+_PERCHING_ROW = ",".join([_FORMAT] * 7 + ["%s"])
+_FAILED = "no_converge"  # the status of a failed sweep point
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,7 +50,7 @@ EXIT_SOLVER = 5
 
 
 def _fmt(x):
-    return format(float(x), ".12g")
+    return _FORMAT % float(x)
 
 
 def _print_matrix(name, matrix):
@@ -55,17 +61,20 @@ def _print_matrix(name, matrix):
         print(" ".join(_fmt(v) for v in row))
 
 
-def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ccarm-", suffix=".tmp")
+def _write_atomic(path, data):
+    # data, bytes, replaces the file at path whole or not at all.
+    tmp = os.path.join(os.path.dirname(path), f".ccarm-{os.urandom(6).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
 def _resolve_params(args):
@@ -98,6 +107,8 @@ def cmd_pose(params, args):
 
 
 def cmd_jacobians(params, args):
+    import json
+
     import numpy as np
 
     from .kinematics import (forward_kinematics, jacobian_q_psi, jacobian_v_psi,
@@ -179,15 +190,8 @@ def cmd_stiffness(params, args):
     return EXIT_OK
 
 
-def _csv_text(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _status(converged):
-    return "ok" if converged else "no_converge"
+    return "ok" if converged else _FAILED
 
 
 def _stiffness_sweep_rows(params, args):
@@ -210,11 +214,10 @@ def _stiffness_sweep_rows(params, args):
         # load once; a cycle starts at the first increment and ends unloaded.
         # load_N is the force's hypot, whose bits no BLAS kernel choice moves.
         fields = _out_and_back([
-            [_fmt(math.hypot(*force)), _fmt(disp[0]), _fmt(disp[1]), _fmt(disp[2]),
-             str(iterations), _status(converged)]
+            _STIFFNESS_FIELDS % (math.hypot(*force), *disp, iterations, _status(converged))
             for force, disp, iterations, _, _, converged in points])[1:]
         for cycle in range(1, args.cycles + 1):
-            prefix = [_fmt(theta_deg), _fmt(args.delta_deg), str(cycle)]
+            prefix = _STIFFNESS_PREFIX % (theta_deg, args.delta_deg, cycle)
             rows += [prefix + row for row in fields]
     return _STIFFNESS_HEADER, rows
 
@@ -233,7 +236,7 @@ def _perching_sweep_rows(params, args):
     out = [k * args.step_mm * 1e-3 for k in range(0, steps + 1)]
     points = _perching_points(params, config, [[offset * a for a in axis] for offset in out],
                               args.pretension, args.max_iter)
-    rows = [[_fmt(offset)] + [_fmt(v) for v in force + moment] + [_status(converged)]
+    rows = [_PERCHING_ROW % (offset, *force, *moment, _status(converged))
             for offset, (force, moment, *_, converged) in zip(out, points)]
     return _PERCHING_HEADER, _out_and_back(rows)
 
@@ -251,9 +254,9 @@ def cmd_sweep(params, args):
         header, rows = _stiffness_sweep_rows(params, args)
     else:
         header, rows = _perching_sweep_rows(params, args)
-    _write_atomic(args.out, _csv_text(header, rows))
+    _write_atomic(args.out, "\n".join([header, *rows, ""]).encode())
     print(f"wrote {args.out} ({len(rows)} rows)")
-    failures = sum(row[-1] != "ok" for row in rows)
+    failures = sum(row.endswith(_FAILED) for row in rows)
     if failures:
         print(f"error: {failures} sweep points did not converge", file=sys.stderr)
         return EXIT_SOLVER

@@ -72,7 +72,11 @@ class ArmParameters:
     def __post_init__(self):
         for name, _ in _SCHEMA:
             value = getattr(self, name)
-            if name != "tendon_count" and not (math.isfinite(value) and value > 0.0):
+            if name == "tendon_count":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
                 raise ParameterError(f"non-positive {name}: {value!r}")
         count = self.tendon_count
         if isinstance(count, bool) or not isinstance(count, numbers.Integral):
@@ -312,6 +316,17 @@ def parse_parameter_text(text):
     return mapping
 
 
+def _mapped_number(mapping, key):
+    # float(mapping[key]), or ParameterError naming the key; True is no number
+    value = mapping[key]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{key} must be a number, got {value!r}")
+
+
 def parameters_from_mapping(mapping):
     """Validate a parameter mapping and build an ArmParameters record.
 
@@ -335,9 +350,9 @@ def parameters_from_mapping(mapping):
             "provide either backbone_second_moment_m4 or backbone_diameter_m, not both"
         )
     if has_moment:
-        second_moment = float(mapping[moment_key])
+        second_moment = _mapped_number(mapping, moment_key)
     elif has_diameter:
-        d = float(mapping[_DIAMETER_KEY])
+        d = _mapped_number(mapping, _DIAMETER_KEY)
         if not (math.isfinite(d) and d > 0.0):
             raise ParameterError(f"non-positive backbone_diameter: {d!r}")
         second_moment = math.pi * d ** 4 / 64.0
@@ -346,11 +361,11 @@ def parameters_from_mapping(mapping):
             "missing parameter keys: backbone_second_moment_m4 or backbone_diameter_m"
         )
 
-    count = float(mapping[keys["tendon_count"]])
-    if count != int(count):
+    count = _mapped_number(mapping, keys["tendon_count"])
+    if not count.is_integer():
         raise ParameterError(f"tendon_count must be an integer, got {count!r}")
 
-    values = {name: float(mapping[key]) for name, key in _SCHEMA if key in mapping}
+    values = {name: _mapped_number(mapping, key) for name, key in _SCHEMA if key in mapping}
     values.update(tendon_count=int(count), backbone_second_moment=second_moment)
     return ArmParameters(**values)
 

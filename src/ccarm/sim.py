@@ -13,17 +13,17 @@ one) and one sweep loop over it (``_stiffness_points``,
 those rows only at the API boundary: run_stiffness_sweep,
 run_perching_sweep, solve_deflection and solve_perching_reaction.  The CLI
 formats its CSV rows from the same float rows, so a sweep written to CSV
-builds no record and no Configuration per point.
+builds no record and no Configuration per point.  A perching point reads
+the floats of its commanded state (arm constants, IK start, locked motors),
+built once per state by ``_perching_state``, and one evaluation of the arc
+quotients at its equilibrium serves J_v's columns and the moment's tip.
 
 Solvers run in the smooth bend-vector chart internally (kernels module) and
 every returned record carries a residual re-evaluated here, independently of
 the solver's internal bookkeeping.  One helper gives the locked-motor
 generalized force g = (g_theta, g_delta), which both the deflection residual
-g - J_v^T f and the perching reaction start from.  The reaction
--(J_v^T)^+ g is in closed form: J_v's columns c_theta and c_delta are
-orthogonal, so it is -(g_theta/|c_theta|^2) c_theta -
-(g_delta/|c_delta|^2) c_delta.  As numpy's pinv does, it drops a column no
-longer than 1e-15 times the other; c_delta vanishes at theta = 0.
+g - J_v^T f and the perching reaction -(J_v^T)^+ g start from; the reaction
+is in closed form (see solve_perching_reaction).
 
 The sweep loops and the per-point cores need no numpy: it is imported only
 inside the functions that take or build arrays, so a CSV sweep loads none.
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
 from .model import Configuration, _readonly, _wrapped_angles
-from .statics import _allocate, _generalized_force
+from .statics import _allocate, _arm, _generalized_force
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,20 +140,22 @@ def _commanded_state(params, commanded_config, pretension):
     return tuple(rt * c for c in cos_v), tuple(tau0)
 
 
-def _arm(params):
-    # The arm constants of the deflection kernel, in its argument order.
-    return (params.backbone_length, params.pitch_radius, params.tendon_division_angle,
-            params.tendon_count, params.flexural_rigidity, params.tendon_axial_stiffness)
-
-
-def _locked_motor_force(params, theta, delta, q_cmd, tau0):
+def _locked_motor_force(arm, theta, delta, q_cmd, tau0):
     # (g_theta, g_delta) = grad E - J_q^T tau with the motors locked at q_cmd,
-    # tau = max(0, tau0 - k (q - q_cmd)), on floats.
-    cos_v, sin_v = core.tendon_cos_sin(
-        params.tendon_division_angle, params.tendon_count, delta)
-    k, rt = params.tendon_axial_stiffness, params.pitch_radius * theta
-    tau = [max(0.0, t0 - k * (rt * c - qc)) for c, qc, t0 in zip(cos_v, q_cmd, tau0)]
-    return _generalized_force(params, theta, cos_v, sin_v, tau)
+    # tau = max(0, tau0 - k (q - q_cmd)), on floats; arm is _arm(params).
+    _, radius, beta, count, _, k = arm
+    cos_v, sin_v = core.tendon_cos_sin(beta, count, delta)
+    rt = radius * theta
+    # The pulls as statics._pulls sums them, summed in one pass: a tendon with
+    # tau = 0 (t <= 0 or NaN) adds a signed zero there, which moves no bit of a
+    # sum that starts at +0.0, so it is skipped here.
+    pull_cos = pull_sin = 0.0
+    for c, s, qc, t0 in zip(cos_v, sin_v, q_cmd, tau0):
+        t = t0 - k * (rt * c - qc)
+        if t > 0.0:
+            pull_cos += c * t
+            pull_sin += s * t
+    return _generalized_force(arm, theta, pull_cos, pull_sin)
 
 
 def _check_force_cap(f):
@@ -175,12 +177,12 @@ def _deflection_point(length, p0, f, wx, wy, iters, theta, delta):
     return f, (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), iters, theta, delta, True
 
 
-def _deflection_record(params, state, point):
+def _deflection_record(arm, state, point):
     f, disp, iters, theta, delta, converged = point
     residual = math.nan
     if converged:
-        g_theta, g_delta = _locked_motor_force(params, theta, delta, *state)
-        c_theta, c_delta = core.jac_v_columns(params.backbone_length, theta, delta)
+        g_theta, g_delta = _locked_motor_force(arm, theta, delta, *state)
+        c_theta, c_delta = core.jac_v_columns(arm[0], theta, delta, core.arc_quotients(theta))
         residual = math.hypot(g_theta - core.dot(c_theta, f), g_delta - core.dot(c_delta, f))
     return DeflectionRecord(
         applied_force=f,
@@ -210,15 +212,16 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
     f = tuple(np.asarray(tip_force, dtype=float).reshape(3).tolist())
     if not all(map(math.isfinite, f)):
         raise ConfigurationError(f"tip force must be finite, got {list(f)}")
+    arm = _arm(params)
     state = _commanded_state(params, commanded_config, pretension)
     w0 = _bend_vector(commanded_config)
     _check_force_cap(f)
     wx, wy, iters, _, ok = core.solve_deflection(
-        *_arm(params), *state, *f, *w0, 0.5 * _DEFLECTION_TOL, max_iter)
+        *arm, *state, *f, *w0, 0.5 * _DEFLECTION_TOL, max_iter)
     if not ok:
         raise _unconverged(iters, max_iter)
-    length = params.backbone_length
-    return _deflection_record(params, state, _deflection_point(
+    length = arm[0]
+    return _deflection_record(arm, state, _deflection_point(
         length, core.bend_position(length, *w0), f, wx, wy, iters,
         *_bend_angles(wx, wy, commanded_config.delta)))
 
@@ -327,7 +330,8 @@ def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
     """
     sweep = _stiffness_points(params, configs, load_schedule, direction, pretension,
                               max_iter, strict)
-    return [_deflection_record(params, state, point)
+    arm = _arm(params)
+    return [_deflection_record(arm, state, point)
             for state, points in sweep for point in points]
 
 
@@ -344,44 +348,51 @@ def mirrored_schedule(increment, steps):
     return _out_and_back([increment * k for k in range(steps + 1)])[1:]
 
 
-def _reaction(params, theta, delta, generalized):
-    # -(J_v^T)^+ g in closed form.  J_v's columns are orthogonal, so
-    # J_v^T J_v is diagonal and the pseudoinverse scales each column by
-    # 1/|c|^2.  A column no longer than 1e-15 times the longer one is dropped,
-    # numpy pinv's default cutoff: c_delta vanishes with theta.
-    c_theta, c_delta = core.jac_v_columns(params.backbone_length, theta, delta)
-    norms2 = (core.dot(c_theta, c_theta), core.dot(c_delta, c_delta))
-    cutoff2 = _PINV_RCOND * _PINV_RCOND * max(norms2)
-    a, b = (g / n2 if n2 > cutoff2 else 0.0 for g, n2 in zip(generalized, norms2))
+def _reaction(columns, generalized):
+    # -(J_v^T)^+ g in closed form from J_v's columns (c_theta, c_delta): they
+    # are orthogonal, so the pseudoinverse scales each column by 1/|c|^2.  A
+    # column no longer than 1e-15 times the longer one is dropped, numpy
+    # pinv's default cutoff: c_delta vanishes with theta.
+    (tx, ty, tz), (dx, dy, dz) = columns
+    g_theta, g_delta = generalized
+    n_theta = tx * tx + ty * ty + tz * tz
+    n_delta = dx * dx + dy * dy + dz * dz
+    cutoff2 = _PINV_RCOND * _PINV_RCOND * max(n_theta, n_delta)
+    a = g_theta / n_theta if n_theta > cutoff2 else 0.0
+    b = g_delta / n_delta if n_delta > cutoff2 else 0.0
     # + 0.0 turns -0.0 into 0.0: at delta = 0 the golden CSVs print fy as 0
-    return tuple(-(a * t + b * d) + 0.0 for t, d in zip(c_theta, c_delta))
+    return -(a * tx + b * dx) + 0.0, -(a * ty + b * dy) + 0.0, -(a * tz + b * dz) + 0.0
 
 
-def _perch(params, commanded_config, state, anchor, offset, max_iter):
-    # One perching point on floats, anchor and offset being float 3-sequences:
-    # returns the row (force, moment, theta, delta, ik_residual, iterations,
-    # True), or raises the point's failure.
-    target = [a - o for a, o in zip(anchor, offset)]
-    length = params.backbone_length
-    reach = math.hypot(*target)
+def _perching_state(params, commanded_config, pretension):
+    # The floats every perching point of one commanded state reads: the arm
+    # constants, the IK start w0, the commanded delta (a straight equilibrium
+    # keeps it) and the locked motors (q_cmd, tau0).
+    return (_arm(params), *_bend_vector(commanded_config), commanded_config.delta,
+            *_commanded_state(params, commanded_config, pretension))
+
+
+def _perch(perching, tx, ty, tz, max_iter):
+    # One perching point on floats, the tip pinned at t = anchor - offset and
+    # perching being _perching_state's: returns the row (force, moment, theta,
+    # delta, ik_residual, iterations, True), or raises the point's failure.
+    arm, w0x, w0y, fallback_delta, q_cmd, tau0 = perching
+    length = arm[0]
+    reach = math.hypot(tx, ty, tz)
     if reach > length * (1.0 + 1e-9):
         raise UnreachableTargetError(
-            f"anchor at distance {reach:.4g} m exceeds the arm length {length:.4g} m"
-        )
-    w0x, w0y = _bend_vector(commanded_config)
+            f"anchor at distance {reach:.4g} m exceeds the arm length {length:.4g} m")
     wx, wy, iters, reach_residual, ok = core.solve_tip_constraint(
-        length, w0x, w0y, target[0], target[1], target[2], _IK_DAMPING, _IK_TOL, max_iter,
-    )
+        length, w0x, w0y, tx, ty, tz, _IK_DAMPING, _IK_TOL, max_iter)
     if not ok:
-        raise ConvergenceError(
-            f"constrained-tip IK did not converge in {max_iter} iterations",
-            iterations=iters, residual=reach_residual,
-        )
-    theta, delta = _bend_angles(wx, wy, commanded_config.delta)
-    fx, fy, fz = _reaction(params, theta, delta,
-                           _locked_motor_force(params, theta, delta, *state))
+        raise ConvergenceError(f"constrained-tip IK did not converge in {max_iter} iterations",
+                               iterations=iters, residual=reach_residual)
+    theta, delta = _bend_angles(wx, wy, fallback_delta)
+    quotients = core.arc_quotients(theta)  # theta is hypot(wx, wy): bend_position's too
+    fx, fy, fz = _reaction(core.jac_v_columns(length, theta, delta, quotients),
+                           _locked_motor_force(arm, theta, delta, q_cmd, tau0))
     # tip x force, each entry one product minus another as np.cross does it
-    px, py, pz = core.bend_position(length, wx, wy)
+    px, py, pz = core.bend_tip(length, wx, wy, quotients)
     return ((fx, fy, fz), (py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx),
             theta, delta, reach_residual, iters, True)
 
@@ -421,9 +432,10 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
     if not all(map(math.isfinite, anchor + offset)):
         raise ConfigurationError(
             f"perching tip anchor and base offset must be finite, got {anchor} and {offset}")
-    state = _commanded_state(params, commanded_config, pretension)
+    (ax, ay, az), (ox, oy, oz) = anchor, offset
     return _perching_record(offset, _perch(
-        params, commanded_config, state, anchor, offset, _MAX_ITER))
+        _perching_state(params, commanded_config, pretension),
+        ax - ox, ay - oy, az - oz, _MAX_ITER))
 
 
 def _perching_points(params, commanded_config, base_offsets, pretension, max_iter):
@@ -438,12 +450,12 @@ def _perching_points(params, commanded_config, base_offsets, pretension, max_ite
     if not all(math.isfinite(v) for offset in base_offsets for v in offset):
         raise ConfigurationError("perching base offsets must be finite")
     theta, delta = commanded_config.theta, commanded_config.delta
-    anchor = core.position(params.backbone_length, theta, delta)
-    state = _commanded_state(params, commanded_config, pretension)
+    ax, ay, az = core.position(params.backbone_length, theta, delta)
+    perching = _perching_state(params, commanded_config, pretension)
     points = []
-    for offset in base_offsets:
+    for ox, oy, oz in base_offsets:
         try:
-            point = _perch(params, commanded_config, state, anchor, offset, max_iter)
+            point = _perch(perching, ax - ox, ay - oy, az - oz, max_iter)
         except _POINT_FAILURES as exc:
             point = (_NAN3, _NAN3, theta, delta, math.nan,
                      getattr(exc, "iterations", 0) or 0, False)

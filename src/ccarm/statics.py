@@ -90,12 +90,17 @@ def _pulls(cos_v, sin_v, tau):
     return pull_cos, pull_sin
 
 
-def _generalized_force(params, theta, cos_v, sin_v, tau):
-    # grad(E) - J_q^T tau on floats: (theta EI/L - r sum c_i tau_i, r theta sum s_i tau_i)
-    pull_cos, pull_sin = _pulls(cos_v, sin_v, tau)
-    r = params.pitch_radius
-    return (theta * params.flexural_rigidity / params.backbone_length - r * pull_cos,
-            r * theta * pull_sin)
+def _arm(params):
+    # The arm constants as floats, in the deflection kernel's argument order.
+    return (params.backbone_length, params.pitch_radius, params.tendon_division_angle,
+            params.tendon_count, params.flexural_rigidity, params.tendon_axial_stiffness)
+
+
+def _generalized_force(arm, theta, pull_cos, pull_sin):
+    # grad(E) - J_q^T tau on floats from the pulls of tau, as _pulls sums them:
+    # (theta EI/L - r sum c_i tau_i, r theta sum s_i tau_i)
+    length, radius, _, _, flexural, _ = arm
+    return theta * flexural / length - radius * pull_cos, radius * theta * pull_sin
 
 
 def _external_force(params, psi, w_ext):
@@ -126,7 +131,8 @@ def equilibrium_residual(params, psi, tensions, w_ext):
     tau = _check_tensions(tensions, params.tendon_count)
     cos_v, sin_v = core.tendon_cos_sin(
         params.tendon_division_angle, params.tendon_count, psi.delta)
-    return np.array(_residual(_generalized_force(params, psi.theta, cos_v, sin_v, tau),
+    return np.array(_residual(_generalized_force(_arm(params), psi.theta,
+                                                 *_pulls(cos_v, sin_v, tau)),
                               _external_force(params, psi, w_ext)))
 
 
@@ -246,7 +252,7 @@ def _allocate(params, psi, w_ext, pretension):
     b1, b2 = (grad, 0.0) if external is None else (grad - external[0], 0.0 - external[1])
     tau = _check_tension_list(_arc_tensions(cos_v, sin_v, params.pitch_radius, theta,
                                             b1, b2, float(pretension)), params.tendon_count)
-    generalized = _generalized_force(params, theta, cos_v, sin_v, tau)
+    generalized = _generalized_force(_arm(params), theta, *_pulls(cos_v, sin_v, tau))
     return tau, generalized, _residual(generalized, external)
 
 

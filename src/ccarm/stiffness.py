@@ -147,7 +147,8 @@ def jacobian_v_pinv_t_derivatives(params, psi, damping=0.0):
     SingularConfigurationError where a column vanishes and damping is 0.
     """
     return tuple(np.array(columns).T for columns in _pinv_t(
-        core.jac_v_columns(params.backbone_length, psi.theta, psi.delta),
+        core.jac_v_columns(params.backbone_length, psi.theta, psi.delta,
+                           core.arc_quotients(psi.theta)),
         *_jacobian_v_slices(params.backbone_length, psi.theta, psi.delta), damping))
 
 
@@ -161,7 +162,7 @@ def _check_f_star(f_star):
 def _task_stiffness(params, psi, k_psi, f_star, damped):
     # K_X on floats, a row-major list of 9, from K_psi and F* as float pairs.
     length = params.backbone_length
-    columns = core.jac_v_columns(params.backbone_length, psi.theta, psi.delta)
+    columns = core.jac_v_columns(length, psi.theta, psi.delta, core.arc_quotients(psi.theta))
     # orthogonal columns: the singular values of J_v are the column norms
     sigma_min = min(math.hypot(*col) for col in columns)
     tol = 1e-8 * length

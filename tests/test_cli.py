@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -616,6 +617,51 @@ def test_sweep_determinism(capsys, tmp_path):
         assert code == 0
         files.append(out_file.read_bytes())
     assert files[0] == files[1]
+
+
+# A perching sweep of three distinct offsets, five rows.
+SHORT_PERCHING = ("sweep", "--experiment", "perching", "--travel-mm", "2", "--step-mm", "1")
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "existing_dir", ""],
+                         ids=["missing-directory", "directory", "empty"])
+def test_unwritable_out_exits_usage(capsys, tmp_path, monkeypatch, out):
+    # These used to end in a traceback (exit 1) once the sweep had run.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing_dir").mkdir()
+    code, stdout, err = run_cli(capsys, *SHORT_PERCHING, "--out", out)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: cannot write --out {out!r}: ") and stdout == ""
+    assert os.listdir(tmp_path) == ["existing_dir"]  # no temporary file left behind
+    assert os.listdir(tmp_path / "existing_dir") == []
+
+
+def test_sweep_csv_mode_follows_the_umask(capsys, tmp_path):
+    # The CSV used to be created 0600 whatever the umask, and an overwritten
+    # 0644 file turned 0600 too.
+    out_file = tmp_path / "perch.csv"
+    umask = os.umask(0o022)
+    try:
+        for _ in range(2):  # a new file, then the same path overwritten
+            code, _, _ = run_cli(capsys, *SHORT_PERCHING, "--out", str(out_file))
+            assert code == cli.EXIT_OK
+            assert stat.S_IMODE(out_file.stat().st_mode) == 0o644
+    finally:
+        os.umask(umask)
+    assert os.listdir(tmp_path) == ["perch.csv"]
+
+
+def test_row_templates_print_as_fmt():
+    # The sweep rows and _fmt share one number format, and it prints what
+    # format(x, ".12g") printed before the rows were templates.
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+              0.1 + 0.2, np.float64(2.0) / 3.0]
+    for v in values:
+        text = cli._fmt(v)
+        assert text == format(float(v), ".12g")
+        assert cli._PERCHING_ROW % ((v,) * 7 + ("ok",)) == ",".join([text] * 7 + ["ok"])
+        assert cli._STIFFNESS_PREFIX % (v, v, 3) == f"{text},{text},3,"
+        assert cli._STIFFNESS_FIELDS % (v, v, v, v, 7, "ok") == ",".join([text] * 4 + ["7", "ok"])
 
 
 # ------------------------------------------------------- parameters and exits

@@ -101,6 +101,40 @@ def test_tendon_count_must_be_an_integer(count):
     assert six.tendon_count == 6
 
 
+@pytest.mark.parametrize("value", ["0.25", None, [0.25]])
+def test_real_fields_must_be_real_numbers(value):
+    # a string used to escape as TypeError from math.isfinite
+    with pytest.raises(ParameterError, match="backbone_length must be a real number"):
+        dataclasses.replace(default_parameters(), backbone_length=value)
+    arm = dataclasses.replace(default_parameters(), backbone_length=np.float64(0.3),
+                              pitch_radius=np.int64(1))
+    assert (arm.backbone_length, arm.pitch_radius) == (0.3, 1)
+
+
+@pytest.mark.parametrize("key", ["backbone_length_m", "backbone_diameter_m", "tendon_count"])
+@pytest.mark.parametrize("value", ["abc", None, [4]])
+def test_mapping_values_must_be_numbers(key, value):
+    # float() used to raise a raw ValueError or TypeError here
+    with pytest.raises(ParameterError, match=f"{key} must be a number"):
+        parameters_from_mapping(dict(DEFAULT_DOC, **{key: value}))
+
+
+def test_booleans_are_not_numbers():
+    # True used to load as a 1.0 m backbone
+    with pytest.raises(ParameterError, match="backbone_length must be a real number"):
+        dataclasses.replace(default_parameters(), backbone_length=True)
+    for key in ("backbone_length_m", "backbone_diameter_m", "tendon_count"):
+        with pytest.raises(ParameterError, match=f"{key} must be a number"):
+            parameters_from_mapping(dict(DEFAULT_DOC, **{key: True}))
+
+
+@pytest.mark.parametrize("count", [math.inf, math.nan])
+def test_mapped_tendon_count_must_be_finite(count):
+    # int(count) used to raise a raw OverflowError or ValueError
+    with pytest.raises(ParameterError, match="tendon_count must be an integer"):
+        parameters_from_mapping(dict(DEFAULT_DOC, tendon_count=count))
+
+
 def test_parse_text_formats(tmp_path):
     text = "\n".join([
         "# comment",

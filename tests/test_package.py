@@ -118,6 +118,22 @@ def test_cli_version_and_usage_errors_without_numpy(tmp_path):
     assert not (tmp_path / "bad.csv").exists()
 
 
+def test_cli_import_loads_neither_tempfile_nor_json():
+    """``import ccarm.cli`` leaves tempfile and json unloaded.
+
+    The CSV write needs no tempfile, and only ``jacobians --json`` imports
+    json.  The child runs under ``python -S``: ``site`` may import tempfile
+    itself, through a ``.pth`` file (it does on some installations), which
+    would hide what ccarm imports.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, ccarm.cli; print([m for m in ('tempfile', 'json') if m in sys.modules])"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SOURCE), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------ kernel callers
 
 def test_every_kernel_function_has_a_caller_outside_the_tests():
