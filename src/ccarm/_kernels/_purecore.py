@@ -3,8 +3,8 @@
 Everything here is plain ``math`` on scalars so the hot solver loops carry no
 array overhead.  The two solvers (``solve_deflection``,
 ``solve_tip_constraint``) accept any real scalars and sequences, numpy ones
-included, and coerce them to Python floats once at entry, so every Newton
-step runs on floats and the results are floats.
+included, and coerce them to Python floats (the deflection solve's memoized
+inputs on a miss only), so every Newton step runs on floats.
 
 The deflection solve is Newton's method with the closed-form 2x2 Jacobian
 of its bend-chart residual: the bending stiffness, the Hessian of the tip
@@ -18,13 +18,15 @@ which the Newton loop contracts itself: the residual at every point, the
 Jacobian only where another step follows.  Every solve of one commanded
 configuration starts at the same w with the same arm and motor state, so
 the solve's constants and the evaluation at its start are memoized on
-exactly those inputs: the loads of one configuration share one evaluation,
-and a hit gives the bits of a fresh one.
+exactly those inputs as passed: the loads of one configuration share one
+evaluation, and a hit does no per-element work and gives a fresh one's bits.
 
 Angles are radians, lengths meters.  Every arc quotient of the
 constant-curvature kinematics comes from one source: ``arc_quotients`` gives
 ``a = (1 - cos t)/t^2``, ``s = sin(t)/t`` and their rates ``b = a'/t`` and
 ``c = s'/t``, and ``hessian_quotients`` adds ``e = b'/t`` and ``h = c'/t``.
+Only ``_force_free_part`` writes ``hessian_quotients`` out, so that a Newton
+trial calls no helper; a test pins its bits.
 ``a`` is evaluated as ``(sin(t/2)/(t/2))^2 / 2``, which does not cancel, so
 ``a`` and ``s`` need their limits only where the half-angle is 0; ``b``,
 ``c``, ``e`` and ``h`` cancel near straight and take their Taylor expansions
@@ -205,7 +207,7 @@ def _force_free_part(model, wx, wy):
     # and the Hessian rows of bend_position, row-major like J_p: d2p/dwx2,
     # d2p/dwxdwy, d2p/dwy2, each holding the (x, y, z) components.
     #
-    # With a, b, c, e and h from hessian_quotients, the Hessian divided by
+    # With a, b, c, e and h of hessian_quotients, the Hessian divided by
     # the length is d2px/dwx2 = 3wx b + wx^3 e, d2px/dwxdwy = wy b + wx^2 wy e,
     # d2px/dwy2 = wx b + wx wy^2 e, the py entries with x and y swapped, and
     # d2pz/dwidwj = c delta_ij + wi wj h.  J_p repeats _bend_point's Jacobian
@@ -221,7 +223,24 @@ def _force_free_part(model, wx, wy):
     # s*(t + m)/(2m) in between.  tendons holds (cos phi, sin phi, q_cmd,
     # tau0, |s_x|, |s_y|, k r^2 cos phi, k r^2 sin phi) per tendon.
     length, radius, k_bend, k_tendon, tendons = model
-    a, _, b, c, e, h = hessian_quotients(math.hypot(wx, wy))
+    # hessian_quotients at hypot(wx, wy), written out with the same operations:
+    # a call per trial would slow each Newton step by several percent.
+    theta = math.hypot(wx, wy)
+    half = 0.5 * theta
+    q = math.sin(half) / half if half else 1.0
+    a = 0.5 * q * q
+    t2 = theta * theta
+    if theta < SMOOTH_THRESHOLD:
+        b = -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0
+        c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
+        e = 1.0 / 90.0 - t2 / 1680.0 + t2 * t2 / 75600.0
+        h = 1.0 / 15.0 - t2 / 210.0 + t2 * t2 / 7560.0
+    else:
+        s = math.sin(theta) / theta
+        b = (s - 2.0 * a) / t2
+        c = (math.cos(theta) - s) / t2
+        e = (c - 4.0 * b) / t2
+        h = -(s + 3.0 * c) / t2
     xx = wx * wx
     yy = wy * wy
     off = length * wx * wy * b
@@ -275,21 +294,24 @@ def _psi_residual_norm(rx, ry, wx, wy):
 def _deflection_model(length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx0, wy0,
                       wx0_sign, wy0_sign):
     # The constants of a deflection solve and its evaluation at w0, as
-    # (model, part): model is the constants _force_free_part takes, the
-    # tendon tuple included, and part its 21 floats at w0.  Memoized on exactly
-    # the ten inputs it reads, floats and float tuples, so the solves of one
-    # commanded configuration share one evaluation and a start from other
-    # inputs cannot be reused.  The signs of w0's components complete the
-    # key: -0.0 == 0.0, but a solve from either can end on a zero of that
-    # sign (a straight start with an in-plane force).
+    # (model, part, wx0, wy0): model is the constants _force_free_part
+    # takes, the tendon tuple included, part its 21 floats at w0, and w0 as
+    # floats.  Memoized on exactly the ten inputs it reads, as passed, so the
+    # solves of one commanded configuration share one evaluation and a start
+    # from other inputs cannot be reused; they are coerced here, on a miss.
+    # Equal keys coerce to equal floats but for the sign of a zero, so the
+    # signs of w0's components complete the key: a solve from either zero can
+    # end on a zero of that sign (a straight start with an in-plane force).
+    length, radius, flexural, k_tendon, wx0, wy0 = map(
+        float, (length, radius, flexural, k_tendon, wx0, wy0))
     kr = k_tendon * radius
     tendons = tuple(
         (cphi, sphi, qc, t0, abs(kr * cphi), abs(kr * sphi),
          kr * radius * cphi, kr * radius * sphi)
-        for cphi, sphi, qc, t0 in zip(*tendon_cos_sin(beta, count, 0.0), q_cmd, tau0,
-                                      strict=True))
+        for cphi, sphi, qc, t0 in zip(*tendon_cos_sin(float(beta), count, 0.0),
+                                      map(float, q_cmd), map(float, tau0), strict=True))
     model = (length, radius, flexural / length, k_tendon, tendons)
-    return model, _force_free_part(model, wx0, wy0)
+    return model, _force_free_part(model, wx0, wy0), wx0, wy0
 
 
 def solve_deflection(length, radius, beta, count, flexural, k_tendon,
@@ -303,19 +325,27 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
     contracts the tip force itself: the residual at every point; at the
     start or an accepted trial, the convergence test on the residual norm
     in (theta, delta) coordinates; and only when another step follows, the
-    Jacobian.  The Jacobian is exact except at a tendon's slack kink, where
-    it takes the central difference over the step 1e-7*(1+|w|) in closed
-    form.  The constants and the evaluation at w0 depend on every input but
-    the force, tol and max_iter; they are memoized on those inputs, so
-    solves that differ only in the force share them.
+    Jacobian.  A trial calls no helper: the evaluation writes its arc
+    quotients out, and a test pins their bits.  The Jacobian is exact except
+    at a tendon's slack kink, where it takes the central difference over the
+    step 1e-7*(1+|w|) in closed form.  The constants and the evaluation at
+    w0 depend on every input but the force, tol and max_iter; they are
+    memoized on those inputs as passed, so solves that differ only in the
+    force share them, and coerced to floats on a miss only.  An input that
+    cannot be hashed (a list, an array) keys on its floats.
 
     Returns (wx, wy, iterations, residual_norm, converged).
     """
-    nwx, nwy = float(wx0), float(wy0)
-    model, part = _deflection_model(
-        float(length), float(radius), float(beta), count, float(flexural), float(k_tendon),
-        tuple(map(float, q_cmd)), tuple(map(float, tau0)), nwx, nwy,
-        math.copysign(1.0, nwx), math.copysign(1.0, nwy))
+    wx0_sign, wy0_sign = math.copysign(1.0, wx0), math.copysign(1.0, wy0)
+    try:
+        model, part, nwx, nwy = _deflection_model(
+            length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, wx0, wy0,
+            wx0_sign, wy0_sign)
+    except TypeError:  # a list or an array cannot be hashed: key on its floats
+        model, part, nwx, nwy = _deflection_model(
+            float(length), float(radius), float(beta), count, float(flexural), float(k_tendon),
+            tuple(map(float, q_cmd)), tuple(map(float, tau0)), float(wx0), float(wy0),
+            wx0_sign, wy0_sign)
     fx, fy, fz, tol = float(fx), float(fy), float(fz), float(tol)
     # The start is trial 0, taken as it is (alpha = 0); a later trial is
     # taken on sufficient decrease, and the line search gives up after 40.

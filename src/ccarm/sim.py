@@ -255,22 +255,24 @@ def _solve_radial_load(arm, fallback_delta, w0, state, d0, load, sign, max_iter)
     # configuration: iterate direction and equilibrium to a joint fixed
     # point, from the commanded direction d0.  Returns the settled pass as
     # (f, wx, wy, iterations, theta, delta).
-    head = (*arm, *state)
+    length, radius, beta, count, flexural, k_tendon = arm
+    q_cmd, tau0 = state
     w0x, w0y = w0
     tol = 0.5 * _DEFLECTION_TOL
-    d = d0
+    dx, dy, dz = d0
     for _ in range(_MAX_REAIM):
-        f = (load * d[0], load * d[1], load * d[2])
+        f = fx, fy, fz = load * dx, load * dy, load * dz
         _check_force_cap(f)
-        wx, wy, iters, _, ok = core.solve_deflection(*head, *f, w0x, w0y, tol, max_iter)
+        wx, wy, iters, _, ok = core.solve_deflection(
+            length, radius, beta, count, flexural, k_tendon, q_cmd, tau0, fx, fy, fz,
+            w0x, w0y, tol, max_iter)
         if not ok:
             raise _unconverged(iters, max_iter)
         theta, delta = _bend_angles(wx, wy, fallback_delta)
-        d_new = _radial_direction(theta, delta, sign)
-        if (abs(d_new[0] - d[0]) < _REAIM_TOL and abs(d_new[1] - d[1]) < _REAIM_TOL
-                and abs(d_new[2] - d[2]) < _REAIM_TOL):
+        nx, ny, nz = _radial_direction(theta, delta, sign)
+        if abs(nx - dx) < _REAIM_TOL and abs(ny - dy) < _REAIM_TOL and abs(nz - dz) < _REAIM_TOL:
             return f, wx, wy, iters, theta, delta
-        d = d_new
+        dx, dy, dz = nx, ny, nz
     raise ConvergenceError("radial load direction did not settle while re-aiming")
 
 

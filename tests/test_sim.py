@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -137,6 +139,35 @@ def test_kernels_compute_on_python_floats(params, bend30):
         assert result[4] == 1
         assert [type(x) for x in result] == [float, float, int, float, int]
         assert _bits(result) == _bits(kernel(*_as_plain(args)))
+    # The deflection kernel coerces its memoized inputs on a miss only.  After
+    # a miss with float tuples, hits with q_cmd and tau0 as tuples of numpy
+    # floats or of ints, or with a numpy-scalar length, give the miss's bits
+    # as Python floats; lists and arrays key on their floats and hit the same
+    # entry.
+    length, *rest = ccarm.sim._arm(params)
+    w0 = (bend30.theta, 0.0)
+    integral = ((0.0, 0.0, 0.0, 0.0), (2.0, 1.0, 0.0, 1.0))
+
+    def solve(length, q_cmd, tau0):
+        return ccarm.sim.core.solve_deflection(length, *rest, q_cmd, tau0, *force.tolist(),
+                                               *w0, 5e-11, 100)
+
+    for state in (ccarm.sim._commanded_state(params, bend30, 0.0), integral):
+        ccarm.sim.core._deflection_model.cache_clear()
+        cold = solve(length, *state)
+        assert cold[4] == 1
+        hits = [(np.float64(length), *state),
+                (length, *(tuple(map(np.float64, v)) for v in state)),
+                (length, *map(list, state)), (length, *map(np.array, state))]
+        if state is integral:
+            hits.append((length, *(tuple(map(int, v)) for v in state)))
+        for inputs in hits:
+            info = ccarm.sim.core._deflection_model.cache_info()
+            result = solve(*inputs)
+            assert [type(x) for x in result] == [float, float, int, float, int]
+            assert _bits(result) == _bits(cold)
+            assert ccarm.sim.core._deflection_model.cache_info()[:2] == (info.hits + 1,
+                                                                       info.misses)
 
 
 @pytest.mark.filterwarnings("error")
@@ -444,8 +475,8 @@ def test_kernel_jacobian_matches_finite_differences(problem):
     # kink rule reproduces.  (The kernel's own float residual is too noisy to
     # difference just above SERIES_THRESHOLD, where 1 - cos(theta) cancels.)
     arm, q_cmd, tau0, force, w = problem
-    model, _ = core._deflection_model(*arm, tuple(q_cmd), tuple(tau0), *w,
-                                      math.copysign(1.0, w[0]), math.copysign(1.0, w[1]))
+    model = core._deflection_model(*arm, tuple(q_cmd), tuple(tau0), *w,
+                                   math.copysign(1.0, w[0]), math.copysign(1.0, w[1]))[0]
     # The 21-float evaluation holds the force-free Jacobian at [8:12] and the
     # tip Hessian rows d2p/dwx2, d2p/dwxdwy, d2p/dwy2 at [12:]; the force
     # term is the Hessian contracted with the force.
@@ -505,6 +536,32 @@ def test_arc_quotients_match_a_50_digit_model(params, theta, delta):
         d_theta, _ = jacobian_v_derivatives(params, Configuration(theta, 0.0))
         assert _relative_error([d_theta[0, 0] / length], [dg], abs(dg)) <= 1e-11
         assert _relative_error([d_theta[2, 0] / length], [dw], max(abs(dw), 0.1)) <= 1e-11
+
+
+# Straight, a half-angle that underflows, a tiny bend, either side of both
+# series thresholds and just short of pi.
+_INLINED_QUOTIENT_THETAS = [0.0, 5e-324, 1e-300, *_THRESHOLD_THETAS, math.pi - 1e-9]
+
+
+@pytest.mark.parametrize("theta", _INLINED_QUOTIENT_THETAS)
+def test_force_free_part_inlines_hessian_quotients(theta):
+    # _force_free_part writes hessian_quotients out: its J_p and Hessian-row
+    # slots are bitwise the same expressions built from hessian_quotients,
+    # with w on an axis or off both.  (No tendon reaches those slots.)
+    length = 0.25
+    model = (length, 0.02, 0.0098, 1580.0, ())
+    for wx, wy in ((theta, 0.0), (-0.0, -theta), (theta * math.cos(0.7), theta * math.sin(0.7))):
+        a, _, b, c, e, h = core.hessian_quotients(math.hypot(wx, wy))
+        off = length * wx * wy * b
+        hxy = length * (wy * b + wx * wx * wy * e)
+        hyx = length * (wx * b + wy * wy * wx * e)
+        expected = (length * (a + wx * wx * b), off, off, length * (a + wy * wy * b),
+                    length * wx * c, length * wy * c,
+                    length * (3.0 * (wx * b) + wx * wx * wx * e), hxy, length * (c + wx * wx * h),
+                    hxy, hyx, length * wx * wy * h,
+                    hyx, length * (3.0 * (wy * b) + wy * wy * wy * e), length * (c + wy * wy * h))
+        part = core._force_free_part(model, wx, wy)
+        assert [v.hex() for v in part[2:8] + part[12:]] == [v.hex() for v in expected]
 
 
 @pytest.mark.parametrize("theta", [0.0, 5e-324])
@@ -736,6 +793,23 @@ def test_sweep_evaluates_fewer_residuals(params, monkeypatch):
     core._deflection_model.cache_clear()
     _default_protocol_sweep(params)
     assert len(evaluations) == 644
+
+
+def test_newton_trial_calls_no_helpers():
+    # A Newton trial is one flat evaluation: the loop of solve_deflection and
+    # the body of _force_free_part call math functions, abs, _force_free_part
+    # and _psi_residual_norm only.
+    tree = ast.parse(inspect.getsource(core))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loops = [node for node in functions["solve_deflection"].body if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    allowed = {"abs", "_force_free_part", "_psi_residual_norm"}
+    for body in (*loops, functions["_force_free_part"]):
+        for node in ast.walk(body):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                assert name in allowed or (
+                    name.startswith("math.") and name.count(".") == 1), ast.unparse(node)
 
 
 @pytest.mark.parametrize("max_iter", [-1, True, False, math.nan, 2.0, "3", None])
