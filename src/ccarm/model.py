@@ -46,14 +46,34 @@ _SCHEMA = (
 _DIAMETER_KEY = "backbone_diameter_m"
 
 
-def _readonly(values, shape=None):
+def _readonly(values, shape=None, name="array"):
+    """values as a new read-only float array, reshaped only to a shape it lacks.
+
+    A shape of (-1,) takes any flat length.  An entry that is not a number,
+    or a size that does not fit the shape, raises ConfigurationError naming
+    the array.
+    """
     import numpy as np
 
-    arr = np.array(values, dtype=float)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    arr.flags.writeable = False
+    try:
+        arr = np.array(values, dtype=float)
+        if shape is not None and arr.shape != shape and (shape != (-1,) or arr.ndim != 1):
+            arr = arr.reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {name}: {exc}") from None
+    arr.setflags(write=False)
     return arr
+
+
+def _floats(values, size, name):
+    # values as a flat list of size floats (-1: any number); an entry that is
+    # not a number or another size raises ConfigurationError naming them
+    import numpy as np
+
+    try:
+        return np.asarray(values, dtype=float).reshape(size).tolist()
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -222,8 +242,8 @@ class Wrench:
     moment: np.ndarray   # N*m
 
     def __post_init__(self):
-        f = _readonly(self.force, (3,))
-        m = _readonly(self.moment, (3,))
+        f = _readonly(self.force, (3,), "wrench force")
+        m = _readonly(self.moment, (3,), "wrench moment")
         if not all(map(math.isfinite, f.tolist() + m.tolist())):
             raise ConfigurationError("non-finite wrench")
         object.__setattr__(self, "force", f)

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
-from .model import Configuration, _readonly, _wrapped_angles
+from .model import Configuration, _floats, _readonly, _wrapped_angles
 from .statics import _allocate, _arm, _generalized_force
 
 if TYPE_CHECKING:
@@ -204,12 +204,12 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
 
     Returns a DeflectionRecord; raises ConvergenceError when the iteration
     budget runs out, ConfigurationError for a non-finite force, past the force
-    cap, a bend of pi or a max_iter that is not a non-negative integer.
+    cap, a bend of pi, a max_iter that is not a non-negative integer, a
+    tip_force that is not three numbers or a pretension that is not a real
+    number >= 0.
     """
-    import numpy as np
-
     _check_max_iter(max_iter)
-    f = tuple(np.asarray(tip_force, dtype=float).reshape(3).tolist())
+    f = tuple(_floats(tip_force, 3, "tip_force"))
     if not all(map(math.isfinite, f)):
         raise ConfigurationError(f"tip force must be finite, got {list(f)}")
     arm = _arm(params)
@@ -425,12 +425,11 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
     the reaction is -(g_theta/|c_theta|^2) c_theta - (g_delta/|c_delta|^2)
     c_delta, computed in closed form; like numpy's pinv, it drops a column
     no longer than 1e-15 times the other, which near theta = 0 is c_delta.
-    A non-finite anchor or offset raises ConfigurationError before the IK.
+    An anchor or offset that is not three finite numbers raises
+    ConfigurationError before the IK.
     """
-    import numpy as np
-
-    anchor = np.asarray(tip_anchor, dtype=float).reshape(3).tolist()
-    offset = np.asarray(base_offset, dtype=float).reshape(3).tolist()
+    anchor = _floats(tip_anchor, 3, "tip_anchor")
+    offset = _floats(base_offset, 3, "base_offset")
     if not all(map(math.isfinite, anchor + offset)):
         raise ConfigurationError(
             f"perching tip anchor and base offset must be finite, got {anchor} and {offset}")

@@ -8,9 +8,18 @@ column the unit vector a_i = (cos phi_i, -sin phi_i); the QP's KKT point
 tau_i = max(floor, a_i . lam) with a_i . lam = |lam| cos(angle_i -
 angle_lam), so for a floor >= 0 the tendons above it form one arc of the
 ring sorted by angle.  The allocation tries the full ring, then the empty
-set and the n(n-1) proper arcs, a 2x2 system each, and keeps the KKT point
-among those with tau >= floor: an exact search, with no lstsq, SVD or
-iteration budget.
+set, then the n(n-1) proper arcs by start and length, a 2x2 system each,
+and keeps the KKT point among those with tau >= floor: an exact search,
+with no lstsq, SVD or iteration budget.  Every candidate is tried, in that
+order, at O(1) for its solve and its end tests (Gram sums run per start)
+and O(n) only for an arc whose ends clear the floor, so one allocation
+costs O(n^2) to O(n^3) float operations; the winner gets one refinement
+step on its exact residual.
+
+Every float sum here is a loop from 0.0, left to right, and never the
+builtin sum(): from Python 3.12 on, sum() of floats is compensated, and
+the tensions would differ in the last bits between interpreters.  The loops
+compute what sum() computes on 3.10 and 3.11.
 
 The allocation, the generalized force and the residual run on Python floats
 in one core, ``_allocate``, which the solvers in ``sim`` call directly;
@@ -21,12 +30,13 @@ inside the functions that do so: the sweeps in ``sim`` load no numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ._kernels import core
 from .errors import ConfigurationError, InfeasibleTensionsError
-from .model import _readonly
+from .model import _floats, _readonly
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,9 +86,7 @@ def _check_tension_list(values, count):
 
 def _check_tensions(tensions, count):
     """Any array-like of tensions as a checked list of floats."""
-    import numpy as np
-
-    return _check_tension_list(np.asarray(tensions, dtype=float).reshape(-1).tolist(), count)
+    return _check_tension_list(_floats(tensions, -1, "tensions"), count)
 
 
 def _pulls(cos_v, sin_v, tau):
@@ -144,13 +152,18 @@ def _solve_arc(gram, dx, dy, tol):
     """lam with H lam = d for an arc's Gram matrix gram = (hxx, hxy, hyy), or None.
 
     H with det <= 1e-14 trace^2 is rank one (one tendon, coincident or opposite
-    ones, any arc at r theta = 0): pseudo-inverse, None if d is off its range.
+    ones, any arc at r theta = 0): see _rank_one.
     """
     hxx, hxy, hyy = gram
     trace = hxx + hyy
     det = hxx * hyy - hxy * hxy
     if det > 1e-14 * trace * trace:
         return (hyy * dx - hxy * dy) / det, (hxx * dy - hxy * dx) / det
+    return _rank_one(hxx, hxy, hyy, trace, dx, dy, tol)
+
+
+def _rank_one(hxx, hxy, hyy, trace, dx, dy, tol):
+    # H lam = d for a rank-one H: pseudo-inverse, None if d is off its range
     ux, uy = (hxx, hxy) if hxx >= hyy else (hxy, hyy)
     norm = math.hypot(ux, uy)
     if not abs(ux * dy - uy * dx) <= tol * norm:
@@ -165,34 +178,62 @@ def _best_arc(pts, n, c1, c2, lift):
     The full ring if it clears the floor lift, else of the empty set and the
     proper arcs that do, a KKT point (a_i . lam <= lift off the arc too) before
     the shortest: where the optimum is flat, rounding cannot rank the norms.
+    Each proper arc is one 2x2 solve on Gram sums kept running per start; its
+    ends are tested first, and the on-arc and off-arc loops stop at the first
+    failure.
     """
     m = len(pts) // 2
     low, high = lift - 1e-12, lift + 1e-14
-    gram = (sum(x * x for x, _ in pts[:m]), sum(x * y for x, y in pts[:m]),
-            sum(y * y for _, y in pts[:m]))
+    gxx = gxy = gyy = tx = ty = 0.0
+    for x, y in pts[:m]:
+        gxx, gxy, gyy, tx, ty = gxx + x * x, gxy + x * y, gyy + y * y, tx + x, ty + y
+    gram = gxx, gxy, gyy
     lam = _solve_arc(gram, c1, c2, 1e-12) if m else None  # m = 0: no moment arm at all
     if lam is not None and all(x * lam[0] + y * lam[1] >= low for x, y in pts[:m]):
         return 0, m, lam, gram
-    tx, ty = sum(x for x, _ in pts[:m]), sum(y for _, y in pts[:m])
-    best, best_key = None, (True, math.inf)
+    # the best so far, ranked by the tuple (not kkt, squared norm)
+    best, kkt, best_norm = None, False, math.inf
     if abs(c1 - lift * tx) <= 1e-12 and abs(c2 - lift * ty) <= 1e-12:
-        best, best_key = (0, 0, None, None), (False, n * lift * lift)
+        best, kkt, best_norm = (0, 0, None, None), True, n * lift * lift
     for start in range(m):
+        x0, y0 = pts[start]
         hxx = hxy = hyy = sx = sy = 0.0
         for length in range(1, m):
             x, y = pts[start + length - 1]
-            hxx, hxy, hyy, sx, sy = hxx + x * x, hxy + x * y, hyy + y * y, sx + x, sy + y
-            lam = _solve_arc((hxx, hxy, hyy), c1 - lift * (tx - sx), c2 - lift * (ty - sy),
-                             1e-12)
-            if (lam is None or not pts[start][0] * lam[0] + pts[start][1] * lam[1] >= low
-                    or not x * lam[0] + y * lam[1] >= low):
+            hxx += x * x
+            hxy += x * y
+            hyy += y * y
+            sx += x
+            sy += y
+            dx, dy = c1 - lift * (tx - sx), c2 - lift * (ty - sy)
+            trace = hxx + hyy
+            det = hxx * hyy - hxy * hxy
+            if det > 1e-14 * trace * trace:
+                l0, l1 = (hyy * dx - hxy * dy) / det, (hxx * dy - hxy * dx) / det
+            else:
+                lam = _rank_one(hxx, hxy, hyy, trace, dx, dy, 1e-12)
+                if lam is None:
+                    continue
+                l0, l1 = lam
+            if not x0 * l0 + y0 * l1 >= low or not x * l0 + y * l1 >= low:
                 continue  # an end of the arc is below the floor
-            pulls = [px * lam[0] + py * lam[1] for px, py in pts[start:start + m]]
-            if min(pulls[:length]) >= low:
-                key = (not max(pulls[length:]) <= high,
-                       sum(t * t for t in pulls[:length]) + (n - length) * lift * lift)
-                if key < best_key:
-                    best, best_key = (start, length, lam, (hxx, hxy, hyy)), key
+            norm = 0.0
+            for px, py in pts[start:start + length]:
+                t = px * l0 + py * l1
+                if not t >= low:
+                    break  # a tendon on the arc is below the floor
+                norm += t * t
+            else:
+                norm += (n - length) * lift * lift
+                if kkt and not norm < best_norm:
+                    continue  # only a KKT point of smaller norm beats a KKT point
+                found = True
+                for px, py in pts[start + length:start + m]:
+                    if not px * l0 + py * l1 <= high:
+                        found = False  # a tendon off the arc pulls above the floor
+                        break
+                if found or not kkt and norm < best_norm:
+                    best, kkt, best_norm = (start, length, (l0, l1), (hxx, hxy, hyy)), found, norm
     return best
 
 
@@ -211,7 +252,8 @@ def _arc_tensions(cos_v, sin_v, radius, theta, b1, b2, floor):
     cols = ([(x, -y) for x, y in zip(cos_v, sin_v)] if rt
             else [(x if abs(x) > 1e-15 else 0.0, 0.0) for x in cos_v])
     # sorted by angle also at r theta = 0; zero columns stay at the floor
-    ring = [i for i in sorted(range(len(cols)), key=lambda i: math.atan2(-sin_v[i], cos_v[i]))
+    angles = [math.atan2(-y, x) for x, y in zip(cos_v, sin_v)]
+    ring = [i for i in sorted(range(len(cols)), key=angles.__getitem__)
             if cols[i] != (0.0, 0.0)] * 2
     pts = [cols[i] for i in ring]
     best = _best_arc(pts, len(cols), c1, c2, lift)
@@ -222,12 +264,14 @@ def _arc_tensions(cos_v, sin_v, radius, theta, b1, b2, floor):
     tau = [floor] * len(cols)
     if length:
         # one refinement step on the exact residual: error ~ cond(A_F), not its square
+        l0, l1 = lam
         loop = pts[start:start + len(pts) // 2]  # the ring, from the arc's start
-        pulls = [x * lam[0] + y * lam[1] for x, y in loop[:length]] + [lift] * len(loop[length:])
-        step = _solve_arc(gram, c1 - math.fsum(t * x for t, (x, _) in zip(pulls, loop)),
-                          c2 - math.fsum(t * y for t, (_, y) in zip(pulls, loop)), math.inf)
+        pulls = [x * l0 + y * l1 for x, y in loop[:length]] + [lift] * (len(loop) - length)
+        s0, s1 = _solve_arc(gram, c1 - math.fsum([t * x for t, (x, _) in zip(pulls, loop)]),
+                            c2 - math.fsum([t * y for t, (_, y) in zip(pulls, loop)]), math.inf)
+        l0, l1 = l0 + s0, l1 + s1
         for i, (x, y) in zip(ring[start:start + length], loop):
-            tau[i] = max(lift, x * (lam[0] + step[0]) + y * (lam[1] + step[1])) * unit
+            tau[i] = max(lift, x * l0 + y * l1) * unit
     return tau
 
 
@@ -237,6 +281,8 @@ def _allocate(params, psi, w_ext, pretension):
     tensions is a list, the other two are float pairs re-evaluated from the
     tensions by the products equilibrium_residual uses, so they share its bits.
     """
+    if isinstance(pretension, bool) or not isinstance(pretension, numbers.Real):
+        raise ConfigurationError(f"pretension must be a real number, got {pretension!r}")
     if not (math.isfinite(pretension) and pretension >= 0.0):
         raise ConfigurationError(
             f"pretension must be finite and >= 0, got {float(pretension)!r}")
@@ -260,7 +306,8 @@ def allocate_tensions(params, psi, w_ext, pretension=0.0):
     """Minimum-norm tau >= pretension with J_q^T tau = grad(E) - J_x^T w_ext.
 
     w_ext None means no wrench.  Raises ConfigurationError for a pretension
-    < 0, non-finite or > 2**500 N, InfeasibleTensionsError when no tau does.
+    that is not a real number (bools included), < 0, non-finite or
+    > 2**500 N, InfeasibleTensionsError when no tau does.
     """
     tau, generalized, residual = _allocate(params, psi, w_ext, pretension)
     return EquilibriumReport(residual=residual, tensions=tau, generalized_force=generalized)

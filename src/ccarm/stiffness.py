@@ -32,7 +32,7 @@ import numpy as np
 from ._kernels import core
 from .errors import ConfigurationError, SingularConfigurationError
 from .kinematics import jacobian_q_psi
-from .model import StiffnessSet
+from .model import StiffnessSet, _floats
 from .statics import _check_tensions, _pulls
 
 # Damping added to J_v^T J_v by the explicitly requested damped variant.
@@ -153,7 +153,7 @@ def jacobian_v_pinv_t_derivatives(params, psi, damping=0.0):
 
 
 def _check_f_star(f_star):
-    f = np.asarray(f_star, dtype=float).reshape(2).tolist()
+    f = _floats(f_star, 2, "f_star")
     if not all(map(math.isfinite, f)):
         raise ConfigurationError(f"generalized force F* must be finite, got {f}")
     return f

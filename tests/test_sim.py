@@ -102,6 +102,42 @@ def test_non_finite_loads_rejected_before_solving(params, bend30, monkeypatch, b
     assert kernel_solves == []
 
 
+def _anchor(params, config):
+    return forward_kinematics(params, config).position
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda p, c: allocate_tensions(p, c, None, "0.3"), "pretension"),
+    (lambda p, c: allocate_tensions(p, c, None, None), "pretension"),
+    (lambda p, c: allocate_tensions(p, c, None, True), "pretension"),
+    (lambda p, c: solve_deflection(p, c, [0.1, 0.0, 0.0], "0.3"), "pretension"),
+    (lambda p, c: solve_deflection(p, c, [0.1, 0.0, 0.0], None), "pretension"),
+    (lambda p, c: solve_deflection(p, c, [0.1, 0.0, 0.0], True), "pretension"),
+    (lambda p, c: solve_perching_reaction(p, c, _anchor(p, c), np.zeros(3), True),
+     "pretension"),
+    (lambda p, c: solve_deflection(p, c, [0.1, 0.0]), "tip_force"),
+    (lambda p, c: solve_deflection(p, c, ["0.1 N", 0.0, 0.0]), "tip_force"),
+    (lambda p, c: solve_perching_reaction(p, c, [0.0, 0.2], np.zeros(3)), "tip_anchor"),
+    (lambda p, c: solve_perching_reaction(p, c, _anchor(p, c), [1e-3, 0.0]), "base_offset"),
+    (lambda p, c: task_stiffness(p, c, np.full(4, 0.5), [0.0, 0.1, 0.0]), "f_star"),
+    (lambda p, c: task_stiffness(p, c, ["a", 0.0, 0.0, 0.0], [0.0, 0.0]), "tensions"),
+    (lambda p, c: ccarm.statics.equilibrium_residual(p, c, [{}, 0.0, 0.0, 0.0], None),
+     "tensions"),
+    (lambda p, c: Wrench(force=["x", 0.0, 0.0], moment=np.zeros(3)), "wrench force"),
+    (lambda p, c: Wrench(force=[0.1, 0.0], moment=np.zeros(3)), "wrench force"),
+    (lambda p, c: Wrench(force=np.zeros(3), moment=[0.0, 0.0, "m"]), "wrench moment"),
+], ids=["allocate-str", "allocate-none", "allocate-bool", "deflection-str", "deflection-none",
+        "deflection-bool", "perching-bool", "force-2", "force-str", "anchor-2", "offset-2",
+        "fstar-3", "tensions-str", "residual-tensions-dict", "wrench-force-str",
+        "wrench-force-2", "wrench-moment-str"])
+def test_coerced_inputs_raise_typed_errors(params, bend30, call, name):
+    # a string, None or bool pretension, and a non-numeric or wrongly sized
+    # vector, raise ConfigurationError naming the argument, not a raw
+    # TypeError or numpy's ValueError, and a bool is not a 1 N floor
+    with pytest.raises(ConfigurationError, match=name):
+        call(params, bend30)
+
+
 def _kernel_inputs(params, config, force, target):
     # Kernel arguments as numpy arrays and numpy scalars wherever a caller may
     # pass them (sim passes q_cmd, tau0 and the force or target this way).

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import inspect
 import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -350,28 +353,58 @@ def test_straight_arm_without_a_moment_arm(params):
         _assert_like_reference((arm, straight, w, 0.3))
 
 
-def _count_arc_solves(monkeypatch):
+@contextlib.contextmanager
+def _counting_arc_solves():
+    # Each candidate of the arc search is one 2x2 solve, and each solve
+    # evaluates one determinant: inline in _best_arc for a proper arc, in
+    # _solve_arc for the full ring and the refinement step.  The executions
+    # of those two "det = " lines count every solve, however it is called.
+    path = statics.__file__
+    lines = {number for number, text in enumerate(Path(path).read_text().splitlines(), 1)
+             if text.strip().startswith("det = ")}
+    assert len(lines) == 2
     calls = []
-    solve = statics._solve_arc
 
-    def counting(*args):
-        calls.append(1)
-        return solve(*args)
+    def count(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            calls.append(frame.f_code.co_name)
+        return count
 
-    monkeypatch.setattr(statics, "_solve_arc", counting)
-    return calls
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == path else None)
+    try:
+        yield calls
+    finally:
+        sys.settrace(previous)
 
 
 @pytest.mark.parametrize("tendon_count", [12, 32, 64])
-def test_floor_tie_solves_at_most_every_arc(params, monkeypatch, tendon_count):
+def test_floor_tie_solves_at_most_every_arc(params, tendon_count):
     # at 5 deg and delta = 0 half the tendons tie at the 0.3 N floor; the
     # search solves the full ring, each of the n(n-1) proper arcs and the
     # winner once more, whatever the ties
-    calls = _count_arc_solves(monkeypatch)
-    report = allocate_tensions(_arm(params, tendon_count), Configuration(math.radians(5), 0.0),
-                               None, 0.3)
+    with _counting_arc_solves() as calls:
+        report = allocate_tensions(_arm(params, tendon_count),
+                                   Configuration(math.radians(5), 0.0), None, 0.3)
     assert np.min(report.tensions) >= 0.3
-    assert len(calls) <= tendon_count * (tendon_count - 1) + 2
+    assert tendon_count * (tendon_count - 1) <= len(calls) <= tendon_count * (tendon_count - 1) + 2
+
+
+def test_arc_solve_count_catches_a_doubled_search(params, monkeypatch):
+    # the count above sees the inline solves: a search that tries each proper
+    # arc twice returns the same tensions and breaks its bound
+    arm, psi = _arm(params, 12), Configuration(math.radians(5), 0.0)
+    expected = allocate_tensions(arm, psi, None, 0.3).tensions
+    source, first = inspect.getsourcelines(statics._best_arc)
+    doubled = "".join(source).replace("for start in range(m):", "for start in [*range(m)] * 2:")
+    assert doubled != "".join(source)
+    namespace = dict(vars(statics))
+    exec(compile("\n" * (first - 1) + doubled, statics.__file__, "exec"), namespace)
+    monkeypatch.setattr(statics, "_best_arc", namespace["_best_arc"])
+    with _counting_arc_solves() as calls:
+        report = allocate_tensions(arm, psi, None, 0.3)
+    assert np.array_equal(report.tensions, expected)
+    assert len(calls) > 12 * 11 + 2
 
 
 def _forbid_lapack(monkeypatch):
@@ -386,11 +419,11 @@ def _forbid_lapack(monkeypatch):
 def test_six_tendon_allocation_solves_few_least_squares(params, monkeypatch, delta):
     # no lstsq at all: 2x2 systems, one for each arc of the ring at most
     _forbid_lapack(monkeypatch)
-    calls = _count_arc_solves(monkeypatch)
-    report = allocate_tensions(_arm(params, 6), Configuration(math.radians(30), delta),
-                               Wrench.zero(), 0.3)
+    with _counting_arc_solves() as calls:
+        report = allocate_tensions(_arm(params, 6), Configuration(math.radians(30), delta),
+                                   Wrench.zero(), 0.3)
     assert np.min(report.tensions) >= 0.3
-    assert len(calls) <= 6 * 5 + 2
+    assert 6 * 5 <= len(calls) <= 6 * 5 + 2
 
 
 @pytest.mark.parametrize("theta_deg", [0, 15, 30, 45, 60])
