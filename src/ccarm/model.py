@@ -145,6 +145,8 @@ class Configuration:
     delta: float
 
     def __post_init__(self):
+        if type(self.theta) is not float or type(self.delta) is not float:
+            _check_angles(self.theta, self.delta)
         if not (math.isfinite(self.theta) and math.isfinite(self.delta)):
             raise ConfigurationError(
                 f"non-finite configuration ({float(self.theta)!r}, {float(self.delta)!r})"
@@ -153,6 +155,14 @@ class Configuration:
             raise ConfigurationError(
                 f"theta must be >= 0 (got {float(self.theta)!r}); use wrap_configuration"
             )
+
+
+def _check_angles(theta, delta):
+    # The angle check past a float's fast path: a bool or a non-number is no
+    # angle, and raises ConfigurationError naming the field.
+    for name, value in (("theta", theta), ("delta", delta)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"{name} must be a real number, got {value!r}")
 
 
 def wrap_delta(delta):
@@ -176,6 +186,8 @@ def wrap_configuration(theta, delta, theta_max=DEFAULT_THETA_MAX):
 
 def _wrapped_angles(theta, delta, theta_max=DEFAULT_THETA_MAX):
     # wrap_configuration's (theta, delta) and errors, without the record.
+    if type(theta) is not float or type(delta) is not float:
+        _check_angles(theta, delta)
     if not (math.isfinite(theta) and math.isfinite(delta)):
         raise ConfigurationError(
             f"non-finite configuration ({float(theta)!r}, {float(delta)!r})")
@@ -251,6 +263,10 @@ class Wrench:
 
     @classmethod
     def zero(cls):
+        """The zero wrench: for Wrench itself one shared instance, whose arrays
+        are read-only views of an immutable buffer and cannot be made writable."""
+        if cls is Wrench:
+            return _zero_wrench()
         return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
     @classmethod
@@ -262,6 +278,18 @@ class Wrench:
         import numpy as np
 
         return np.concatenate([self.force, self.moment])
+
+
+@functools.cache
+def _zero_wrench():
+    import numpy as np
+
+    base = np.frombuffer(bytes(48))  # read-only, and its buffer is immutable
+    force, moment = base[:3], base[3:]
+    wrench = Wrench(force, moment)
+    object.__setattr__(wrench, "force", force)
+    object.__setattr__(wrench, "moment", moment)
+    return wrench
 
 
 @dataclass(frozen=True)

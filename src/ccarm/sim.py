@@ -276,6 +276,24 @@ def _solve_radial_load(arm, fallback_delta, w0, state, d0, load, sign, max_iter)
     raise ConvergenceError("radial load direction did not settle while re-aiming")
 
 
+def _checked_loads(load_schedule):
+    # The load schedule, any iterable of real numbers, as a list of finite
+    # floats; a bool, a non-number or a non-finite load is ConfigurationError.
+    try:
+        schedule = iter(load_schedule)
+    except TypeError:
+        raise ConfigurationError(
+            f"load_schedule must be an iterable of loads, got {load_schedule!r}") from None
+    loads = []
+    for load in schedule:
+        if isinstance(load, bool) or not isinstance(load, numbers.Real):
+            raise ConfigurationError(f"load_schedule entries must be real numbers, got {load!r}")
+        loads.append(float(load))
+    if not all(map(math.isfinite, loads)):
+        raise ConfigurationError("sweep loads must be finite")
+    return loads
+
+
 def _stiffness_points(params, configs, load_schedule, direction, pretension, max_iter,
                       strict):
     """Float rows of a stiffness sweep: (state, points) per configuration.
@@ -288,9 +306,7 @@ def _stiffness_points(params, configs, load_schedule, direction, pretension, max
     """
     _check_max_iter(max_iter)
     sign = _direction_sign(direction)
-    loads = [float(load) for load in load_schedule]
-    if not all(map(math.isfinite, loads)):
-        raise ConfigurationError("sweep loads must be finite")
+    loads = _checked_loads(load_schedule)
     arm = _arm(params)
     length = params.backbone_length
     sweep = []
@@ -326,9 +342,10 @@ def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
     plane, re-aimed at each equilibrium.  A failed point (no convergence, a
     load over the cap, an equilibrium past pi) raises with strict=True,
     annotated with (config, load); otherwise it is recorded with
-    converged=False and NaN displacements.  A non-finite load, an unknown
-    direction or a max_iter that is not a non-negative integer raises
-    ConfigurationError before any point is solved.
+    converged=False and NaN displacements.  A load that is not a finite real
+    number (a bool included), an unknown direction or a max_iter that is not
+    a non-negative integer raises ConfigurationError before any point is
+    solved.
     """
     sweep = _stiffness_points(params, configs, load_schedule, direction, pretension,
                               max_iter, strict)
@@ -471,13 +488,18 @@ def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *
     The commanded state is built once for all offsets.  A failed point (IK
     not converged, anchor out of reach, an equilibrium bent past pi) is
     recorded with converged=False and NaN reaction force and moment; a
-    non-finite offset or a max_iter that is not a non-negative integer raises
-    ConfigurationError before any point is solved.  base_offsets is an (n, 3)
-    array-like or a flat sequence of 3n floats.
+    non-finite or non-numeric offset or a max_iter that is not a non-negative
+    integer raises ConfigurationError before any point is solved.
+    base_offsets is an (n, 3) array-like or a flat sequence of 3n floats;
+    any other shape raises ConfigurationError too.
     """
     import numpy as np
 
-    offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3).tolist()
+    try:
+        offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3).tolist()
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"base_offsets must be an (n, 3) array of numbers: {exc}") from None
     return [_perching_record(offset, point)
             for offset, point in zip(offsets, _perching_points(
                 params, commanded_config, offsets, pretension, max_iter))]

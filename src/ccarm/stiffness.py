@@ -21,8 +21,6 @@ full-column-rank case.  J_v's two columns are orthogonal, so M = J_v^T J_v
 SVD or matrix inverse.  K_psi and K_X are computed once each on Python
 floats by one core per quantity; configuration_stiffness, task_stiffness,
 stiffness_set and jacobian_v_pinv_t_derivatives build arrays from them.
-K_psi's tendon-elasticity term J_q^T K_q J_q is numpy's matrix product, so
-that at zero tension K_psi keeps the bits of H_psi - J_q^T K_q J_q.
 """
 
 import math
@@ -31,9 +29,8 @@ import numpy as np
 
 from ._kernels import core
 from .errors import ConfigurationError, SingularConfigurationError
-from .kinematics import jacobian_q_psi
 from .model import StiffnessSet, _floats
-from .statics import _check_tensions, _pulls
+from .statics import _check_tensions
 
 # Damping added to J_v^T J_v by the explicitly requested damped variant.
 DEFAULT_DAMPING = 1e-6
@@ -68,17 +65,28 @@ def jacobian_q_psi_derivative_tensor(params, psi):
 def _configuration_stiffness(params, psi, tau):
     # K_psi on floats, ((k11, k12), (k21, k22)), tau a checked tension list:
     # H_psi - [d(J_q^T)/dpsi] tau = [[EI/L, r sum s tau], [r sum s tau,
-    # r theta sum c tau]], minus J_q^T K_q J_q as numpy's product evaluates it,
-    # so that at zero tension K_psi keeps the bits of H_psi - J_q^T K_q J_q.
+    # r theta sum c tau]], minus J_q^T K_q J_q = k sum_i (u_i, v_i)^T (u_i, v_i)
+    # over the rows (u_i, v_i) = (r c_i, -r s_i theta) of jacobian_q_psi, summed
+    # in tendon order in the loop that sums the pulls as statics._pulls does.
+    # One off-diagonal sum serves both entries, so K_psi is exactly symmetric.
     cos_v, sin_v = core.tendon_cos_sin(
         params.tendon_division_angle, params.tendon_count, psi.delta)
-    pull_cos, pull_sin = _pulls(cos_v, sin_v, tau)
     r = params.pitch_radius
-    jq = jacobian_q_psi(params, psi)
-    (x11, x12), (x21, x22) = (jq.T @ tendon_stiffness(params) @ jq).tolist()
-    shear = r * pull_sin
-    return ((params.flexural_rigidity / params.backbone_length - x11, shear - x12),
-            (shear - x21, r * psi.theta * pull_cos - x22))
+    neg_r = -r
+    theta = psi.theta
+    pull_cos = pull_sin = uu = uv = vv = 0.0
+    for c, s, t in zip(cos_v, sin_v, tau):
+        pull_cos += c * t
+        pull_sin += s * t
+        u = r * c
+        v = neg_r * s * theta
+        uu += u * u
+        uv += u * v
+        vv += v * v
+    k = params.tendon_axial_stiffness
+    shear = r * pull_sin - k * uv
+    return ((params.flexural_rigidity / params.backbone_length - k * uu, shear),
+            (shear, r * theta * pull_cos - k * vv))
 
 
 def configuration_stiffness(params, psi, tensions):
@@ -87,13 +95,14 @@ def configuration_stiffness(params, psi, tensions):
     return np.array(_configuration_stiffness(params, psi, tau))
 
 
-def _jacobian_v_slices(length, theta, delta):
-    # The columns of dJ_v/dtheta and of dJ_v/ddelta, float 3-tuples.
+def _jacobian_v_slices(length, theta, delta, quotients):
+    # The columns of dJ_v/dtheta and of dJ_v/ddelta, float 3-tuples, from
+    # quotients = core.hessian_quotients(|theta|).
     # Uses h' = g, the identity tying the tip-offset quotient to the bending
     # sensitivity.  With the kernel's arc quotients, h = t a and g = a + t^2 b
     # as in ``arc_terms``, and the derivatives of g and w = t c are
     # g' = t (3b + t^2 e) and w' = c + t^2 h_c, where h_c = c'/t.
-    a, _, b, c, e, hc = core.hessian_quotients(abs(theta))
+    a, _, b, c, e, hc = quotients
     t2 = theta * theta
     h = theta * a
     g = a + t2 * b
@@ -110,7 +119,7 @@ def _jacobian_v_slices(length, theta, delta):
 def jacobian_v_derivatives(params, psi):
     """Slices (dJ_v/dtheta, dJ_v/ddelta), each 3x2."""
     return tuple(np.array(columns).T for columns in _jacobian_v_slices(
-        params.backbone_length, psi.theta, psi.delta))
+        params.backbone_length, psi.theta, psi.delta, core.hessian_quotients(abs(psi.theta))))
 
 
 def _pinv_t(columns, d_theta, d_delta, damping):
@@ -146,10 +155,11 @@ def jacobian_v_pinv_t_derivatives(params, psi, damping=0.0):
     (pinv_t, d_theta_slice, d_delta_slice), shapes 3x2 each; raises
     SingularConfigurationError where a column vanishes and damping is 0.
     """
+    length, theta, delta = params.backbone_length, psi.theta, psi.delta
+    quotients = core.hessian_quotients(abs(theta))
     return tuple(np.array(columns).T for columns in _pinv_t(
-        core.jac_v_columns(params.backbone_length, psi.theta, psi.delta,
-                           core.arc_quotients(psi.theta)),
-        *_jacobian_v_slices(params.backbone_length, psi.theta, psi.delta), damping))
+        core.jac_v_columns(length, theta, delta, quotients[:4]),
+        *_jacobian_v_slices(length, theta, delta, quotients), damping))
 
 
 def _check_f_star(f_star):
@@ -161,8 +171,10 @@ def _check_f_star(f_star):
 
 def _task_stiffness(params, psi, k_psi, f_star, damped):
     # K_X on floats, a row-major list of 9, from K_psi and F* as float pairs.
-    length = params.backbone_length
-    columns = core.jac_v_columns(length, psi.theta, psi.delta, core.arc_quotients(psi.theta))
+    length, theta, delta = params.backbone_length, psi.theta, psi.delta
+    # one evaluation of the arc quotients serves J_v and its derivative slices
+    quotients = core.hessian_quotients(theta)
+    columns = core.jac_v_columns(length, theta, delta, quotients[:4])
     # orthogonal columns: the singular values of J_v are the column norms
     sigma_min = min(math.hypot(*col) for col in columns)
     tol = 1e-8 * length
@@ -175,7 +187,7 @@ def _task_stiffness(params, psi, k_psi, f_star, damped):
             tolerance=tol,
         )
     (p1, p2), s_theta, s_delta = _pinv_t(
-        columns, *_jacobian_v_slices(length, psi.theta, psi.delta),
+        columns, *_jacobian_v_slices(length, theta, delta, quotients),
         DEFAULT_DAMPING if damped else 0.0)
     f1, f2 = f_star
     (k11, k12), (k21, k22) = k_psi
@@ -186,7 +198,7 @@ def _task_stiffness(params, psi, k_psi, f_star, damped):
     k_x = [ui * x + vi * y for ui, vi in zip(u, v) for x, y in zip(p1, p2)]
     if not all(map(math.isfinite, k_x)):
         raise ConfigurationError(
-            f"task stiffness is not finite at theta = {psi.theta!r}: F* or the "
+            f"task stiffness is not finite at theta = {theta!r}: F* or the "
             "tensions are too large for K_X to be represented")
     return k_x
 

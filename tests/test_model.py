@@ -254,6 +254,25 @@ def test_configuration_validation():
         Configuration(0.1, float("inf"))
 
 
+@pytest.mark.parametrize("bad", ["abc", None, True, False, np.True_, [0.1]],
+                         ids=["string", "none", "true", "false", "numpy-bool", "list"])
+@pytest.mark.parametrize("field", ["theta", "delta"])
+def test_configuration_angles_must_be_real_numbers(field, bad):
+    # a bool is no bend: Configuration(True, 0.0) would be a bend of 1 rad
+    angles = {"theta": 0.5, "delta": 0.25, field: bad}
+    for make in (Configuration, wrap_configuration):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a real number"):
+            make(angles["theta"], angles["delta"])
+
+
+def test_configuration_keeps_real_angles_as_given():
+    for theta, delta in ((np.float64(0.5), 1), (1, np.float32(0.25)), (0.0, -0.0)):
+        config = Configuration(theta, delta)
+        assert (config.theta, config.delta) == (theta, delta)
+        assert type(config.theta) is type(theta) and type(config.delta) is type(delta)
+    assert wrap_configuration(-1, 0) == Configuration(1, math.pi)
+
+
 def test_pose_validation():
     with pytest.raises(ConfigurationError):
         Pose(rotation=np.eye(3) * 1.1, position=np.zeros(3))
@@ -288,6 +307,28 @@ def test_wrench_accepts_extreme_finite_entries():
     assert wrench.as_vector().tolist() == values
     for array in (wrench.force, wrench.moment):
         assert array.dtype == float and not array.flags.writeable
+
+
+def test_zero_wrench_is_one_shared_immutable_instance():
+    zero = Wrench.zero()
+    assert zero is Wrench.zero()
+    assert zero.as_vector().tolist() == [0.0] * 6
+    for array in (zero.force, zero.moment):
+        assert array.dtype == float and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert Wrench.zero().force.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_zero_wrench_of_a_subclass_is_a_new_instance():
+    class Load(Wrench):
+        pass
+
+    first, second = Load.zero(), Load.zero()
+    assert type(first) is Load and first is not second
+    assert first.as_vector().tolist() == [0.0] * 6
 
 
 def test_arm_parameters_frozen(params):

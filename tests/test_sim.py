@@ -864,6 +864,27 @@ def test_drivers_reject_bad_iteration_budget(params, bend30, monkeypatch, max_it
         run_perching_sweep(params, bend30, [np.zeros(3)], max_iter=max_iter)
 
 
+@pytest.mark.parametrize("loads", [["abc"], [None], [True], [0.1, False], [np.bool_(True)],
+                                   0.1],
+                         ids=["string", "none", "true", "false", "numpy-bool", "scalar"])
+def test_sweep_rejects_loads_that_are_not_real_numbers(params, bend30, monkeypatch, loads):
+    # a bool is no load: True would be a load of 1 N
+    def failing_kernel(*args):
+        raise AssertionError("a sweep solved with a load that is not a number")
+
+    monkeypatch.setattr(core, "solve_deflection", failing_kernel)
+    with pytest.raises(ConfigurationError, match="load_schedule"):
+        run_stiffness_sweep(params, [bend30], loads)
+
+
+def test_sweep_takes_a_generator_schedule(params, bend30):
+    loads = [0.0, 0.05, np.float64(0.1), 1]
+    records = run_stiffness_sweep(params, [bend30], (load for load in loads))
+    expected = run_stiffness_sweep(params, [bend30], [float(load) for load in loads])
+    assert [r.tip_displacement.tolist() for r in records] == [
+        r.tip_displacement.tolist() for r in expected]
+
+
 @pytest.mark.parametrize("configs,loads", [([0.5], [0.1]), ([0.5], []), ([], [0.1])],
                          ids=["points", "no-loads", "no-configs"])
 @pytest.mark.parametrize("strict", [True, False])
@@ -1017,6 +1038,13 @@ def test_perching_sweep_rejects_non_finite_offsets(params, bend30, monkeypatch):
             with pytest.raises(ConfigurationError, match=message):
                 run_perching_sweep(params, bend30, offsets)
     assert ik_solves == []
+
+
+@pytest.mark.parametrize("offsets", [[[0.0, 0.001]], [["x", 0, 0]], [[0.0] * 3, [0.0] * 2]],
+                         ids=["short-row", "string", "ragged"])
+def test_perching_sweep_rejects_malformed_offsets(params, bend30, offsets):
+    with pytest.raises(ConfigurationError, match="base_offsets"):
+        run_perching_sweep(params, bend30, offsets)
 
 
 def test_perching_sweep_offset_forms(params, bend30):

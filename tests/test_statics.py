@@ -407,6 +407,19 @@ def test_arc_solve_count_catches_a_doubled_search(params, monkeypatch):
     assert len(calls) > 12 * 11 + 2
 
 
+@pytest.mark.parametrize("tendon_count", [4, 6])
+def test_shared_zero_wrench_allocates_the_bits_of_a_new_one(params, rng, tendon_count):
+    arm = _arm(params, tendon_count)
+    fresh = Wrench((0, 0, 0), (0, 0, 0))
+    for psi in random_configs(rng, 10, theta_lo=0.0):
+        for pretension in (0.0, 0.3):
+            shared = allocate_tensions(arm, psi, Wrench.zero(), pretension)
+            new = allocate_tensions(arm, psi, fresh, pretension)
+            assert shared.tensions.tobytes() == new.tensions.tobytes()
+            assert shared.generalized_force.tobytes() == new.generalized_force.tobytes()
+            assert shared.residual.tobytes() == new.residual.tobytes()
+
+
 def _forbid_lapack(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the tension allocation calls no least squares or SVD")

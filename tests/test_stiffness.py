@@ -14,6 +14,7 @@ from ccarm import (Configuration, ConfigurationError, SingularConfigurationError
                    jacobian_q_psi_derivative_tensor, jacobian_v_derivatives,
                    jacobian_v_pinv_t_derivatives, jacobian_v_psi, stiffness_set,
                    task_stiffness, tendon_stiffness)
+from ccarm._kernels import core
 from ccarm.sim import finite_difference_oracle, solve_deflection, solve_perching_reaction
 
 from conftest import random_configs
@@ -75,12 +76,31 @@ def test_tendon_map_derivative_matches_finite_differences(params, rng):
 
 
 def test_zero_tension_contraction_vanishes(params):
+    # at zero tension K_psi = H - J_q^T K_q J_q, here evaluated on floats by
+    # explicit loops over jacobian_q_psi's rows, each sum in tendon order
     psi = Configuration(0.9, -0.4)
-    k_tau0 = configuration_stiffness(params, psi, np.zeros(4))
-    jq = jacobian_q_psi(params, psi)
-    direct = hessian_energy(params, psi) - jq.T @ tendon_stiffness(params) @ jq
-    assert np.array_equal(k_tau0, direct)
-    assert np.allclose(k_tau0, k_tau0.T, atol=1e-15 * np.max(np.abs(k_tau0)))
+    k_tau0 = configuration_stiffness(params, psi, np.zeros(4)).tolist()
+    jq = jacobian_q_psi(params, psi).tolist()
+    k = params.tendon_axial_stiffness
+    h = hessian_energy(params, psi).tolist()
+    direct = [[0.0, 0.0], [0.0, 0.0]]
+    for i in range(2):
+        for j in range(2):
+            contraction = 0.0
+            for row in jq:
+                contraction += row[i] * row[j]
+            direct[i][j] = h[i][j] - k * contraction
+    assert k_tau0 == direct
+    assert k_tau0[0][1] == k_tau0[1][0]
+
+
+@pytest.mark.parametrize("tendon_count", [4, 6])
+def test_configuration_stiffness_exactly_symmetric(params, rng, tendon_count):
+    arm = params if tendon_count == 4 else _six_tendon(params)
+    for psi in random_configs(rng, 20):
+        tau = allocate_tensions(arm, psi, Wrench.from_force([0.1, -0.2, 0.05]), 0.3).tensions
+        k = configuration_stiffness(arm, psi, tau)
+        assert k[0, 1] == k[1, 0]
 
 
 def test_configuration_stiffness_straight_value(params):
@@ -344,3 +364,26 @@ def test_algebra_modules_make_no_linalg_call():
                 names = [alias.name for alias in node.names] + [getattr(node, "module", "")]
                 assert not any("linalg" in (name or "") for name in names), \
                     f"{module}:{node.lineno} imports numpy.linalg"
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.MatMult), \
+                    f"{module}:{node.lineno} uses the matrix-multiply operator"
+
+
+def test_task_stiffness_evaluates_the_arc_quotients_once(params, monkeypatch):
+    # J_v's columns and their derivative slices share one evaluation
+    calls = []
+    arc_quotients = core.arc_quotients
+
+    def counting(theta):
+        calls.append(theta)
+        return arc_quotients(theta)
+
+    monkeypatch.setattr(core, "arc_quotients", counting)
+    psi = Configuration(0.7, 0.3)
+    tensions = allocate_tensions(params, psi, Wrench.zero(), 0.5).tensions
+    calls.clear()
+    task_stiffness(params, psi, tensions, np.zeros(2))
+    assert calls == [0.7]
+    calls.clear()
+    jacobian_v_pinv_t_derivatives(params, psi)
+    assert calls == [0.7]
