@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import core
-from .model import JacobianSet, JointState, Pose, _readonly
+from .model import JacobianSet, JointState, Pose, _count, _readonly
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,11 @@ def forward_kinematics(params, psi):
 
 
 def sample_backbone(params, psi, count):
-    """Sample the backbone arc at `count` evenly spaced arc positions."""
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
+    """Sample the backbone arc at `count` evenly spaced arc positions.
+
+    A count that is not an integer >= 2 raises ConfigurationError.
+    """
+    count = _count(count, "count", 2)
     length = params.backbone_length
     samples = []
     sd, cd = math.sin(psi.delta), math.cos(psi.delta)

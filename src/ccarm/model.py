@@ -6,6 +6,12 @@ read-only numpy arrays.  Angles are radians and every quantity is SI.
 
 numpy is imported only where an array is built or read, so that loading
 the parameters and the configurations loads no numpy.
+
+The library's input contract is here: every public function of model, sim,
+statics, stiffness and kinematics checks its numeric arguments with _real,
+_reals, _count and _tensions, to which a bool is no number, and what they
+refuse raises ConfigurationError naming the argument.  ArmParameters and
+parameters_from_mapping (ParameterError) and the result records are outside it.
 """
 
 from __future__ import annotations
@@ -46,12 +52,12 @@ _SCHEMA = (
 _DIAMETER_KEY = "backbone_diameter_m"
 
 
-def _readonly(values, shape=None, name="array"):
+def _readonly(values, shape=None):
     """values as a new read-only float array, reshaped only to a shape it lacks.
 
-    A shape of (-1,) takes any flat length.  An entry that is not a number,
-    or a size that does not fit the shape, raises ConfigurationError naming
-    the array.
+    A shape of (-1,) takes any flat length.  The records store their arrays
+    through it; an entry that is not a number, or a size that does not fit
+    the shape, raises ConfigurationError.
     """
     import numpy as np
 
@@ -60,20 +66,79 @@ def _readonly(values, shape=None, name="array"):
         if shape is not None and arr.shape != shape and (shape != (-1,) or arr.ndim != 1):
             arr = arr.reshape(shape)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid {name}: {exc}") from None
+        raise ConfigurationError(f"invalid array: {exc}") from None
     arr.setflags(write=False)
     return arr
 
 
-def _floats(values, size, name):
-    # values as a flat list of size floats (-1: any number); an entry that is
-    # not a number or another size raises ConfigurationError naming them
-    import numpy as np
-
+def _real(value, name):
+    """value as a float; a bool or anything but a real number raises
+    ConfigurationError naming the argument."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     try:
-        return np.asarray(values, dtype=float).reshape(size).tolist()
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid {name}: {exc}") from None
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"{name} must be finite, got an int past the largest float") from None
+
+
+def _reals(values, shape, name, finite=True):
+    """values, an array-like or an iterator of real numbers, as a list of floats.
+
+    The list nests as shape does: a size, -1 for any, or a tuple such as
+    (-1, 3).  A flat list of floats is taken as it is, with no numpy, and a
+    numeric array converts in one step; anything else is checked entry by
+    entry.  A bool or non-number entry, a scalar, a size that does not fit and,
+    if finite, a non-finite entry raise ConfigurationError naming the argument.
+    """
+    if type(values) is list and shape in (-1, len(values)) and {*map(type, values)} <= {float}:
+        floats = flat = values
+    else:
+        import numpy as np
+
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+            try:
+                if iter(values) is values:  # an iterator, a generator say: read it once
+                    values = list(values)
+                entries = np.array(values, dtype=object)
+            except (TypeError, ValueError):  # not iterable (a scalar, None) or ragged
+                entries = None
+            if entries is None or entries.ndim == 0:
+                raise ConfigurationError(f"{name} must be an array of numbers, got {values!r}")
+            for value in entries.flat:
+                _real(value, f"each {name} entry")
+        try:
+            array = np.asarray(values, dtype=float).reshape(shape)
+        except ValueError as exc:
+            raise ConfigurationError(f"invalid {name}: {exc}") from None
+        floats = array.tolist()
+        flat = floats if array.ndim == 1 else array.ravel().tolist()
+    if finite and not all(map(math.isfinite, flat)):
+        raise ConfigurationError(f"non-finite {name}: {floats}")
+    return floats
+
+
+def _count(value, name, least):
+    """value as an int >= least; a bool, a float or anything but an integer
+    raises ConfigurationError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _tensions(values, count):
+    """values as count tendon tensions: a list of floats, each finite and >= 0
+    (to 1e-12); anything else raises ConfigurationError naming the tensions."""
+    tau = _reals(values, count, "tensions", finite=False)
+    if not all(map(math.isfinite, tau)):
+        raise ConfigurationError(f"tendon tensions must be finite, got {tau}")
+    if min(tau, default=0.0) < -1e-12:
+        raise ConfigurationError(
+            f"tensions must be >= 0, got a negative tendon tension: {min(tau)!r}")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -146,29 +211,28 @@ class Configuration:
 
     def __post_init__(self):
         if type(self.theta) is not float or type(self.delta) is not float:
-            _check_angles(self.theta, self.delta)
+            _real(self.theta, "theta")
+            _real(self.delta, "delta")
         if not (math.isfinite(self.theta) and math.isfinite(self.delta)):
-            raise ConfigurationError(
-                f"non-finite configuration ({float(self.theta)!r}, {float(self.delta)!r})"
-            )
+            raise ConfigurationError(f"non-finite configuration (theta, delta) = "
+                                     f"({float(self.theta)!r}, {float(self.delta)!r})")
         if self.theta < 0.0:
             raise ConfigurationError(
                 f"theta must be >= 0 (got {float(self.theta)!r}); use wrap_configuration"
             )
 
 
-def _check_angles(theta, delta):
-    # The angle check past a float's fast path: a bool or a non-number is no
-    # angle, and raises ConfigurationError naming the field.
-    for name, value in (("theta", theta), ("delta", delta)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-
-
 def wrap_delta(delta):
-    """Wrap an angle to the interval (-pi, pi]; a no-op for canonical input."""
+    """Wrap an angle to the interval (-pi, pi]; a no-op for canonical input.
+
+    An angle that is not a finite real number raises ConfigurationError.
+    """
+    if type(delta) is not float:
+        _real(delta, "delta")
     if -math.pi < delta <= math.pi:
         return delta
+    if not math.isfinite(delta):
+        raise ConfigurationError(f"delta must be finite, got {float(delta)!r}")
     w = math.fmod(delta + math.pi, 2.0 * math.pi)
     if w <= 0.0:
         w += 2.0 * math.pi
@@ -179,7 +243,9 @@ def wrap_configuration(theta, delta, theta_max=DEFAULT_THETA_MAX):
     """Canonicalize (theta, delta): theta >= 0 and delta in (-pi, pi].
 
     A negative theta maps to (-theta, delta + pi), the same physical bend.
-    Raises ConfigurationError for non-finite input or theta beyond theta_max.
+    Raises ConfigurationError for non-finite angles, theta beyond theta_max
+    or a theta_max that is not a real number or is NaN; math.inf bounds
+    nothing.
     """
     return Configuration(*_wrapped_angles(theta, delta, theta_max))
 
@@ -187,18 +253,21 @@ def wrap_configuration(theta, delta, theta_max=DEFAULT_THETA_MAX):
 def _wrapped_angles(theta, delta, theta_max=DEFAULT_THETA_MAX):
     # wrap_configuration's (theta, delta) and errors, without the record.
     if type(theta) is not float or type(delta) is not float:
-        _check_angles(theta, delta)
+        _real(theta, "theta")
+        _real(delta, "delta")
+    if type(theta_max) is not float:
+        theta_max = _real(theta_max, "theta_max")
     if not (math.isfinite(theta) and math.isfinite(delta)):
-        raise ConfigurationError(
-            f"non-finite configuration ({float(theta)!r}, {float(delta)!r})")
+        raise ConfigurationError(f"non-finite configuration (theta, delta) = "
+                                 f"({float(theta)!r}, {float(delta)!r})")
     if theta < 0.0:
         theta = -theta
         delta = delta + math.pi
-    if theta > theta_max + 1e-12:
+    if not theta <= theta_max + 1e-12:  # a NaN theta_max is refused here too
         raise ConfigurationError(
-            f"bending angle {theta:.6g} rad exceeds theta_max {theta_max:.6g} rad"
+            f"bending angle theta = {theta:.6g} rad exceeds theta_max {theta_max:.6g} rad"
         )
-    return theta, wrap_delta(delta)
+    return theta, delta if -math.pi < delta <= math.pi else wrap_delta(delta)
 
 
 @dataclass(frozen=True)
@@ -209,19 +278,10 @@ class JointState:
     tensions: np.ndarray = None     # N, >= 0 when present
 
     def __post_init__(self):
-        import numpy as np
-
-        q = _readonly(self.displacements, (-1,))
-        if not np.all(np.isfinite(q)):
-            raise ConfigurationError("non-finite tendon displacements")
-        object.__setattr__(self, "displacements", q)
+        q = _reals(self.displacements, -1, "displacements")
+        object.__setattr__(self, "displacements", _readonly(q))
         if self.tensions is not None:
-            tau = _readonly(self.tensions, (-1,))
-            if tau.shape != q.shape:
-                raise ConfigurationError("tensions and displacements length mismatch")
-            if not np.all(np.isfinite(tau)) or np.min(tau) < -1e-12:
-                raise ConfigurationError("tendon tensions must be finite and >= 0")
-            object.__setattr__(self, "tensions", tau)
+            object.__setattr__(self, "tensions", _readonly(_tensions(self.tensions, len(q))))
 
 
 @dataclass(frozen=True)
@@ -234,16 +294,14 @@ class Pose:
     def __post_init__(self):
         import numpy as np
 
-        rot = _readonly(self.rotation, (3, 3))
-        pos = _readonly(self.position, (3,))
-        if np.linalg.norm(rot.T @ rot - np.eye(3)) > 1e-10:
+        rot = _readonly(_reals(self.rotation, 9, "rotation"), (3, 3))
+        # entries past 1 fail first, so that the product cannot overflow
+        if np.abs(rot).max() > 1.0 + 1e-10 or np.linalg.norm(rot.T @ rot - np.eye(3)) > 1e-10:
             raise ConfigurationError("rotation is not orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > 1e-10:
             raise ConfigurationError("rotation determinant is not +1")
-        if not np.all(np.isfinite(pos)):
-            raise ConfigurationError("non-finite position")
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "position", _readonly(_reals(self.position, 3, "position")))
 
 
 @dataclass(frozen=True)
@@ -254,12 +312,8 @@ class Wrench:
     moment: np.ndarray   # N*m
 
     def __post_init__(self):
-        f = _readonly(self.force, (3,), "wrench force")
-        m = _readonly(self.moment, (3,), "wrench moment")
-        if not all(map(math.isfinite, f.tolist() + m.tolist())):
-            raise ConfigurationError("non-finite wrench")
-        object.__setattr__(self, "force", f)
-        object.__setattr__(self, "moment", m)
+        object.__setattr__(self, "force", _readonly(_reals(self.force, 3, "wrench force")))
+        object.__setattr__(self, "moment", _readonly(_reals(self.moment, 3, "wrench moment")))
 
     @classmethod
     def zero(cls):

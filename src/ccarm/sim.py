@@ -32,13 +32,12 @@ inside the functions that take or build arrays, so a CSV sweep loads none.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
-from .model import Configuration, _floats, _readonly, _wrapped_angles
+from .model import Configuration, _count, _real, _reals, _readonly, _wrapped_angles
 from .statics import _allocate, _arm, _generalized_force
 
 if TYPE_CHECKING:
@@ -102,7 +101,8 @@ def finite_difference_oracle(f, x, step=1e-6):
     """Central-difference Jacobian of a vector map, column by column."""
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
+    x = np.array(_reals(x, -1, "x"))
+    step = _real(step, "step")
     cols = []
     for k in range(x.size):
         dx = np.zeros_like(x)
@@ -122,12 +122,6 @@ def _bend_angles(wx, wy, fallback_delta):
     # wrap_configuration makes them; delta falls back where w = 0.
     theta = math.hypot(wx, wy)
     return _wrapped_angles(theta, math.atan2(wy, wx) if theta > 0.0 else fallback_delta)
-
-
-def _check_max_iter(max_iter):
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
-            or max_iter < 0):
-        raise ConfigurationError(f"max_iter must be a non-negative integer, got {max_iter!r}")
 
 
 def _commanded_state(params, commanded_config, pretension):
@@ -203,15 +197,13 @@ def solve_deflection(params, commanded_config, tip_force, pretension=0.0, *,
     until the configuration-space residual drops below 1e-10 N*m.
 
     Returns a DeflectionRecord; raises ConvergenceError when the iteration
-    budget runs out, ConfigurationError for a non-finite force, past the force
-    cap, a bend of pi, a max_iter that is not a non-negative integer, a
-    tip_force that is not three numbers or a pretension that is not a real
-    number >= 0.
+    budget runs out, ConfigurationError past the force cap, at a bend of pi or
+    for an argument the input contract refuses (see README): a max_iter that
+    is not an integer >= 0, a tip_force that is not three finite numbers or a
+    pretension that is not a real number >= 0.
     """
-    _check_max_iter(max_iter)
-    f = tuple(_floats(tip_force, 3, "tip_force"))
-    if not all(map(math.isfinite, f)):
-        raise ConfigurationError(f"tip force must be finite, got {list(f)}")
+    max_iter = _count(max_iter, "max_iter", 0)
+    f = tuple(_reals(tip_force, 3, "tip_force"))
     arm = _arm(params)
     state = _commanded_state(params, commanded_config, pretension)
     w0 = _bend_vector(commanded_config)
@@ -276,24 +268,6 @@ def _solve_radial_load(arm, fallback_delta, w0, state, d0, load, sign, max_iter)
     raise ConvergenceError("radial load direction did not settle while re-aiming")
 
 
-def _checked_loads(load_schedule):
-    # The load schedule, any iterable of real numbers, as a list of finite
-    # floats; a bool, a non-number or a non-finite load is ConfigurationError.
-    try:
-        schedule = iter(load_schedule)
-    except TypeError:
-        raise ConfigurationError(
-            f"load_schedule must be an iterable of loads, got {load_schedule!r}") from None
-    loads = []
-    for load in schedule:
-        if isinstance(load, bool) or not isinstance(load, numbers.Real):
-            raise ConfigurationError(f"load_schedule entries must be real numbers, got {load!r}")
-        loads.append(float(load))
-    if not all(map(math.isfinite, loads)):
-        raise ConfigurationError("sweep loads must be finite")
-    return loads
-
-
 def _stiffness_points(params, configs, load_schedule, direction, pretension, max_iter,
                       strict):
     """Float rows of a stiffness sweep: (state, points) per configuration.
@@ -304,9 +278,9 @@ def _stiffness_points(params, configs, load_schedule, direction, pretension, max
     raises, annotated with (config, load).  Inputs are validated before any
     point is solved.
     """
-    _check_max_iter(max_iter)
+    max_iter = _count(max_iter, "max_iter", 0)
     sign = _direction_sign(direction)
-    loads = _checked_loads(load_schedule)
+    loads = _reals(load_schedule, -1, "load_schedule")
     arm = _arm(params)
     length = params.backbone_length
     sweep = []
@@ -324,7 +298,7 @@ def _stiffness_points(params, configs, load_schedule, direction, pretension, max
                 if strict:
                     raise type(exc)(
                         f"sweep point theta={math.degrees(config.theta):.3g} deg, "
-                        f"load={load:.4g} N: {exc}") from exc
+                        f"load_schedule entry {load:.4g} N: {exc}") from exc
                 points.append(((load * d0[0], load * d0[1], load * d0[2]), _NAN3,
                                getattr(exc, "iterations", 0) or 0,
                                config.theta, config.delta, False))
@@ -344,8 +318,7 @@ def run_stiffness_sweep(params, configs, load_schedule, direction="inward",
     annotated with (config, load); otherwise it is recorded with
     converged=False and NaN displacements.  A load that is not a finite real
     number (a bool included), an unknown direction or a max_iter that is not
-    a non-negative integer raises ConfigurationError before any point is
-    solved.
+    an integer >= 0 raises ConfigurationError before any point is solved.
     """
     sweep = _stiffness_points(params, configs, load_schedule, direction, pretension,
                               max_iter, strict)
@@ -364,7 +337,8 @@ def _out_and_back(items):
 
 def mirrored_schedule(increment, steps):
     """Load schedule increasing in equal steps and mirrored back to zero."""
-    return _out_and_back([increment * k for k in range(steps + 1)])[1:]
+    _real(increment, "increment")
+    return _out_and_back([increment * k for k in range(_count(steps, "steps", 0) + 1)])[1:]
 
 
 def _reaction(columns, generalized):
@@ -400,7 +374,7 @@ def _perch(perching, tx, ty, tz, max_iter):
     reach = math.hypot(tx, ty, tz)
     if reach > length * (1.0 + 1e-9):
         raise UnreachableTargetError(
-            f"anchor at distance {reach:.4g} m exceeds the arm length {length:.4g} m")
+            f"tip_anchor - base_offset is {reach:.4g} m away, past the arm length {length:.4g} m")
     wx, wy, iters, reach_residual, ok = core.solve_tip_constraint(
         length, w0x, w0y, tx, ty, tz, _IK_DAMPING, _IK_TOL, max_iter)
     if not ok:
@@ -445,11 +419,8 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
     An anchor or offset that is not three finite numbers raises
     ConfigurationError before the IK.
     """
-    anchor = _floats(tip_anchor, 3, "tip_anchor")
-    offset = _floats(base_offset, 3, "base_offset")
-    if not all(map(math.isfinite, anchor + offset)):
-        raise ConfigurationError(
-            f"perching tip anchor and base offset must be finite, got {anchor} and {offset}")
+    anchor = _reals(tip_anchor, 3, "tip_anchor")
+    offset = _reals(base_offset, 3, "base_offset")
     (ax, ay, az), (ox, oy, oz) = anchor, offset
     return _perching_record(offset, _perch(
         _perching_state(params, commanded_config, pretension),
@@ -464,7 +435,7 @@ def _perching_points(params, commanded_config, base_offsets, pretension, max_ite
     stays pinned at the commanded tip.  Inputs are validated, and the
     commanded state built, before any point is solved.
     """
-    _check_max_iter(max_iter)
+    max_iter = _count(max_iter, "max_iter", 0)
     if not all(math.isfinite(v) for offset in base_offsets for v in offset):
         raise ConfigurationError("perching base offsets must be finite")
     theta, delta = commanded_config.theta, commanded_config.delta
@@ -487,19 +458,13 @@ def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *
 
     The commanded state is built once for all offsets.  A failed point (IK
     not converged, anchor out of reach, an equilibrium bent past pi) is
-    recorded with converged=False and NaN reaction force and moment; a
-    non-finite or non-numeric offset or a max_iter that is not a non-negative
-    integer raises ConfigurationError before any point is solved.
-    base_offsets is an (n, 3) array-like or a flat sequence of 3n floats;
-    any other shape raises ConfigurationError too.
+    recorded with converged=False and NaN reaction force and moment.
+    base_offsets is an (n, 3) array-like or a flat sequence of 3n real
+    numbers; a non-finite offset, any other shape or a max_iter that is not an
+    integer >= 0 raises ConfigurationError before any point is solved.
     """
-    import numpy as np
-
-    try:
-        offsets = np.asarray(base_offsets, dtype=float).reshape(-1, 3).tolist()
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"base_offsets must be an (n, 3) array of numbers: {exc}") from None
+    # _perching_points refuses a non-finite offset, with the CLI's message
+    offsets = _reals(base_offsets, (-1, 3), "base_offsets", finite=False)
     return [_perching_record(offset, point)
             for offset, point in zip(offsets, _perching_points(
                 params, commanded_config, offsets, pretension, max_iter))]

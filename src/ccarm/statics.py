@@ -30,13 +30,12 @@ inside the functions that do so: the sweeps in ``sim`` load no numpy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ._kernels import core
 from .errors import ConfigurationError, InfeasibleTensionsError
-from .model import _floats, _readonly
+from .model import _readonly, _real, _tensions
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,22 +70,6 @@ def energy_gradient(params, psi):
     import numpy as np
 
     return np.array([psi.theta * params.flexural_rigidity / params.backbone_length, 0.0])
-
-
-def _check_tension_list(values, count):
-    # values, a list of floats, once they are count finite tensions >= 0
-    if len(values) != count:
-        raise ConfigurationError(f"expected {count} tensions, got {len(values)}")
-    if not all(map(math.isfinite, values)):
-        raise ConfigurationError(f"tendon tensions must be finite, got {values}")
-    if min(values) < -1e-12:
-        raise ConfigurationError(f"negative tendon tension: {min(values)!r}")
-    return values
-
-
-def _check_tensions(tensions, count):
-    """Any array-like of tensions as a checked list of floats."""
-    return _check_tension_list(_floats(tensions, -1, "tensions"), count)
 
 
 def _pulls(cos_v, sin_v, tau):
@@ -136,7 +119,7 @@ def equilibrium_residual(params, psi, tensions, w_ext):
     """Configuration-space force imbalance grad(E) - J_q^T tau - J_x^T w_ext."""
     import numpy as np
 
-    tau = _check_tensions(tensions, params.tendon_count)
+    tau = _tensions(tensions, params.tendon_count)
     cos_v, sin_v = core.tendon_cos_sin(
         params.tendon_division_angle, params.tendon_count, psi.delta)
     return np.array(_residual(_generalized_force(_arm(params), psi.theta,
@@ -281,11 +264,9 @@ def _allocate(params, psi, w_ext, pretension):
     tensions is a list, the other two are float pairs re-evaluated from the
     tensions by the products equilibrium_residual uses, so they share its bits.
     """
-    if isinstance(pretension, bool) or not isinstance(pretension, numbers.Real):
-        raise ConfigurationError(f"pretension must be a real number, got {pretension!r}")
+    pretension = _real(pretension, "pretension")
     if not (math.isfinite(pretension) and pretension >= 0.0):
-        raise ConfigurationError(
-            f"pretension must be finite and >= 0, got {float(pretension)!r}")
+        raise ConfigurationError(f"pretension must be finite and >= 0, got {pretension!r}")
     if pretension > _MAX_PRETENSION:
         raise ConfigurationError(
             f"pretension {pretension:.3g} N exceeds {_MAX_PRETENSION:.3g} N, past which "
@@ -296,8 +277,9 @@ def _allocate(params, psi, w_ext, pretension):
     external = _external_force(params, psi, w_ext)
     grad = theta * params.flexural_rigidity / params.backbone_length
     b1, b2 = (grad, 0.0) if external is None else (grad - external[0], 0.0 - external[1])
-    tau = _check_tension_list(_arc_tensions(cos_v, sin_v, params.pitch_radius, theta,
-                                            b1, b2, float(pretension)), params.tendon_count)
+    tau = _arc_tensions(cos_v, sin_v, params.pitch_radius, theta, b1, b2, pretension)
+    if not all(map(math.isfinite, tau)):  # a result, so >= pretension and n long by construction
+        raise ConfigurationError(f"allocated tendon tensions are not finite: {tau}")
     generalized = _generalized_force(_arm(params), theta, *_pulls(cos_v, sin_v, tau))
     return tau, generalized, _residual(generalized, external)
 

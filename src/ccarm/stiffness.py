@@ -29,8 +29,7 @@ import numpy as np
 
 from ._kernels import core
 from .errors import ConfigurationError, SingularConfigurationError
-from .model import StiffnessSet, _floats
-from .statics import _check_tensions
+from .model import StiffnessSet, _real, _reals, _tensions
 
 # Damping added to J_v^T J_v by the explicitly requested damped variant.
 DEFAULT_DAMPING = 1e-6
@@ -91,7 +90,7 @@ def _configuration_stiffness(params, psi, tau):
 
 def configuration_stiffness(params, psi, tensions):
     """Configuration-space stiffness K_psi, 2x2."""
-    tau = _check_tensions(tensions, params.tendon_count)
+    tau = _tensions(tensions, params.tendon_count)
     return np.array(_configuration_stiffness(params, psi, tau))
 
 
@@ -159,14 +158,7 @@ def jacobian_v_pinv_t_derivatives(params, psi, damping=0.0):
     quotients = core.hessian_quotients(abs(theta))
     return tuple(np.array(columns).T for columns in _pinv_t(
         core.jac_v_columns(length, theta, delta, quotients[:4]),
-        *_jacobian_v_slices(length, theta, delta, quotients), damping))
-
-
-def _check_f_star(f_star):
-    f = _floats(f_star, 2, "f_star")
-    if not all(map(math.isfinite, f)):
-        raise ConfigurationError(f"generalized force F* must be finite, got {f}")
-    return f
+        *_jacobian_v_slices(length, theta, delta, quotients), _real(damping, "damping")))
 
 
 def _task_stiffness(params, psi, k_psi, f_star, damped):
@@ -198,7 +190,7 @@ def _task_stiffness(params, psi, k_psi, f_star, damped):
     k_x = [ui * x + vi * y for ui, vi in zip(u, v) for x, y in zip(p1, p2)]
     if not all(map(math.isfinite, k_x)):
         raise ConfigurationError(
-            f"task stiffness is not finite at theta = {theta!r}: F* or the "
+            f"task stiffness is not finite at theta = {theta!r}: f_star (F*) or the "
             "tensions are too large for K_X to be represented")
     return k_x
 
@@ -213,16 +205,16 @@ def task_stiffness(params, psi, tensions, f_star, *, damped=False):
     Negative or non-finite tensions, a non-finite F* and a K_X that overflows
     raise ConfigurationError, the first two before the singularity check.
     """
-    tau = _check_tensions(tensions, params.tendon_count)
-    f = _check_f_star(f_star)
+    tau = _tensions(tensions, params.tendon_count)
+    f = _reals(f_star, 2, "f_star")
     k_x = _task_stiffness(params, psi, _configuration_stiffness(params, psi, tau), f, damped)
     return np.array(k_x).reshape(3, 3)
 
 
 def stiffness_set(params, psi, tensions, f_star=None, *, damped=False):
     """Bundle K_psi, K_q and K_X (None at singular points) into a record."""
-    tau = _check_tensions(tensions, params.tendon_count)
-    f = (0.0, 0.0) if f_star is None else _check_f_star(f_star)
+    tau = _tensions(tensions, params.tendon_count)
+    f = (0.0, 0.0) if f_star is None else _reals(f_star, 2, "f_star")
     k_psi = _configuration_stiffness(params, psi, tau)
     try:
         k_x = _task_stiffness(params, psi, k_psi, f, damped)

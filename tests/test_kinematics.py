@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ccarm import (Configuration, configuration_to_joints, forward_kinematics,
-                   jacobian_q_psi, jacobian_set, jacobian_v_psi, jacobian_w_psi,
-                   jacobian_w_psi_vectorized, jacobian_x_psi, sample_backbone)
+from ccarm import (Configuration, ConfigurationError, configuration_to_joints,
+                   forward_kinematics, jacobian_q_psi, jacobian_set, jacobian_v_psi,
+                   jacobian_w_psi, jacobian_w_psi_vectorized, jacobian_x_psi, sample_backbone)
 from ccarm._kernels import core
 from ccarm.sim import finite_difference_oracle
 
@@ -119,8 +119,10 @@ def test_backbone_equal_chords(params, rng):
 
 
 def test_backbone_count_validation(params):
-    with pytest.raises(ValueError):
-        sample_backbone(params, Configuration(0.3, 0.0), 1)
+    # a ConfigurationError, which is a ValueError too, naming the count
+    for count in (1, -3, "3", 2.5, True, None):
+        with pytest.raises(ConfigurationError, match="count"):
+            sample_backbone(params, Configuration(0.3, 0.0), count)
 
 
 # ------------------------------------------------------------------ joint map

@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ccarm import (ArmParameters, Configuration, ConfigurationError, JointState,
-                   ParameterError, Pose, Wrench, default_parameters,
-                   dump_parameters, forward_kinematics, load_parameters,
+from ccarm import (ArmParameters, CcarmError, Configuration, ConfigurationError,
+                   ConvergenceError, InfeasibleTensionsError, JointState, ParameterError, Pose,
+                   SingularConfigurationError, UnreachableTargetError, Wrench, allocate_tensions,
+                   default_parameters, dump_parameters, forward_kinematics, load_parameters,
                    parameters_from_mapping, parse_parameter_text, wrap_configuration,
                    wrap_delta)
 from ccarm.model import _SCHEMA
@@ -200,6 +204,21 @@ def test_wrap_configuration_examples():
     assert (c.theta, c.delta) == (0.0, 1.2)
 
 
+@pytest.mark.parametrize("theta_max", ["x", True, np.True_, None, math.nan],
+                         ids=["string", "true", "numpy-bool", "none", "nan"])
+def test_wrap_configuration_checks_theta_max(theta_max):
+    # True would be a 1 rad limit and a NaN limit would bound nothing
+    for theta in (0.5, 0.0, -0.5):
+        with pytest.raises(ConfigurationError, match="theta_max"):
+            wrap_configuration(theta, 0.0, theta_max)
+
+
+def test_wrap_configuration_takes_an_infinite_theta_max():
+    # the CLI's jacobians --check passes math.inf to let its stencil bend past pi
+    assert wrap_configuration(4.0, 0.5, math.inf) == Configuration(4.0, 0.5)
+    assert wrap_configuration(-4.0, 0.5, math.inf) == Configuration(4.0, wrap_delta(0.5 + math.pi))
+
+
 def test_wrap_delta_interval():
     for delta in (-math.pi, math.pi, 0.0, 5.5, -9.1, 2 * math.pi):
         w = wrap_delta(delta)
@@ -263,6 +282,18 @@ def test_configuration_angles_must_be_real_numbers(field, bad):
     for make in (Configuration, wrap_configuration):
         with pytest.raises(ConfigurationError, match=f"{field} must be a real number"):
             make(angles["theta"], angles["delta"])
+
+
+def test_an_int_past_the_largest_float_is_refused_by_name(params):
+    # float(10**400) raises OverflowError, which is no CcarmError
+    huge = 10 ** 400
+    for make, name in ((lambda: Configuration(huge, 0.0), "theta"),
+                       (lambda: wrap_configuration(0.5, huge), "delta"),
+                       (lambda: Wrench([huge, 0, 0], np.zeros(3)), "wrench force"),
+                       (lambda: allocate_tensions(params, Configuration(0.5, 0.0), None, huge),
+                        "pretension")):
+        with pytest.raises(ConfigurationError, match=name):
+            make()
 
 
 def test_configuration_keeps_real_angles_as_given():
@@ -334,3 +365,105 @@ def test_zero_wrench_of_a_subclass_is_a_new_instance():
 def test_arm_parameters_frozen(params):
     with pytest.raises(AttributeError):
         params.backbone_length = 0.3
+
+
+# ------------------------------------------------------------- input contract
+
+def _contract_table():
+    # (argument, base, call): every public numeric argument of model, sim,
+    # statics, stiffness and kinematics, with call(params, config, value).  A
+    # vector argument has a valid base vector, whose first entry the value
+    # replaces; a scalar's base is None.  finite_difference_oracle's step is
+    # left out: its range depends on the caller's function, as does what that
+    # raises.
+    import ccarm
+
+    def tensions(p, c):
+        return ccarm.allocate_tensions(p, c, None).tensions
+
+    two, three, four = [0.0] * 2, [0.0] * 3, [0.0] * 4
+    anchor = [0.0, 0.0, 0.25]
+    return [
+        ("theta", None, lambda p, c, v: Configuration(v, 0.3)),
+        ("delta", None, lambda p, c, v: Configuration(0.3, v)),
+        ("theta", None, lambda p, c, v: wrap_configuration(v, 0.3)),
+        ("delta", None, lambda p, c, v: wrap_configuration(0.3, v)),
+        ("theta_max", None, lambda p, c, v: wrap_configuration(0.3, 0.1, v)),
+        ("delta", None, lambda p, c, v: wrap_delta(v)),
+        ("displacements", four, lambda p, c, v: JointState(v)),
+        ("tensions", four, lambda p, c, v: JointState(np.zeros(4), v)),
+        ("rotation", np.eye(3).ravel().tolist(), lambda p, c, v: Pose(v, np.zeros(3))),
+        ("position", three, lambda p, c, v: Pose(np.eye(3), v)),
+        ("wrench force", three, lambda p, c, v: Wrench(v, np.zeros(3))),
+        ("wrench moment", three, lambda p, c, v: Wrench(np.zeros(3), v)),
+        ("wrench force", three, lambda p, c, v: Wrench.from_force(v)),
+        ("x", two, lambda p, c, v: ccarm.finite_difference_oracle(lambda x: x, v)),
+        ("tip_force", three, lambda p, c, v: ccarm.solve_deflection(p, c, v)),
+        ("pretension", None, lambda p, c, v: ccarm.solve_deflection(p, c, three, v)),
+        ("max_iter", None, lambda p, c, v: ccarm.solve_deflection(p, c, three, max_iter=v)),
+        ("load_schedule", two, lambda p, c, v: ccarm.run_stiffness_sweep(p, [c], v)),
+        ("pretension", None,
+         lambda p, c, v: ccarm.run_stiffness_sweep(p, [c], [0.1], "inward", v)),
+        ("max_iter", None, lambda p, c, v: ccarm.run_stiffness_sweep(p, [c], [0.1], max_iter=v)),
+        ("increment", None, lambda p, c, v: ccarm.mirrored_schedule(v, 2)),
+        ("steps", None, lambda p, c, v: ccarm.mirrored_schedule(0.1, v)),
+        ("tip_anchor", anchor, lambda p, c, v: ccarm.solve_perching_reaction(p, c, v, three)),
+        ("base_offset", three, lambda p, c, v: ccarm.solve_perching_reaction(p, c, anchor, v)),
+        ("pretension", None,
+         lambda p, c, v: ccarm.solve_perching_reaction(p, c, anchor, three, v)),
+        ("base_offsets", three, lambda p, c, v: ccarm.run_perching_sweep(p, c, [v])),
+        ("pretension", None, lambda p, c, v: ccarm.run_perching_sweep(p, c, [three], v)),
+        ("max_iter", None, lambda p, c, v: ccarm.run_perching_sweep(p, c, [three], max_iter=v)),
+        ("pretension", None, lambda p, c, v: ccarm.allocate_tensions(p, c, None, v)),
+        ("tensions", four, lambda p, c, v: ccarm.equilibrium_residual(p, c, v, None)),
+        ("tensions", four, lambda p, c, v: ccarm.configuration_stiffness(p, c, v)),
+        ("tensions", four, lambda p, c, v: ccarm.task_stiffness(p, c, v, two)),
+        ("f_star", two, lambda p, c, v: ccarm.task_stiffness(p, c, tensions(p, c), v)),
+        ("tensions", four, lambda p, c, v: ccarm.stiffness_set(p, c, v)),
+        ("f_star", two, lambda p, c, v: ccarm.stiffness_set(p, c, tensions(p, c), v)),
+        ("damping", None, lambda p, c, v: ccarm.jacobian_v_pinv_t_derivatives(p, c, v)),
+        ("count", None, lambda p, c, v: ccarm.sample_backbone(p, c, v)),
+    ]
+
+
+_CONTRACT_TABLE = _contract_table()
+_OUTCOMES = (ConvergenceError, InfeasibleTensionsError, SingularConfigurationError,
+             UnreachableTargetError)
+_ODD_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -1.0, 0.0,
+               True, np.bool_(True), None, "1.0"]
+
+
+def _on_every_row(test):
+    # one explicit example per row, so every argument meets every odd value
+    for row in _CONTRACT_TABLE:
+        test = example(row=row, drawn=0.5)(test)
+    return test
+
+
+@_on_every_row
+@given(row=st.sampled_from(_CONTRACT_TABLE), drawn=st.floats())
+def test_every_numeric_argument_returns_or_raises_a_typed_error(row, drawn):
+    # Each odd value, and a drawn float, in each argument, and a vector of the
+    # wrong size in each vector argument: the call returns or raises a
+    # CcarmError, and nothing else escapes, a RuntimeWarning included.  A
+    # refusal names the argument (an underscore may read as a space); the
+    # solvers' outcomes on accepted input (no convergence, an unreachable or
+    # infeasible point, a singular one, an equilibrium bent past pi) name
+    # what happened instead.
+    name, base, call = row
+    params, config = default_parameters(), Configuration(0.5, 0.3)
+    values = _ODD_VALUES + [drawn]
+    if base is not None:
+        values = [[v] + base[1:] for v in values] + [base[:-1], base + [0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in values:
+            try:
+                call(params, config, value)
+            except _OUTCOMES:
+                pass
+            except CcarmError as exc:
+                message = str(exc)
+                assert (name in message or name.replace("_", " ") in message
+                        or "exceeds theta_max" in message and name != "theta_max"), \
+                    (value, message)

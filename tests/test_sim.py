@@ -11,12 +11,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ccarm.sim
-from ccarm import (Configuration, ConfigurationError, ConvergenceError,
-                   UnreachableTargetError, Wrench, allocate_tensions,
+from ccarm import (Configuration, ConfigurationError, ConvergenceError, JointState,
+                   UnreachableTargetError, Wrench, allocate_tensions, configuration_stiffness,
                    configuration_to_joints, energy_gradient, forward_kinematics,
                    jacobian_q_psi, jacobian_v_psi, mirrored_schedule, radial_load_direction,
                    run_perching_sweep, run_stiffness_sweep, solve_deflection,
-                   solve_perching_reaction, task_stiffness, wrap_configuration)
+                   solve_perching_reaction, stiffness_set, task_stiffness,
+                   wrap_configuration)
 from ccarm._kernels._purecore import _psi_residual_norm
 from ccarm.sim import finite_difference_oracle
 from ccarm.stiffness import jacobian_v_derivatives
@@ -126,14 +127,24 @@ def _anchor(params, config):
     (lambda p, c: Wrench(force=["x", 0.0, 0.0], moment=np.zeros(3)), "wrench force"),
     (lambda p, c: Wrench(force=[0.1, 0.0], moment=np.zeros(3)), "wrench force"),
     (lambda p, c: Wrench(force=np.zeros(3), moment=[0.0, 0.0, "m"]), "wrench moment"),
+    (lambda p, c: run_perching_sweep(p, c, [[True, 0, 0]]), "base_offsets"),
+    (lambda p, c: solve_deflection(p, c, [True, 0, 0]), "tip_force"),
+    (lambda p, c: task_stiffness(p, c, np.full(4, 0.5), [True, 0.0]), "f_star"),
+    (lambda p, c: stiffness_set(p, c, np.full(4, 0.5), [True, 0.0]), "f_star"),
+    (lambda p, c: configuration_stiffness(p, c, [True, 0, 0, 0]), "tensions"),
+    (lambda p, c: Wrench([True, 0, 0], np.zeros(3)), "wrench force"),
+    (lambda p, c: JointState([True, 0, 0, 0]), "displacements"),
 ], ids=["allocate-str", "allocate-none", "allocate-bool", "deflection-str", "deflection-none",
         "deflection-bool", "perching-bool", "force-2", "force-str", "anchor-2", "offset-2",
         "fstar-3", "tensions-str", "residual-tensions-dict", "wrench-force-str",
-        "wrench-force-2", "wrench-moment-str"])
+        "wrench-force-2", "wrench-moment-str", "offsets-bool", "force-bool",
+        "task-fstar-bool", "set-fstar-bool", "tensions-bool", "wrench-force-bool",
+        "displacements-bool"])
 def test_coerced_inputs_raise_typed_errors(params, bend30, call, name):
     # a string, None or bool pretension, and a non-numeric or wrongly sized
     # vector, raise ConfigurationError naming the argument, not a raw
-    # TypeError or numpy's ValueError, and a bool is not a 1 N floor
+    # TypeError or numpy's ValueError, and a bool is not a 1 N floor nor a
+    # vector entry of 1
     with pytest.raises(ConfigurationError, match=name):
         call(params, bend30)
 
@@ -705,6 +716,14 @@ def test_inward_outward_bend_opposite(params, bend30):
 
 
 # --------------------------------------------------------------- sweep driver
+
+@pytest.mark.parametrize("increment,steps,name", [
+    (0.1, 2.5, "steps"), (0.1, "3", "steps"), (0.1, True, "steps"), (0.1, -1.0, "steps"),
+    ("x", 2, "increment"), (True, 2, "increment"), (None, 2, "increment")])
+def test_mirrored_schedule_rejects_what_is_no_number(increment, steps, name):
+    with pytest.raises(ConfigurationError, match=name):
+        mirrored_schedule(increment, steps)
+
 
 def test_mirrored_schedule():
     assert mirrored_schedule(0.1, 3) == pytest.approx([0.1, 0.2, 0.3, 0.2, 0.1, 0.0])

@@ -369,6 +369,26 @@ def test_algebra_modules_make_no_linalg_call():
                     f"{module}:{node.lineno} uses the matrix-multiply operator"
 
 
+def test_only_model_decides_what_a_number_is():
+    # the input contract is model's helpers: no other module imports numbers
+    # or tests isinstance(..., bool) to keep a check of its own
+    source = Path(ccarm.__file__).resolve().parent
+    for path in sorted(source.rglob("*.py")):
+        if path == source / "model.py":
+            continue
+        module = path.relative_to(source)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "numbers" not in [alias.name for alias in node.names], \
+                    f"{module}:{node.lineno} imports numbers"
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "numbers", f"{module}:{node.lineno} imports numbers"
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                  and len(node.args) == 2):
+                assert "bool" not in ast.unparse(node.args[1]), \
+                    f"{module}:{node.lineno} tests for a bool"
+
+
 def test_task_stiffness_evaluates_the_arc_quotients_once(params, monkeypatch):
     # J_v's columns and their derivative slices share one evaluation
     calls = []
