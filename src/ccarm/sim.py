@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 from ._kernels import core
 from .errors import ConfigurationError, ConvergenceError, UnreachableTargetError
 from .model import Configuration, _count, _real, _reals, _readonly, _wrapped_angles
-from .statics import _allocate, _arm, _generalized_force
+from .statics import _allocation, _arm, _generalized_force
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,11 +98,16 @@ class PerchingRecord:
 
 
 def finite_difference_oracle(f, x, step=1e-6):
-    """Central-difference Jacobian of a vector map, column by column."""
+    """Central-difference Jacobian of a vector map, column by column.
+
+    A step that is not > 0 with 2 * step finite raises ConfigurationError.
+    """
     import numpy as np
 
     x = np.array(_reals(x, -1, "x"))
     step = _real(step, "step")
+    if not (step > 0.0 and math.isfinite(2.0 * step)):
+        raise ConfigurationError(f"step must be > 0 with 2 * step finite, got {step!r}")
     cols = []
     for k in range(x.size):
         dx = np.zeros_like(x)
@@ -126,11 +131,9 @@ def _bend_angles(wx, wy, fallback_delta):
 
 def _commanded_state(params, commanded_config, pretension):
     # Float tuples (q_cmd, tau0): the motor lengths r theta cos(delta + i beta)
-    # and the zero-wrench tensions held locked.
-    cos_v, _ = core.tendon_cos_sin(
-        params.tendon_division_angle, params.tendon_count, commanded_config.delta)
+    # and the zero-wrench tensions held locked, from one allocation pass.
+    tau0, cos_v, _, _ = _allocation(params, commanded_config, None, pretension)
     rt = params.pitch_radius * commanded_config.theta
-    tau0, _, _ = _allocate(params, commanded_config, None, pretension)
     return tuple(rt * c for c in cos_v), tuple(tau0)
 
 

@@ -21,10 +21,11 @@ builtin sum(): from Python 3.12 on, sum() of floats is compensated, and
 the tensions would differ in the last bits between interpreters.  The loops
 compute what sum() computes on 3.10 and 3.11.
 
-The allocation, the generalized force and the residual run on Python floats
-in one core, ``_allocate``, which the solvers in ``sim`` call directly;
-numpy only builds the arrays a public function returns, and is imported
-inside the functions that do so: the sweeps in ``sim`` load no numpy.
+The tensions run on Python floats in one core, ``_allocation``, which ``sim``
+calls directly for the locked tensions and which evaluates no generalized
+force; ``allocate_tensions`` adds that and the residual on top of it.  numpy
+only builds the arrays a public function returns, and is imported inside the
+functions that do so: the sweeps in ``sim`` load no numpy.
 """
 
 from __future__ import annotations
@@ -135,18 +136,13 @@ def _solve_arc(gram, dx, dy, tol):
     """lam with H lam = d for an arc's Gram matrix gram = (hxx, hxy, hyy), or None.
 
     H with det <= 1e-14 trace^2 is rank one (one tendon, coincident or opposite
-    ones, any arc at r theta = 0): see _rank_one.
+    ones, any arc at r theta = 0): pseudo-inverse, None if d is off its range.
     """
     hxx, hxy, hyy = gram
     trace = hxx + hyy
     det = hxx * hyy - hxy * hxy
     if det > 1e-14 * trace * trace:
         return (hyy * dx - hxy * dy) / det, (hxx * dy - hxy * dx) / det
-    return _rank_one(hxx, hxy, hyy, trace, dx, dy, tol)
-
-
-def _rank_one(hxx, hxy, hyy, trace, dx, dy, tol):
-    # H lam = d for a rank-one H: pseudo-inverse, None if d is off its range
     ux, uy = (hxx, hxy) if hxx >= hyy else (hxy, hyy)
     norm = math.hypot(ux, uy)
     if not abs(ux * dy - uy * dx) <= tol * norm:
@@ -169,11 +165,20 @@ def _best_arc(pts, n, c1, c2, lift):
     low, high = lift - 1e-12, lift + 1e-14
     gxx = gxy = gyy = tx = ty = 0.0
     for x, y in pts[:m]:
-        gxx, gxy, gyy, tx, ty = gxx + x * x, gxy + x * y, gyy + y * y, tx + x, ty + y
+        gxx += x * x
+        gxy += x * y
+        gyy += y * y
+        tx += x
+        ty += y
     gram = gxx, gxy, gyy
     lam = _solve_arc(gram, c1, c2, 1e-12) if m else None  # m = 0: no moment arm at all
-    if lam is not None and all(x * lam[0] + y * lam[1] >= low for x, y in pts[:m]):
-        return 0, m, lam, gram
+    if lam is not None:
+        l0, l1 = lam
+        for x, y in pts[:m]:
+            if not x * l0 + y * l1 >= low:
+                break
+        else:
+            return 0, m, lam, gram
     # the best so far, ranked by the tuple (not kkt, squared norm)
     best, kkt, best_norm = None, False, math.inf
     if abs(c1 - lift * tx) <= 1e-12 and abs(c2 - lift * ty) <= 1e-12:
@@ -193,11 +198,13 @@ def _best_arc(pts, n, c1, c2, lift):
             det = hxx * hyy - hxy * hxy
             if det > 1e-14 * trace * trace:
                 l0, l1 = (hyy * dx - hxy * dy) / det, (hxx * dy - hxy * dx) / det
-            else:
-                lam = _rank_one(hxx, hxy, hyy, trace, dx, dy, 1e-12)
-                if lam is None:
+            else:  # rank one, as in _solve_arc: every length-one arc lands here
+                ux, uy = (hxx, hxy) if hxx >= hyy else (hxy, hyy)
+                unorm = math.hypot(ux, uy)
+                if not abs(ux * dy - uy * dx) <= 1e-12 * unorm:
                     continue
-                l0, l1 = lam
+                p = (ux * dx + uy * dy) / (trace * unorm * unorm)
+                l0, l1 = p * ux, p * uy
             if not x0 * l0 + y0 * l1 >= low or not x * l0 + y * l1 >= low:
                 continue  # an end of the arc is below the floor
             norm = 0.0
@@ -231,38 +238,42 @@ def _arc_tensions(cos_v, sin_v, radius, theta, b1, b2, floor):
         raise InfeasibleTensionsError(
             "requested wrench lies outside the span of the tendon map at this configuration")
     c1, c2, lift = c1 / unit, c2 / unit, floor / unit
-    # at r theta = 0 a moment arm below 1e-15 r is the rounding of cos(+-pi/2): zero
-    cols = ([(x, -y) for x, y in zip(cos_v, sin_v)] if rt
-            else [(x if abs(x) > 1e-15 else 0.0, 0.0) for x in cos_v])
-    # sorted by angle also at r theta = 0; zero columns stay at the floor
-    angles = [math.atan2(-y, x) for x, y in zip(cos_v, sin_v)]
-    ring = [i for i in sorted(range(len(cols)), key=angles.__getitem__)
-            if cols[i] != (0.0, 0.0)] * 2
-    pts = [cols[i] for i in ring]
-    best = _best_arc(pts, len(cols), c1, c2, lift)
+    n = len(cos_v)
+    order = sorted(range(n), key=[math.atan2(-y, x) for x, y in zip(cos_v, sin_v)].__getitem__)
+    if rt:
+        pts = [(cos_v[i], -sin_v[i]) for i in order]
+    else:
+        # a moment arm below 1e-15 r rounds cos(+-pi/2): off the ring, at the floor
+        order = [i for i in order if abs(cos_v[i]) > 1e-15]
+        pts = [(cos_v[i], 0.0) for i in order]
+    best = _best_arc(pts * 2, n, c1, c2, lift)
     if best is None:
         raise InfeasibleTensionsError(
             f"no tension vector >= {floor!r} N realizes the requested wrench")
     start, length, lam, gram = best
-    tau = [floor] * len(cols)
+    tau = [floor] * n
     if length:
         # one refinement step on the exact residual: error ~ cond(A_F), not its square
         l0, l1 = lam
-        loop = pts[start:start + len(pts) // 2]  # the ring, from the arc's start
-        pulls = [x * l0 + y * l1 for x, y in loop[:length]] + [lift] * (len(loop) - length)
-        s0, s1 = _solve_arc(gram, c1 - math.fsum([t * x for t, (x, _) in zip(pulls, loop)]),
-                            c2 - math.fsum([t * y for t, (_, y) in zip(pulls, loop)]), math.inf)
+        loop = pts[start:] + pts[:start]  # the ring, from the arc's start
+        terms_x, terms_y = [], []
+        for j, (x, y) in enumerate(loop):
+            t = x * l0 + y * l1 if j < length else lift
+            terms_x.append(t * x)
+            terms_y.append(t * y)
+        s0, s1 = _solve_arc(gram, c1 - math.fsum(terms_x), c2 - math.fsum(terms_y), math.inf)
         l0, l1 = l0 + s0, l1 + s1
-        for i, (x, y) in zip(ring[start:start + length], loop):
-            tau[i] = max(lift, x * l0 + y * l1) * unit
+        for i, (x, y) in zip(order[start:] + order[:start], loop[:length]):
+            t = x * l0 + y * l1
+            tau[i] = (t if t > lift else lift) * unit
     return tau
 
 
-def _allocate(params, psi, w_ext, pretension):
-    """allocate_tensions on floats: (tensions, generalized force, residual).
+def _allocation(params, psi, w_ext, pretension):
+    """The tensions of allocate_tensions on floats: (tau, cos_v, sin_v, external).
 
-    tensions is a list, the other two are float pairs re-evaluated from the
-    tensions by the products equilibrium_residual uses, so they share its bits.
+    tau is a list; the tendon cosines and sines and J_x^T w_ext (or None) are
+    those computed on the way, so no caller computes them a second time.
     """
     pretension = _real(pretension, "pretension")
     if not (math.isfinite(pretension) and pretension >= 0.0):
@@ -280,16 +291,18 @@ def _allocate(params, psi, w_ext, pretension):
     tau = _arc_tensions(cos_v, sin_v, params.pitch_radius, theta, b1, b2, pretension)
     if not all(map(math.isfinite, tau)):  # a result, so >= pretension and n long by construction
         raise ConfigurationError(f"allocated tendon tensions are not finite: {tau}")
-    generalized = _generalized_force(_arm(params), theta, *_pulls(cos_v, sin_v, tau))
-    return tau, generalized, _residual(generalized, external)
+    return tau, cos_v, sin_v, external
 
 
 def allocate_tensions(params, psi, w_ext, pretension=0.0):
     """Minimum-norm tau >= pretension with J_q^T tau = grad(E) - J_x^T w_ext.
 
-    w_ext None means no wrench.  Raises ConfigurationError for a pretension
+    w_ext None means no wrench; the generalized force and residual share
+    equilibrium_residual's bits.  Raises ConfigurationError for a pretension
     that is not a real number (bools included), < 0, non-finite or
     > 2**500 N, InfeasibleTensionsError when no tau does.
     """
-    tau, generalized, residual = _allocate(params, psi, w_ext, pretension)
-    return EquilibriumReport(residual=residual, tensions=tau, generalized_force=generalized)
+    tau, cos_v, sin_v, external = _allocation(params, psi, w_ext, pretension)
+    generalized = _generalized_force(_arm(params), psi.theta, *_pulls(cos_v, sin_v, tau))
+    return EquilibriumReport(residual=_residual(generalized, external), tensions=tau,
+                             generalized_force=generalized)

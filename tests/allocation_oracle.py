@@ -1,19 +1,30 @@
 """Bitwise oracle for the tension allocation's arc search, numpy-free.
 
-``oracle_arc_tensions`` is the earlier form of ``statics._arc_tensions``:
-each proper arc went through ``_solve_arc``, built its lam and Gram tuples
-and the list of all its pulls, and took min, max and a sum over slices of
-it; the ring was sorted by a key that called atan2.  Its builtin ``sum()``
-calls are written here as left-to-right loops, which is what ``sum()``
-computes on Python 3.10 and 3.11 (3.12 compensates it).  The library tries
-the same candidates in the same order with the same float operations, so
-every case of the seeded corpus must give the oracle's tensions bit for
-bit, zero signs included, and the same InfeasibleTensionsError verdicts.
+``oracle_arc_tensions`` is the earlier form of ``statics._arc_tensions``.
+It differs from the library in how, not in what, it computes:
+
+- each proper arc goes through ``_solve_arc``, rank-one branch included,
+  builds its lam and Gram tuples and the list of all its pulls, and takes
+  min, max and a sum over slices of it;
+- the full ring's Gram sums are generator sums and its floor test is
+  ``all()`` over a generator;
+- the ring is sorted by a key that calls atan2, built as a doubled index
+  list with every zero column filtered out, at any r theta;
+- the refinement builds a pull list and two generators over it for its two
+  ``fsum`` calls, and each tension is ``max(lift, t)``.
+
+Its builtin ``sum()`` calls are written here as left-to-right loops, which
+is what ``sum()`` computes on Python 3.10 and 3.11 (3.12 compensates it).
+The library tries the same candidates in the same order with the same float
+operations, so every case of the seeded corpus must give the oracle's
+tensions bit for bit, zero signs included, and the same
+InfeasibleTensionsError verdicts.
 
 Run as a script (``PYTHONPATH=src python3 tests/allocation_oracle.py``) it
 needs neither numpy nor pytest; it prints the number of cases, of
 infeasible verdicts and of mismatches, and a digest of the library's
-results, which is the same on every interpreter; it exits 1 on a mismatch.
+results, which is the same on every interpreter.  It exits 1 on a mismatch
+or when the digest differs from ``DIGEST``, the one recorded.
 """
 
 import hashlib
@@ -23,6 +34,10 @@ import random
 from ccarm import statics
 from ccarm._kernels import core
 from ccarm.errors import InfeasibleTensionsError
+
+# compare(corpus())'s digest, recorded on Python 3.10.13, 3.11.7, 3.12.1 and
+# 3.13.0: a change of any tension bit or verdict changes it
+DIGEST = "b20c168f73aa0f06a40e34a4a108fb2a2289b7c7b4db7574e7f5f6a6ae241f88"
 
 
 def _oracle_solve_arc(gram, dx, dy, tol):
@@ -194,5 +209,6 @@ if __name__ == "__main__":
     cases = corpus()
     infeasible, mismatches, digest = compare(cases)
     print(f"python {sys.version.split()[0]}: {len(cases)} cases, {infeasible} infeasible, "
-          f"{len(mismatches)} mismatches, sha256 {digest}")
-    sys.exit(1 if mismatches else 0)
+          f"{len(mismatches)} mismatches, sha256 {digest}"
+          f"{'' if digest == DIGEST else ' (recorded: ' + DIGEST + ')'}")
+    sys.exit(1 if mismatches or digest != DIGEST else 0)

@@ -10,16 +10,18 @@ from pathlib import Path
 
 import ccarm
 
-from allocation_oracle import compare, corpus
+from allocation_oracle import DIGEST, compare, corpus
 
 
 def test_arc_search_matches_the_oracle_bit_for_bit():
     # 20,000 seeded cases: tensions equal by float.hex, zero signs included,
-    # and the same InfeasibleTensionsError verdicts
+    # the same InfeasibleTensionsError verdicts, and the library's results
+    # hash to the one digest recorded on every supported interpreter
     cases = corpus()
-    infeasible, mismatches, _ = compare(cases)
+    infeasible, mismatches, digest = compare(cases)
     assert mismatches == []
     assert 0 < infeasible < len(cases) // 2
+    assert digest == DIGEST
 
 
 def test_solver_modules_call_no_builtin_sum():

@@ -369,13 +369,13 @@ def test_perching_sweep_csv(capsys, tmp_path):
 
 def test_perching_sweep_builds_commanded_state_once(capsys, tmp_path, monkeypatch):
     calls = []
-    allocate = ccarm.sim._allocate
+    allocate = ccarm.sim._allocation
 
     def counting_allocation(*args, **kwargs):
         calls.append(1)
         return allocate(*args, **kwargs)
 
-    monkeypatch.setattr(ccarm.sim, "_allocate", counting_allocation)
+    monkeypatch.setattr(ccarm.sim, "_allocation", counting_allocation)
     ik_solves = []
     solve_tip_constraint = ccarm._kernels.core.solve_tip_constraint
 
@@ -391,6 +391,30 @@ def test_perching_sweep_builds_commanded_state_once(capsys, tmp_path, monkeypatc
     assert out_file.read_text().count("\n") == 1 + 5
     assert len(calls) == 1  # one commanded state for all five offsets
     assert len(ik_solves) == 3  # the return leg reuses the outward offsets 0, 1, 2 mm
+
+
+def test_commanded_state_evaluates_no_generalized_force(capsys, tmp_path, monkeypatch):
+    # the locked tensions need the allocation alone: building a commanded state
+    # (directly or in a default perching sweep) sums no pulls, while
+    # allocate_tensions sums them once for its generalized force and residual
+    calls = []
+    pulls = ccarm.statics._pulls
+
+    def counting_pulls(*args):
+        calls.append(1)
+        return pulls(*args)
+
+    monkeypatch.setattr(ccarm.statics, "_pulls", counting_pulls)
+    params, config = ccarm.default_parameters(), wrap_configuration(math.radians(30), 0.4)
+    _, tau0 = ccarm.sim._commanded_state(params, config, 0.3)
+    assert calls == []
+    out_file = tmp_path / "perch.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching", "--out", str(out_file))
+    assert code == 0 and out_file.read_bytes() == (GOLDEN / "perching_x.csv").read_bytes()
+    assert calls == []
+    report = ccarm.statics.allocate_tensions(params, config, None, 0.3)
+    assert len(calls) == 1
+    assert report.tensions.tolist() == list(tau0)
 
 
 def test_perching_sweep_marks_rows_bent_past_pi(capsys, tmp_path):

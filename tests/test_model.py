@@ -373,9 +373,7 @@ def _contract_table():
     # (argument, base, call): every public numeric argument of model, sim,
     # statics, stiffness and kinematics, with call(params, config, value).  A
     # vector argument has a valid base vector, whose first entry the value
-    # replaces; a scalar's base is None.  finite_difference_oracle's step is
-    # left out: its range depends on the caller's function, as does what that
-    # raises.
+    # replaces; a scalar's base is None.
     import ccarm
 
     def tensions(p, c):
@@ -398,6 +396,7 @@ def _contract_table():
         ("wrench moment", three, lambda p, c, v: Wrench(np.zeros(3), v)),
         ("wrench force", three, lambda p, c, v: Wrench.from_force(v)),
         ("x", two, lambda p, c, v: ccarm.finite_difference_oracle(lambda x: x, v)),
+        ("step", None, lambda p, c, v: ccarm.finite_difference_oracle(lambda x: x, two, v)),
         ("tip_force", three, lambda p, c, v: ccarm.solve_deflection(p, c, v)),
         ("pretension", None, lambda p, c, v: ccarm.solve_deflection(p, c, three, v)),
         ("max_iter", None, lambda p, c, v: ccarm.solve_deflection(p, c, three, max_iter=v)),

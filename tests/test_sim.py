@@ -37,6 +37,31 @@ def test_oracle_identity():
     assert np.allclose(fd, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf, 1e308, True])
+def test_oracle_refuses_a_step_out_of_range(step):
+    # a zero step divided by zero, 1e308 overflowed 2 * step and NaN gave an
+    # all-NaN Jacobian; each is refused by name before f is called
+    def f(x):
+        raise AssertionError("f is not called")
+
+    with pytest.raises(ConfigurationError, match="step"):
+        finite_difference_oracle(f, [0.3, -1.2], step)
+
+
+def test_oracle_default_step_keeps_its_bits():
+    # the step check moves no bit of a Jacobian at the default 1e-6
+    def f(v):
+        return np.array([math.sin(v[0]) * v[2], v[1] ** 3, math.exp(v[0] - v[1])])
+
+    x = np.array([0.3, -1.2, 4.0])
+    columns = []
+    for dx in np.eye(3) * 1e-6:
+        columns.append((f(x + dx) - f(x - dx)) / (2.0 * 1e-6))
+    expected = np.column_stack(columns).tobytes()
+    assert finite_difference_oracle(f, x).tobytes() == expected
+    assert finite_difference_oracle(f, x, 1e-6).tobytes() == expected
+
+
 def test_oracle_recovers_velocity_jacobian(params, bend30):
     fd = finite_difference_oracle(
         lambda x: forward_kinematics(params, Configuration(x[0], x[1])).position,
@@ -766,13 +791,13 @@ def test_sweep_out_of_domain_points(params, deg, load, message):
 
 def test_sweep_builds_each_commanded_state_once(params, monkeypatch):
     calls = []
-    allocate = ccarm.sim._allocate
+    allocate = ccarm.sim._allocation
 
     def counting_allocation(*args, **kwargs):
         calls.append(args[1])
         return allocate(*args, **kwargs)
 
-    monkeypatch.setattr(ccarm.sim, "_allocate", counting_allocation)
+    monkeypatch.setattr(ccarm.sim, "_allocation", counting_allocation)
     configs = [wrap_configuration(math.radians(deg), 0.0) for deg in (15, 45)]
     records = run_stiffness_sweep(params, configs, mirrored_schedule(0.196133, 3))
     assert len(records) == 12 and all(r.converged for r in records)
