@@ -125,6 +125,10 @@ def cmd_jacobians(params, args):
         vectorized = jacobian_w_psi_vectorized(params, psi)
 
         def rel_fd(analytic, fd):
+            # both scaled by the analytic entry of largest magnitude first, so
+            # that the norms of a long arm's Jacobians do not overflow
+            scale = float(np.max(np.abs(analytic))) or 1.0
+            analytic, fd = analytic / scale, fd / scale
             return float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-300))
 
         x0 = np.array([psi.theta, psi.delta])

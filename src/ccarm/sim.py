@@ -56,8 +56,8 @@ _NAN3 = (math.nan, math.nan, math.nan)  # a failed point's force, displacement, 
 
 # Errors that mark one sweep point failed rather than abort the sweep.  The
 # drivers validate their inputs and build the commanded state before the loop,
-# so inside it a ConfigurationError can only be a load over the force cap or
-# an equilibrium bent past pi.
+# so inside it a ConfigurationError can only be a load over the force cap, an
+# equilibrium bent past pi or a perching reaction that is not finite.
 _POINT_FAILURES = (ConvergenceError, ConfigurationError, UnreachableTargetError)
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, converts gram-denominated bench loads
@@ -389,8 +389,12 @@ def _perch(perching, tx, ty, tz, max_iter):
                            _locked_motor_force(arm, theta, delta, q_cmd, tau0))
     # tip x force, each entry one product minus another as np.cross does it
     px, py, pz = core.bend_tip(length, wx, wy, quotients)
-    return ((fx, fy, fz), (py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx),
-            theta, delta, reach_residual, iters, True)
+    mx, my, mz = py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx
+    # NaN where the tendon stiffness k or k r^2 overflows: a failed point
+    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)
+            and math.isfinite(mx) and math.isfinite(my) and math.isfinite(mz)):
+        raise ConfigurationError("perching reaction is not finite")
+    return (fx, fy, fz), (mx, my, mz), theta, delta, reach_residual, iters, True
 
 
 def _perching_record(offset, point):

@@ -86,6 +86,19 @@ def test_jacobians_check_near_straight(capsys, theta_deg):
     assert report["fd_rel_err_j_v_psi"] < 1e-6
 
 
+def test_jacobians_check_on_a_long_arm(capsys, tmp_path, params):
+    # at a 1e308 m backbone the Jacobians' squared norms overflowed: numpy
+    # warned (an error in this suite) and fd_rel_err_j_v_psi read nan
+    import dataclasses
+    path = tmp_path / "long.params"
+    path.write_text(dump_parameters(dataclasses.replace(params, backbone_length=1e308)))
+    code, out, err = run_cli(capsys, "jacobians", "--theta-deg", "30", "--check",
+                             "--params", str(path))
+    assert (code, err) == (0, "")
+    errors = [float(line.split()[1]) for line in out.splitlines() if line.startswith("fd_rel")]
+    assert len(errors) == 2 and all(e < 1e-6 for e in errors)
+
+
 def test_jacobians_rank_warning_at_straight(capsys):
     code, out, _ = run_cli(capsys, "jacobians", "--theta-deg", "0")
     assert code == 0
@@ -431,6 +444,22 @@ def test_perching_sweep_marks_rows_bent_past_pi(capsys, tmp_path):
     assert failed == pytest.approx([0.18, 0.19, 0.2, 0.19, 0.18])
     assert all(row[1:7] == ["nan"] * 6 for row in rows if row[-1] == "no_converge")
     assert all(row[-1] == "ok" for row in rows if float(row[0]) <= 0.17)
+
+
+def test_perching_sweep_fails_rows_with_a_non_finite_reaction(capsys, tmp_path, params):
+    # the reaction of an arm whose k is inf comes out NaN: such a row is
+    # no_converge, not a nan row marked ok, and the sweep exits 5
+    import dataclasses
+    path = tmp_path / "stiff.params"
+    path.write_text(dump_parameters(dataclasses.replace(
+        params, tendon_youngs_modulus=1e308, tendon_cross_section=1e308)))
+    out_file = tmp_path / "stiff.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching", "--out", str(out_file),
+                         "--params", str(path))
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    assert code == cli.EXIT_SOLVER and len(rows) == 41
+    assert all(row[1:7] == ["nan"] * 6 for row in rows if row[-1] == "no_converge")
+    assert all("nan" not in row for row in rows if row[-1] == "ok")
 
 
 def test_sweep_solver_failure_exit_code(capsys, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ccarm.sim
+import exact_model
 from ccarm import (Configuration, ConfigurationError, ConvergenceError, JointState,
                    UnreachableTargetError, Wrench, allocate_tensions, configuration_stiffness,
                    configuration_to_joints, energy_gradient, forward_kinematics,
@@ -18,7 +19,6 @@ from ccarm import (Configuration, ConfigurationError, ConvergenceError, JointSta
                    run_perching_sweep, run_stiffness_sweep, solve_deflection,
                    solve_perching_reaction, stiffness_set, task_stiffness,
                    wrap_configuration)
-from ccarm._kernels._purecore import _psi_residual_norm
 from ccarm.sim import finite_difference_oracle
 from ccarm.stiffness import jacobian_v_derivatives
 
@@ -256,123 +256,6 @@ def test_kernels_report_non_finite_inputs_as_not_converged(params, bend30):
     assert ccarm.sim.core.solve_tip_constraint(*nan_target)[4] == 0
 
 
-# The deflection solver with the central-difference Jacobian (four extra
-# residual evaluations per Newton step), verbatim except for the names and
-# the series threshold of a, which the kernel no longer has: the reference
-# that the closed-form Jacobian is checked against.
-
-_PARENT_SERIES_THRESHOLD = 1e-4
-
-
-def _parent_tendon_phase_cos_sin(beta, count):
-    """cos/sin of the fixed tendon phase angles i*beta."""
-    if count == 4 and beta == 0.5 * math.pi:
-        return (1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)
-    return (
-        tuple(math.cos(i * beta) for i in range(count)),
-        tuple(math.sin(i * beta) for i in range(count)),
-    )
-
-
-def _parent_bend_position_jacobian(length, wx, wy):
-    """d(bend_position)/dw, row-major 3x2.  Smooth through w = 0."""
-    theta = math.hypot(wx, wy)
-    t2 = theta * theta
-    if theta < _PARENT_SERIES_THRESHOLD:
-        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        a = (1.0 - math.cos(theta)) / t2
-    if theta < core.SMOOTH_THRESHOLD:
-        b = -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0
-        c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
-    else:
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        b = (theta * st - 2.0 + 2.0 * ct) / (t2 * t2)
-        c = (theta * ct - st) / (t2 * theta)
-    return (
-        length * (a + wx * wx * b), length * wx * wy * b,
-        length * wx * wy * b, length * (a + wy * wy * b),
-        length * wx * c, length * wy * c,
-    )
-
-
-def _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                q_cmd, tau0, fx, fy, fz, wx, wy):
-    # Bend-chart gradient of the total potential minus the tip-force term.
-    # Tensions follow the locked-motor law tau = max(0, tau0 - k*(q - q_cmd)).
-    jp = _parent_bend_position_jacobian(length, wx, wy)
-    gx = 0.0
-    gy = 0.0
-    for i in range(len(cphi)):
-        q = radius * (cphi[i] * wx - sphi[i] * wy)
-        t = tau0[i] - k_tendon * (q - q_cmd[i])
-        if t < 0.0:
-            t = 0.0
-        gx += t * radius * cphi[i]
-        gy -= t * radius * sphi[i]
-    rx = k_bend * wx - gx - (jp[0] * fx + jp[2] * fy + jp[4] * fz)
-    ry = k_bend * wy - gy - (jp[1] * fx + jp[3] * fy + jp[5] * fz)
-    return rx, ry
-
-
-def _parent_solve_deflection(length, radius, beta, count, flexural, k_tendon,
-                             q_cmd, tau0, fx, fy, fz, wx0, wy0, tol, max_iter):
-    length, radius, beta = float(length), float(radius), float(beta)
-    flexural, k_tendon, tol = float(flexural), float(k_tendon), float(tol)
-    q_cmd = [float(v) for v in q_cmd]
-    tau0 = [float(v) for v in tau0]
-    fx, fy, fz = float(fx), float(fy), float(fz)
-    cphi, sphi = _parent_tendon_phase_cos_sin(beta, count)
-    k_bend = flexural / length
-    wx = float(wx0)
-    wy = float(wy0)
-    rx, ry = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                         q_cmd, tau0, fx, fy, fz, wx, wy)
-    iters = 0
-    while True:
-        res = _psi_residual_norm(rx, ry, wx, wy)
-        if res < tol:
-            return wx, wy, iters, res, 1
-        if iters >= max_iter:
-            return wx, wy, iters, res, 0
-        hx = 1e-7 * (1.0 + abs(wx))
-        hy = 1e-7 * (1.0 + abs(wy))
-        axp, ayp = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                               q_cmd, tau0, fx, fy, fz, wx + hx, wy)
-        axm, aym = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                               q_cmd, tau0, fx, fy, fz, wx - hx, wy)
-        bxp, byp = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                               q_cmd, tau0, fx, fy, fz, wx, wy + hy)
-        bxm, bym = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi, sphi,
-                                               q_cmd, tau0, fx, fy, fz, wx, wy - hy)
-        j11 = (axp - axm) / (2.0 * hx)
-        j21 = (ayp - aym) / (2.0 * hx)
-        j12 = (bxp - bxm) / (2.0 * hy)
-        j22 = (byp - bym) / (2.0 * hy)
-        det = j11 * j22 - j12 * j21
-        if not math.isfinite(det) or abs(det) < 1e-300:
-            return wx, wy, iters, res, 0
-        dx = -(j22 * rx - j12 * ry) / det
-        dy = -(j11 * ry - j21 * rx) / det
-        phi0 = rx * rx + ry * ry
-        alpha = 1.0
-        accepted = False
-        for _ in range(40):
-            nwx = wx + alpha * dx
-            nwy = wy + alpha * dy
-            nrx, nry = _parent_deflection_residual(length, radius, k_bend, k_tendon, cphi,
-                                                   sphi, q_cmd, tau0, fx, fy, fz, nwx, nwy)
-            if nrx * nrx + nry * nry <= phi0 * (1.0 - 1e-4 * alpha):
-                wx, wy, rx, ry = nwx, nwy, nrx, nry
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            return wx, wy, iters, res, 0
-        iters += 1
-
-
 _finite_component = st.floats(-1.5, 1.5)
 _small_component = st.floats(-0.05, 0.05)
 _force_component = _finite_component | st.sampled_from([math.nan, math.inf, -math.inf])
@@ -412,22 +295,23 @@ _ARM = (0.25, 0.02, math.pi / 2, 4, 2.4543692606170264e-03, 1580.0)
                   [(-0.5, 0.0, 0.5), (-0.25, 0.0, 0.5)], 1, ((0.0, 0.0), [-0.0] * 4)))
 @example(problem=(_ARM, [0.0] * 4, [0.0] * 4, (-0.0, 0.0),
                   [(0.0, -0.5, 0.5), (0.0, -0.25, 0.5)], 1, ((0.0, 0.0), [-0.0] * 4)))
-def test_kernel_agrees_with_central_difference_solver(problem):
+def test_kernel_equilibria_meet_the_exact_residual(problem):
     # A warm hit of the memoized start, numpy q_cmd and tau0 included, gives
     # the bits of a cold solve, also right after a solve whose zeros of w0
-    # and q_cmd have the other sign.  Where the kernel and the
-    # central-difference solver both converge to the one equilibrium, the
-    # bend vectors agree; a non-finite force never converges.  Warnings are
-    # errors inside the test body only, so that hypothesis can still report
-    # a failing example.
+    # and q_cmd have the other sign.  Where the kernel converges, the exact
+    # model's residual at its w is at most 1e-10 N*m in the (theta, delta)
+    # norm, twice the kernel's stop; a non-finite force never converges.
+    # Warnings are errors inside the test body only, so that hypothesis can
+    # still report a failing example.
     #
     # The equilibrium is unique when the potential is strongly convex: the
     # tendon energy is convex, and sum_k u_k Hess(p_k) has spectral norm at
     # most length/3 for a unit u, so |f| * length < 1.5 * k_bend suffices
-    # (margin 2).  A larger load can buckle the arm, and then the two
-    # solvers may settle on different equilibria.
+    # (margin 2).  There the convexity modulus is at least k_bend / 2, and
+    # the residual bound puts w near the one equilibrium.  A larger load can
+    # buckle the arm, and then the residual only says that w is an
+    # equilibrium.
     arm, q_cmd, tau0, w0, forces, max_iter, (flipped_w0, flipped_q_cmd) = problem
-    unique_below = 1.5 * arm[4] / arm[0] / arm[0]
 
     def solve(force, q, w):
         return core.solve_deflection(*arm, q, tau0, *force, *w, 5e-11, max_iter)
@@ -449,15 +333,14 @@ def test_kernel_agrees_with_central_difference_solver(problem):
                 assert core._deflection_model.cache_info().hits == hits + 1
             if not all(map(math.isfinite, force)):
                 assert result[4] == 0
-                continue
-            args = (*arm, q_cmd, tau0, *force, *w0, 5e-11, max_iter)
-            expected = _parent_solve_deflection(*args)
-            if result[4] and expected[4] and math.hypot(*force) < unique_below:
-                assert math.hypot(result[0] - expected[0], result[1] - expected[1]) <= 1e-9
+            elif result[4]:
+                with mpmath.workdps(exact_model.DPS):
+                    rx, ry = exact_model.residual(arm, q_cmd, tau0, force, *result[:2])
+                    assert exact_model.psi_norm(rx, ry, *result[:2]) <= 1e-10
 
 
 # Around the old closed-form threshold of a (1e-4) and the series threshold.
-_THRESHOLD_THETAS = [t * s for t in (_PARENT_SERIES_THRESHOLD, core.SMOOTH_THRESHOLD)
+_THRESHOLD_THETAS = [t * s for t in (1e-4, core.SMOOTH_THRESHOLD)
                      for s in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0)]
 
 
@@ -491,55 +374,6 @@ def _jacobian_problems(draw):
     return arm, q_cmd, tau0, force, w
 
 
-def _mp_arc_quotients(theta):
-    # a = (1 - cos t)/t^2, s = sin(t)/t, b = a'/t and c = s'/t in mpmath at
-    # the working precision, in their textbook closed forms.
-    sn, cs = mpmath.sin(theta), mpmath.cos(theta)
-    if not theta:
-        return mpmath.mpf(1) / 2, mpmath.mpf(1), mpmath.mpf(-1) / 12, mpmath.mpf(-1) / 3
-    return ((1 - cs) / theta ** 2, sn / theta, (theta * sn - 2 + 2 * cs) / theta ** 4,
-            (theta * cs - sn) / theta ** 3)
-
-
-def _mp_bend_position_jacobian(length, wx, wy):
-    # d(bend_position)/dw at the mpmath numbers wx, wy, as 3 rows of 2.
-    a, _, b, c = _mp_arc_quotients(mpmath.hypot(wx, wy))
-    return [[length * (a + wx * wx * b), length * wx * wy * b],
-            [length * wx * wy * b, length * (a + wy * wy * b)],
-            [length * wx * c, length * wy * c]]
-
-
-def _exact_residual(arm, q_cmd, tau0, force, base):
-    # The model's bend-chart residual, k_bend*w - g(w) - J_p(w)^T f, in
-    # 60-digit arithmetic from the kernel's float constants, less its value
-    # at base so that the rounding to floats keeps the differences exact.
-    length, radius, beta, count, flexural, k_tendon = arm
-    cphi, sphi = core.tendon_cos_sin(beta, count, 0.0)
-    mp = mpmath.mpf
-
-    def exact(wx, wy):
-        wx, wy = mp(wx), mp(wy)
-        jp = _mp_bend_position_jacobian(length, wx, wy)
-        rx = mp(flexural / length) * wx
-        ry = mp(flexural / length) * wy
-        for cp, sp, qc, t0 in zip(cphi, sphi, q_cmd, tau0):
-            t = max(mp(0), mp(t0) - mp(k_tendon) * (mp(radius) * (mp(cp) * wx - mp(sp) * wy)
-                                                   - mp(qc)))
-            rx -= radius * t * mp(cp)
-            ry += radius * t * mp(sp)
-        for k in range(3):
-            rx -= jp[k][0] * mp(force[k])
-            ry -= jp[k][1] * mp(force[k])
-        return rx, ry
-
-    def residual(x):
-        with mpmath.workdps(60):
-            (rx, ry), (bx, by) = exact(*x), exact(*base)
-            return [float(rx - bx), float(ry - by)]
-
-    return residual
-
-
 @given(problem=_jacobian_problems())
 def test_kernel_jacobian_matches_finite_differences(problem):
     # The closed-form Jacobian against central differences of the exact
@@ -555,7 +389,15 @@ def test_kernel_jacobian_matches_finite_differences(problem):
     part = core._force_free_part(model, *w)
     second = np.reshape(part[12:], (3, 3)) @ np.array(force)
     jacobian = np.array(part[8:12]) - second[[0, 1, 1, 2]]
-    residual = _exact_residual(arm, q_cmd, tau0, force, w)
+
+    def residual(x):
+        # the exact residual less its value at w, at 60 digits, so that the
+        # rounding to floats keeps the differences exact
+        with mpmath.workdps(60):
+            (rx, ry), (bx, by) = (exact_model.residual(arm, q_cmd, tau0, force, *v)
+                                  for v in (x, w))
+            return [float(rx - bx), float(ry - by)]
+
     fd = np.column_stack([
         finite_difference_oracle(residual, w, step=1e-7 * (1.0 + abs(w[axis])))[:, axis]
         for axis in (0, 1)])
@@ -589,10 +431,9 @@ def test_arc_quotients_match_a_50_digit_model(params, theta, delta):
     wx, wy = theta * math.cos(delta), theta * math.sin(delta)
     with mpmath.workdps(50):
         mwx, mwy, t = mpmath.mpf(wx), mpmath.mpf(wy), mpmath.mpf(theta)
-        a, s, _, _ = _mp_arc_quotients(mpmath.hypot(mwx, mwy))
-        position = [length * mwx * a, length * mwy * a, length * s]
-        jacobian = sum(_mp_bend_position_jacobian(length, mwx, mwy), [])
-        a, s, b, c = _mp_arc_quotients(t)
+        position = exact_model.bend_position(length, mwx, mwy)
+        jacobian = sum(exact_model.bend_position_jacobian(length, mwx, mwy), [])
+        a, _, b, c = exact_model.arc_quotients(t)
         g, w = a + t * t * b, t * c
         sn, cs = mpmath.sin(t), mpmath.cos(t)
         dg = (t * t * cs - 2 * t * sn - 2 * cs + 2) / t ** 3
@@ -1129,6 +970,22 @@ def test_perching_rejects_non_finite_anchor_or_offset(params, bend30, monkeypatc
     with pytest.raises(ConfigurationError, match="finite"):
         solve_perching_reaction(params, bend30, anchor, offset)
     assert ik_solves == []
+
+
+@pytest.mark.parametrize("change", [
+    {"tendon_youngs_modulus": 1e308, "tendon_cross_section": 1e308},
+    {"pitch_radius": 1e308},
+], ids=["k-inf", "k-r2-overflows"])
+def test_perching_reaction_that_is_not_finite_fails_the_point(params, bend30, change):
+    # k is inf, or k r^2 overflows: the reaction comes out NaN, and the point
+    # fails rather than report a converged NaN wrench
+    arm = dataclasses.replace(params, **change)
+    anchor = forward_kinematics(arm, bend30).position
+    with pytest.raises(ConfigurationError, match="not finite"):
+        solve_perching_reaction(arm, bend30, anchor, [1e-3, 0.0, 0.0])
+    record, = run_perching_sweep(arm, bend30, [[1e-3, 0.0, 0.0]])
+    assert not record.converged
+    assert np.isnan(record.reaction_force).all() and np.isnan(record.reaction_moment).all()
 
 
 def test_perching_unreachable_anchor(params, bend30):

@@ -1,17 +1,22 @@
 """Default sweep output against the truth files, and the golden-data rule.
 
 ``tests/data/*_truth.csv`` hold the default sweeps' distinct points solved
-with tight tolerances (``tests/make_truth.py``).  The sweep CSVs must stay
-near them, and a change to a default sweep's golden bytes
+at 40 digits by the exact model (``tests/make_truth.py``,
+``tests/exact_model.py``), which uses none of the library's solvers.  The
+sweep CSVs must stay near them, and a change to a default sweep's golden bytes
 (``tests/data/stiffness.csv`` and ``tests/data/perching_{x,z}.csv``, see
 test_cli) must keep every value within the benchmark's bound of its
 ``perfbench/reference`` CSV and move none of them away from the truth.
 """
 
+import ast
 import csv
+from pathlib import Path
 
 import pytest
 
+import ccarm.sim
+import exact_model
 import make_truth
 from ccarm import cli
 
@@ -19,10 +24,11 @@ REFERENCE = make_truth.DATA.parents[1] / "perfbench" / "reference"
 DISP_COLUMNS = slice(4, 7)        # disp_x_m, disp_y_m, disp_z_m of a stiffness row
 WRENCH_COLUMNS = slice(1, 7)      # fx_N ... mz_Nm of a perching row
 
-# The reference stiffness CSV is up to 7.7e-12 m from the truth, rounded up.
+# The default stiffness output and its reference CSV are up to 7.7e-12 m from
+# the truth, rounded up: the deflection solves stop at 5e-11 N*m.
 STIFFNESS_TRUTH_TOL = 1e-11       # m
-# The default perching output is up to 7.0e-7 N (N*m) from the truth, rounded
-# up: its IK stops at 1e-8 m, the truth's at 3e-10 m.
+# The default perching output and its reference CSVs are up to 7.1e-7 N (N*m)
+# from the truth, rounded up: the IK stops at 1e-8 m.
 PERCHING_TRUTH_TOL = 1e-6         # N, N*m
 # perfbench's DISP_ABS_TOL: the benchmark fails a row farther than this.
 REFERENCE_DISP_TOL = 1e-12        # m
@@ -119,6 +125,31 @@ def test_perching_golden_bytes_follow_the_truth_rule(default_sweeps, axis):
 
 def test_truth_files_match_their_generator():
     # Every truth row re-solved by the generator, to the last digit written:
-    # a solver change that moves the truth at all must regenerate the files.
+    # a change to the exact model or to the default parameters must
+    # regenerate the files.
     assert make_truth.stiffness_rows() == _rows(make_truth.STIFFNESS_TRUTH)
     assert make_truth.perching_rows() == _rows(make_truth.PERCHING_TRUTH)
+
+
+def test_truth_is_independent_of_the_kernel(monkeypatch):
+    # The generator solves no point through the library: with the deflection
+    # kernel, the IK and the tension allocation patched to raise, it still
+    # gives the committed rows, and the model and the generator import
+    # nothing from ccarm but default_parameters and STANDARD_GRAVITY.
+    def refuse(*args):
+        raise AssertionError("the truth called a library solver")
+
+    for module, name in ((ccarm.sim.core, "solve_deflection"),
+                         (ccarm.sim.core, "solve_tip_constraint"), (ccarm.sim, "_allocation")):
+        monkeypatch.setattr(module, name, refuse)
+    assert make_truth.stiffness_rows() == _rows(make_truth.STIFFNESS_TRUTH)
+    assert make_truth.perching_rows() == _rows(make_truth.PERCHING_TRUTH)
+    imported = set()
+    for module in (exact_model, make_truth):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.name, None) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {(node.module, alias.name) for alias in node.names}
+    assert {(name, what) for name, what in imported if name.split(".")[0] == "ccarm"} == {
+        ("ccarm", "default_parameters"), ("ccarm.sim", "STANDARD_GRAVITY")}
