@@ -21,12 +21,21 @@ the solve's constants and the evaluation at its start are memoized on
 exactly those inputs as passed: the loads of one configuration share one
 evaluation, and a hit does no per-element work and gives a fresh one's bits.
 
+The constrained-tip IK is damped Gauss-Newton on the tip position.  Its start
+and every trial take one ``_bend_point`` evaluation: the tip, its Jacobian
+and the arc quotients both come from.  The start depends on the arm length
+and w0 alone, so it is memoized the same way, and the base offsets of one
+perching sweep share it.  The IK returns the quotients and the tip of its
+final w with the solution, so the perching reaction evaluates no arc of its
+own.
+
 Angles are radians, lengths meters.  Every arc quotient of the
 constant-curvature kinematics comes from one source: ``arc_quotients`` gives
 ``a = (1 - cos t)/t^2``, ``s = sin(t)/t`` and their rates ``b = a'/t`` and
 ``c = s'/t``, and ``hessian_quotients`` adds ``e = b'/t`` and ``h = c'/t``.
-Only ``_force_free_part`` writes ``hessian_quotients`` out, so that a Newton
-trial calls no helper; a test pins its bits.
+``_force_free_part`` writes ``hessian_quotients`` out and ``_bend_point``
+``arc_quotients``, so that a Newton or IK trial calls no helper; tests pin
+their bits.
 ``a`` is evaluated as ``(sin(t/2)/(t/2))^2 / 2``, which does not cancel, so
 ``a`` and ``s`` need their limits only where the half-angle is 0; ``b``,
 ``c``, ``e`` and ``h`` cancel near straight and take their Taylor expansions
@@ -44,8 +53,8 @@ SMOOTH_THRESHOLD = 0.05
 
 _HALF_PI = 0.5 * math.pi
 
-# Commanded configurations whose deflection start stays memoized: the default
-# stiffness sweep solves at 5, each configuration's solves in a row.
+# Commanded configurations whose deflection or IK start stays memoized: the
+# default stiffness sweep solves at 5, each configuration's solves in a row.
 _START_CACHE_SIZE = 32
 
 
@@ -159,16 +168,32 @@ def jac_w(theta, delta):
 
 
 def _bend_point(length, wx, wy):
-    # The tip position at w and its Jacobian d/dw, row-major 3x2 and smooth
-    # through w = 0, from one evaluation of the arc quotients: the IK needs
-    # both at every trial point.  The position is bend_tip's, written out
-    # because a call per trial would slow the IK by several percent.
-    a, s, b, c = arc_quotients(math.hypot(wx, wy))
+    # (tip, J_p, quotients) at w: the tip position, its Jacobian d/dw
+    # (row-major 3x2, smooth through w = 0) and the arc quotients both come
+    # from, which the IK needs at every trial.  arc_quotients and bend_tip
+    # are written out with the same operations, as in _force_free_part: a
+    # helper call per trial would slow the IK by several percent.
+    theta = math.hypot(wx, wy)
+    half = 0.5 * theta
+    if half == 0.0:
+        a, s, b, c = 0.5, 1.0, -1.0 / 12.0, -1.0 / 3.0
+    else:
+        q = math.sin(half) / half
+        a = 0.5 * q * q
+        s = math.sin(theta) / theta
+        t2 = theta * theta
+        if theta < SMOOTH_THRESHOLD:
+            b = -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0
+            c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
+        else:
+            b = (s - 2.0 * a) / t2
+            c = (math.cos(theta) - s) / t2
     off = length * wx * wy * b
     return ((length * wx * a, length * wy * a, length * s),
             (length * (a + wx * wx * b), off,
              off, length * (a + wy * wy * b),
-             length * wx * c, length * wy * c))
+             length * wx * c, length * wy * c),
+            (a, s, b, c))
 
 
 def bend_position(length, wx, wy):
@@ -385,69 +410,99 @@ def solve_deflection(length, radius, beta, count, flexural, k_tendon,
         part = _force_free_part(model, nwx, nwy)
 
 
+@functools.lru_cache(maxsize=_START_CACHE_SIZE)
+def _tip_start(length, wx0, wy0, wx0_sign, wy0_sign):
+    # The IK's start as (length, wx0, wy0, _bend_point at w0), on floats.
+    # Memoized like _deflection_model on the inputs as passed, so the offsets
+    # of one perching sweep share one start; the signs of w0's components
+    # complete the key, as a zero's sign reaches the tip, J_p and a start
+    # returned as it is.
+    length, wx0, wy0 = float(length), float(wx0), float(wy0)
+    return length, wx0, wy0, _bend_point(length, wx0, wy0)
+
+
 def solve_tip_constraint(length, wx0, wy0, tx, ty, tz, damping, tol, max_iter):
     """Least-squares positional IK: bend vector whose tip is closest to target.
 
     Damped Gauss-Newton (Levenberg-style escalation when a step fails to
     reduce the positional error).  Converges when the residual component
-    inside the reachable tangent plane drops below tol.
+    inside the reachable tangent plane drops below tol.  The start and every
+    trial take one evaluation of the tip, its Jacobian and the arc quotients
+    they come from.  The start depends on the length and w0 alone: it is
+    memoized on those inputs as passed, the signs of w0's zeros included,
+    and coerced to floats on a miss only, so the solves of one commanded
+    bend share it and a hit gives a fresh start's bits.  An input that
+    cannot be hashed keys on its floats.
 
-    Returns (wx, wy, iterations, reachable_residual, converged).
+    Returns (wx, wy, iterations, reachable_residual, converged, quotients,
+    tip): quotients is arc_quotients(hypot(wx, wy)) and tip the tip position
+    at the returned w, bit for bit bend_tip's.
     """
-    length, damping, tol = float(length), float(damping), float(tol)
+    wx0_sign, wy0_sign = math.copysign(1.0, wx0), math.copysign(1.0, wy0)
+    try:
+        length, wx, wy, (tip, jp, quotients) = _tip_start(
+            length, wx0, wy0, wx0_sign, wy0_sign)
+    except TypeError:  # an array cannot be hashed: key on its floats
+        length, wx, wy, (tip, jp, quotients) = _tip_start(
+            float(length), float(wx0), float(wy0), wx0_sign, wy0_sign)
+    damping, tol = float(damping), float(tol)
     tx, ty, tz = float(tx), float(ty), float(tz)
-    wx = float(wx0)
-    wy = float(wy0)
     lam = damping
     iters = 0
-    (px, py, pz), jp = _bend_point(length, wx, wy)
-    ex = tx - px
-    ey = ty - py
-    ez = tz - pz
+    j0, j1, j2, j3, j4, j5 = jp
+    ex = tx - tip[0]
+    ey = ty - tip[1]
+    ez = tz - tip[2]
     err2 = ex * ex + ey * ey + ez * ez
     while True:
-        a11 = jp[0] * jp[0] + jp[2] * jp[2] + jp[4] * jp[4]
-        a12 = jp[0] * jp[1] + jp[2] * jp[3] + jp[4] * jp[5]
-        a22 = jp[1] * jp[1] + jp[3] * jp[3] + jp[5] * jp[5]
-        g1 = jp[0] * ex + jp[2] * ey + jp[4] * ez
-        g2 = jp[1] * ex + jp[3] * ey + jp[5] * ez
+        a11 = j0 * j0 + j2 * j2 + j4 * j4
+        a12 = j0 * j1 + j2 * j3 + j4 * j5
+        a22 = j1 * j1 + j3 * j3 + j5 * j5
+        g1 = j0 * ex + j2 * ey + j4 * ez
+        g2 = j1 * ex + j3 * ey + j5 * ez
+        a12sq = a12 * a12
         # residual projected onto the reachable tangent plane
         mu = 1e-12 * (a11 + a22) + 1e-300
-        det0 = (a11 + mu) * (a22 + mu) - a12 * a12
-        u1 = ((a22 + mu) * g1 - a12 * g2) / det0
-        u2 = ((a11 + mu) * g2 - a12 * g1) / det0
-        qx = jp[0] * u1 + jp[1] * u2
-        qy = jp[2] * u1 + jp[3] * u2
-        qz = jp[4] * u1 + jp[5] * u2
+        m11 = a11 + mu
+        m22 = a22 + mu
+        det0 = m11 * m22 - a12sq
+        u1 = (m22 * g1 - a12 * g2) / det0
+        u2 = (m11 * g2 - a12 * g1) / det0
+        qx = j0 * u1 + j1 * u2
+        qy = j2 * u1 + j3 * u2
+        qz = j4 * u1 + j5 * u2
         reach = math.sqrt(qx * qx + qy * qy + qz * qz)
         if reach < tol:
-            return wx, wy, iters, reach, 1
+            return wx, wy, iters, reach, 1, quotients, tip
         if iters >= max_iter:
-            return wx, wy, iters, reach, 0
-        stepped = False
+            return wx, wy, iters, reach, 0, quotients, tip
         for _ in range(25):
-            det = (a11 + lam) * (a22 + lam) - a12 * a12
+            d11 = a11 + lam
+            d22 = a22 + lam
+            det = d11 * d22 - a12sq
             if abs(det) < 1e-300:
                 lam = lam * 10.0 + 1e-12
                 continue
-            dx = ((a22 + lam) * g1 - a12 * g2) / det
-            dy = ((a11 + lam) * g2 - a12 * g1) / det
+            dx = (d22 * g1 - a12 * g2) / det
+            dy = (d11 * g2 - a12 * g1) / det
             nwx = wx + dx
             nwy = wy + dy
-            (npx, npy, npz), njp = _bend_point(length, nwx, nwy)
-            nex = tx - npx
-            ney = ty - npy
-            nez = tz - npz
+            ntip, njp, nq = _bend_point(length, nwx, nwy)
+            nex = tx - ntip[0]
+            ney = ty - ntip[1]
+            nez = tz - ntip[2]
             nerr2 = nex * nex + ney * ney + nez * nez
             if nerr2 <= err2:
-                wx, wy, jp = nwx, nwy, njp
+                wx, wy, tip, quotients = nwx, nwy, ntip, nq
+                j0, j1, j2, j3, j4, j5 = njp
                 ex, ey, ez = nex, ney, nez
                 err2 = nerr2
-                lam = max(damping, lam * 0.25)
-                stepped = True
+                lam *= 0.25
+                if not lam > damping:  # max(damping, lam)
+                    lam = damping
                 break
             lam = lam * 10.0 + 1e-12
-        if not stepped:
+        else:
             # error already at its floor with reach >= tol: not converged
-            return wx, wy, iters, reach, 0
+            return wx, wy, iters, reach, 0, quotients, tip
         iters += 1

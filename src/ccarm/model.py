@@ -171,6 +171,12 @@ class ArmParameters:
                 f"tendon_count must be >= 3 to span the bending plane, got {count}")
         if count > MAX_TENDON_COUNT:
             raise ParameterError(f"tendon_count must be <= {MAX_TENDON_COUNT}, got {count}")
+        # Finite positive fields can still multiply to inf or 0: an infinite
+        # tendon stiffness turns a locked tendon's tension into inf * 0 = NaN.
+        for name in ("flexural_rigidity", "tendon_axial_stiffness"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(f"derived {name} must be finite and > 0, got {value!r}")
         even = 2.0 * math.pi / count
         if not math.isclose(self.tendon_division_angle, even, rel_tol=1e-9):
             warnings.warn(

@@ -15,8 +15,10 @@ run_perching_sweep, solve_deflection and solve_perching_reaction.  The CLI
 formats its CSV rows from the same float rows, so a sweep written to CSV
 builds no record and no Configuration per point.  A perching point reads
 the floats of its commanded state (arm constants, IK start, locked motors),
-built once per state by ``_perching_state``, and one evaluation of the arc
-quotients at its equilibrium serves J_v's columns and the moment's tip.
+built once per state by ``_perching_state``.  It evaluates no arc of its own:
+the IK returns the arc quotients and the tip of its last accepted trial, the
+equilibrium, and those serve J_v's columns and the moment's tip.  An IK that
+ends bent past theta_max leaves the target out of reach.
 
 Solvers run in the smooth bend-vector chart internally (kernels module) and
 every returned record carries a residual re-evaluated here, independently of
@@ -56,8 +58,10 @@ _NAN3 = (math.nan, math.nan, math.nan)  # a failed point's force, displacement, 
 
 # Errors that mark one sweep point failed rather than abort the sweep.  The
 # drivers validate their inputs and build the commanded state before the loop,
-# so inside it a ConfigurationError can only be a load over the force cap, an
-# equilibrium bent past pi or a perching reaction that is not finite.
+# so inside it a ConfigurationError can only be a load over the force cap, a
+# deflection equilibrium bent past pi or a perching reaction that is not
+# finite, and an UnreachableTargetError a perching target past the arm length
+# or one the IK reaches only bent past pi.
 _POINT_FAILURES = (ConvergenceError, ConfigurationError, UnreachableTargetError)
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, converts gram-denominated bench loads
@@ -378,19 +382,23 @@ def _perch(perching, tx, ty, tz, max_iter):
     if reach > length * (1.0 + 1e-9):
         raise UnreachableTargetError(
             f"tip_anchor - base_offset is {reach:.4g} m away, past the arm length {length:.4g} m")
-    wx, wy, iters, reach_residual, ok = core.solve_tip_constraint(
+    wx, wy, iters, reach_residual, ok, quotients, (px, py, pz) = core.solve_tip_constraint(
         length, w0x, w0y, tx, ty, tz, _IK_DAMPING, _IK_TOL, max_iter)
     if not ok:
         raise ConvergenceError(f"constrained-tip IK did not converge in {max_iter} iterations",
                                iterations=iters, residual=reach_residual)
-    theta, delta = _bend_angles(wx, wy, fallback_delta)
-    quotients = core.arc_quotients(theta)  # theta is hypot(wx, wy): bend_position's too
+    try:
+        theta, delta = _bend_angles(wx, wy, fallback_delta)
+    except ConfigurationError as exc:  # a converged w is finite: bent past theta_max
+        raise UnreachableTargetError(
+            f"tip_anchor - base_offset ({tx:.4g}, {ty:.4g}, {tz:.4g}) m is out of reach: "
+            f"the IK ends bent past theta_max ({exc})") from exc
+    # the IK's quotients at hypot(wx, wy) = theta and its tip, bend_tip's
     fx, fy, fz = _reaction(core.jac_v_columns(length, theta, delta, quotients),
                            _locked_motor_force(arm, theta, delta, q_cmd, tau0))
     # tip x force, each entry one product minus another as np.cross does it
-    px, py, pz = core.bend_tip(length, wx, wy, quotients)
     mx, my, mz = py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx
-    # NaN where the tendon stiffness k or k r^2 overflows: a failed point
+    # NaN where k r^2 overflows (an infinite k is refused on load): a failed point
     if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)
             and math.isfinite(mx) and math.isfinite(my) and math.isfinite(mz)):
         raise ConfigurationError("perching reaction is not finite")
@@ -424,7 +432,9 @@ def solve_perching_reaction(params, commanded_config, tip_anchor, base_offset,
     c_delta, computed in closed form; like numpy's pinv, it drops a column
     no longer than 1e-15 times the other, which near theta = 0 is c_delta.
     An anchor or offset that is not three finite numbers raises
-    ConfigurationError before the IK.
+    ConfigurationError before the IK.  A target farther than the arm length,
+    or one the IK reaches only bent past pi (the base itself, say), raises
+    UnreachableTargetError; an IK that does not converge, ConvergenceError.
     """
     anchor = _reals(tip_anchor, 3, "tip_anchor")
     offset = _reals(base_offset, 3, "base_offset")
@@ -464,8 +474,9 @@ def run_perching_sweep(params, commanded_config, base_offsets, pretension=0.0, *
     """Perching records over base offsets, the tip pinned at the commanded tip.
 
     The commanded state is built once for all offsets.  A failed point (IK
-    not converged, anchor out of reach, an equilibrium bent past pi) is
-    recorded with converged=False and NaN reaction force and moment.
+    not converged, target out of reach or reached only bent past pi, a
+    reaction that is not finite) is recorded with converged=False and NaN
+    reaction force and moment.
     base_offsets is an (n, 3) array-like or a flat sequence of 3n real
     numbers; a non-finite offset, any other shape or a max_iter that is not an
     integer >= 0 raises ConfigurationError before any point is solved.

@@ -430,9 +430,46 @@ def test_commanded_state_evaluates_no_generalized_force(capsys, tmp_path, monkey
     assert report.tensions.tolist() == list(tau0)
 
 
-def test_perching_sweep_marks_rows_bent_past_pi(capsys, tmp_path):
+def test_perching_point_reuses_the_ik_arc_evaluation(capsys, tmp_path, monkeypatch):
+    # The reaction takes its arc quotients and tip from the IK's last
+    # evaluation: a default perching sweep calls arc_quotients once per axis,
+    # for the anchor's core.position, and bend_tip never; its 21 IK solves
+    # per axis share one start, built once for the commanded state.
+    core = ccarm._kernels.core
+    callers = {"arc_quotients": [], "bend_tip": []}
+    for name in callers:
+        def counting(*args, name=name, kernel=getattr(core, name)):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            return kernel(*args)
+
+        monkeypatch.setattr(core, name, counting)
+    core._tip_start.cache_clear()
+    for axis in ("x", "z"):
+        out_file = tmp_path / f"perch_{axis}.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching", "--out",
+                             str(out_file), "--axis", axis)
+        assert code == 0
+        assert out_file.read_bytes() == (GOLDEN / f"perching_{axis}.csv").read_bytes()
+        assert callers == {"arc_quotients": ["arc_terms"], "bend_tip": []}
+        callers["arc_quotients"].clear()
+    assert core._tip_start.cache_info()[:2] == (41, 1)
+
+
+def test_perching_sweep_marks_rows_bent_past_pi(capsys, tmp_path, monkeypatch):
     # Past 170 mm of base travel along z the pinned tip needs a bend beyond
-    # pi (and at 200 mm the IK gives up): those rows fail, the rest are kept.
+    # pi, so the target is out of reach (and at 200 mm the IK gives up):
+    # those rows fail, the rest are kept.
+    failures = []
+    perch = ccarm.sim._perch
+
+    def recording_perch(*args):
+        try:
+            return perch(*args)
+        except ccarm.CcarmError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(ccarm.sim, "_perch", recording_perch)
     out_file = tmp_path / "past_pi.csv"
     code, _, err = run_cli(capsys, "sweep", "--experiment", "perching", "--out", str(out_file),
                            "--axis", "z", "--travel-mm", "200", "--step-mm", "10")
@@ -442,24 +479,46 @@ def test_perching_sweep_marks_rows_bent_past_pi(capsys, tmp_path):
     assert len(rows) == 41
     failed = [float(row[0]) for row in rows if row[-1] == "no_converge"]
     assert failed == pytest.approx([0.18, 0.19, 0.2, 0.19, 0.18])
+    assert [type(exc) for exc in failures] == [ccarm.UnreachableTargetError] * 2 + [
+        ccarm.ConvergenceError]
+    assert all("past theta_max" in str(exc) for exc in failures[:2])
     assert all(row[1:7] == ["nan"] * 6 for row in rows if row[-1] == "no_converge")
     assert all(row[-1] == "ok" for row in rows if float(row[0]) <= 0.17)
 
 
 def test_perching_sweep_fails_rows_with_a_non_finite_reaction(capsys, tmp_path, params):
-    # the reaction of an arm whose k is inf comes out NaN: such a row is
-    # no_converge, not a nan row marked ok, and the sweep exits 5
+    # k r^2 overflows on a 1e308 m pitch circle and the reaction comes out
+    # NaN: such a row is no_converge, not a nan row marked ok, and the sweep
+    # exits 5
     import dataclasses
-    path = tmp_path / "stiff.params"
-    path.write_text(dump_parameters(dataclasses.replace(
-        params, tendon_youngs_modulus=1e308, tendon_cross_section=1e308)))
-    out_file = tmp_path / "stiff.csv"
+    path = tmp_path / "wide.params"
+    path.write_text(dump_parameters(dataclasses.replace(params, pitch_radius=1e308)))
+    out_file = tmp_path / "wide.csv"
     code, _, _ = run_cli(capsys, "sweep", "--experiment", "perching", "--out", str(out_file),
                          "--params", str(path))
     rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
     assert code == cli.EXIT_SOLVER and len(rows) == 41
+    assert any(row[-1] == "no_converge" for row in rows)
     assert all(row[1:7] == ["nan"] * 6 for row in rows if row[-1] == "no_converge")
     assert all("nan" not in row for row in rows if row[-1] == "ok")
+
+
+def test_perching_sweep_refuses_an_infinite_tendon_stiffness(capsys, tmp_path, params):
+    # E_T = A = 1e308 gives k = inf: the file is refused on load (exit 3)
+    # rather than swept, where the offset-0 rows came out ok with a wrong,
+    # finite reaction
+    text = dump_parameters(params)
+    for key in ("tendon_youngs_modulus_pa", "tendon_cross_section_m2"):
+        line = next(line for line in text.splitlines() if line.startswith(key))
+        text = text.replace(line, f"{key} = 1e308")
+    path = tmp_path / "stiff.params"
+    path.write_text(text)
+    out_file = tmp_path / "stiff.csv"
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "perching",
+                             "--out", str(out_file), "--params", str(path))
+    assert (code, out) == (cli.EXIT_PARAMS, "")
+    assert "derived tendon_axial_stiffness must be finite and > 0, got inf" in err
+    assert not out_file.exists()
 
 
 def test_sweep_solver_failure_exit_code(capsys, tmp_path):

@@ -57,6 +57,33 @@ def test_non_positive_length_errors():
         parameters_from_mapping(doc)
 
 
+@pytest.mark.parametrize("change,name", [
+    ({"tendon_youngs_modulus": 1e308, "tendon_cross_section": 1e308}, "tendon_axial_stiffness"),
+    ({"tendon_youngs_modulus": 1e200, "backbone_length": 1e-200}, "tendon_axial_stiffness"),
+    ({"tendon_youngs_modulus": 1e-200, "tendon_cross_section": 1e-200},
+     "tendon_axial_stiffness"),
+    ({"backbone_youngs_modulus": 1e308, "backbone_second_moment": 1e308}, "flexural_rigidity"),
+    ({"backbone_youngs_modulus": 1e-200, "backbone_second_moment": 1e-200},
+     "flexural_rigidity"),
+], ids=["k-inf", "k-short-arm-inf", "k-zero", "ei-inf", "ei-zero"])
+def test_derived_stiffness_must_be_finite_and_positive(change, name):
+    # Each field is finite and > 0, but their product overflows or underflows.
+    # With k = inf a perching sweep used to report its offset-0 rows ok with
+    # a finite, wrong reaction: the locked tension tau0 - inf * 0 is NaN, and
+    # the slack test dropped that tendon.
+    with pytest.raises(ParameterError, match=f"derived {name} must be finite and > 0"):
+        dataclasses.replace(default_parameters(), **change)
+    doc = dict(DEFAULT_DOC, backbone_second_moment_m4=default_parameters().backbone_second_moment)
+    del doc["backbone_diameter_m"]
+    keys = {"tendon_youngs_modulus": "tendon_youngs_modulus_pa",
+            "tendon_cross_section": "tendon_cross_section_m2",
+            "backbone_length": "backbone_length_m",
+            "backbone_youngs_modulus": "backbone_youngs_modulus_pa",
+            "backbone_second_moment": "backbone_second_moment_m4"}
+    with pytest.raises(ParameterError, match=name):
+        parameters_from_mapping(dict(doc, **{keys[k]: v for k, v in change.items()}))
+
+
 def test_uneven_division_angle_warns_but_loads():
     doc = dict(DEFAULT_DOC, tendon_division_angle_rad=math.pi / 3)
     with pytest.warns(UserWarning, match="unevenly"):

@@ -199,18 +199,26 @@ def _bits(result):
     return [x.hex() if type(x) is float else x for x in result]
 
 
+def _flat(result):
+    # A kernel result with its tuple entries (the IK's quotients and tip)
+    # spliced in, so that _bits sees every float.
+    return [v for x in result for v in (x if type(x) is tuple else (x,))]
+
+
 def test_kernels_compute_on_python_floats(params, bend30):
     # Numpy inputs are coerced once at kernel entry: the bend vector and the
     # residual come back as Python floats, bitwise equal to a plain-float call.
     force = 0.5 * radial_load_direction(bend30, "inward")
     target = forward_kinematics(params, wrap_configuration(0.55, 0.1)).position
-    for kernel, args in zip((ccarm.sim.core.solve_deflection,
-                             ccarm.sim.core.solve_tip_constraint),
-                            _kernel_inputs(params, bend30, force, target)):
+    # The IK adds the arc quotients (a, s, b, c) and the tip at its result.
+    for kernel, extra, args in zip((ccarm.sim.core.solve_deflection,
+                                    ccarm.sim.core.solve_tip_constraint), (0, 7),
+                                   _kernel_inputs(params, bend30, force, target)):
         result = kernel(*args)
         assert result[4] == 1
-        assert [type(x) for x in result] == [float, float, int, float, int]
-        assert _bits(result) == _bits(kernel(*_as_plain(args)))
+        types = [type(x) for x in _flat(result)]
+        assert types == [float, float, int, float, int] + [float] * extra
+        assert _bits(_flat(result)) == _bits(_flat(kernel(*_as_plain(args))))
     # The deflection kernel coerces its memoized inputs on a miss only.  After
     # a miss with float tuples, hits with q_cmd and tau0 as tuples of numpy
     # floats or of ints, or with a numpy-scalar length, give the miss's bits
@@ -475,6 +483,32 @@ def test_force_free_part_inlines_hessian_quotients(theta):
                     hyx, length * (3.0 * (wy * b) + wy * wy * wy * e), length * (c + wy * wy * h))
         part = core._force_free_part(model, wx, wy)
         assert [v.hex() for v in part[2:8] + part[12:]] == [v.hex() for v in expected]
+
+
+def _ulps(x, n):
+    # x moved n units in the last place
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@pytest.mark.parametrize("theta", [0.0, 5e-324,
+                                   *(_ulps(core.SMOOTH_THRESHOLD, n) for n in range(-3, 4)),
+                                   1.0, math.pi])
+def test_bend_point_inlines_arc_quotients(theta):
+    # _bend_point writes arc_quotients out: its quotients are bitwise
+    # arc_quotients at hypot(wx, wy), its tip bend_tip's from them and its
+    # J_p the deflection evaluation's, with w on an axis or off both.
+    length = 0.25
+    model = (length, 0.02, 0.0098, 1580.0, ())
+    for wx, wy in ((theta, 0.0), (-0.0, -theta), (theta * math.cos(0.7), theta * math.sin(0.7))):
+        tip, jp, quotients = core._bend_point(length, wx, wy)
+        expected = core.arc_quotients(math.hypot(wx, wy))
+        assert [v.hex() for v in quotients] == [v.hex() for v in expected]
+        assert [v.hex() for v in tip] == [v.hex() for v in core.bend_tip(length, wx, wy,
+                                                                          expected)]
+        part = core._force_free_part(model, wx, wy)
+        assert [v.hex() for v in jp] == [v.hex() for v in part[2:8]]
 
 
 @pytest.mark.parametrize("theta", [0.0, 5e-324])
@@ -972,13 +1006,10 @@ def test_perching_rejects_non_finite_anchor_or_offset(params, bend30, monkeypatc
     assert ik_solves == []
 
 
-@pytest.mark.parametrize("change", [
-    {"tendon_youngs_modulus": 1e308, "tendon_cross_section": 1e308},
-    {"pitch_radius": 1e308},
-], ids=["k-inf", "k-r2-overflows"])
+@pytest.mark.parametrize("change", [{"pitch_radius": 1e308}], ids=["k-r2-overflows"])
 def test_perching_reaction_that_is_not_finite_fails_the_point(params, bend30, change):
-    # k is inf, or k r^2 overflows: the reaction comes out NaN, and the point
-    # fails rather than report a converged NaN wrench
+    # k r^2 overflows: the reaction comes out NaN, and the point fails rather
+    # than report a converged NaN wrench (an infinite k is refused on load)
     arm = dataclasses.replace(params, **change)
     anchor = forward_kinematics(arm, bend30).position
     with pytest.raises(ConfigurationError, match="not finite"):
@@ -992,3 +1023,48 @@ def test_perching_unreachable_anchor(params, bend30):
     anchor = forward_kinematics(params, bend30).position
     with pytest.raises(UnreachableTargetError):
         solve_perching_reaction(params, bend30, anchor, [-0.2, 0.0, 0.0])
+
+
+def test_perching_target_at_the_base_is_unreachable(params):
+    # The IK converges to a full circle, a bend of 2 pi: the target is out of
+    # reach within theta_max, not a bad configuration argument.
+    bend = wrap_configuration(0.5, 0.3)
+    with pytest.raises(UnreachableTargetError, match=r"\(0, 0, 0\) m .* past theta_max"):
+        solve_perching_reaction(params, bend, [0, 0, 0], [0, 0, 0])
+    anchor = forward_kinematics(params, bend).position
+    records = run_perching_sweep(params, bend, [[0.0, 0.0, 0.0], anchor.tolist()])
+    assert [record.converged for record in records] == [True, False]
+    assert np.isnan(records[1].reaction_force).all()
+    assert records[1].equilibrium_config == bend
+
+
+def _ik(length, w0, target):
+    return core.solve_tip_constraint(length, *w0, *target, 1e-6, 1e-8, 100)
+
+
+def test_ik_start_memo_gives_the_cold_bits(params):
+    # A hit on the memoized IK start gives the bits of a cold start, for a
+    # numpy length or start too (an array keys on its floats), and a zero
+    # start of either sign keeps its own: the straight target is met at the
+    # start, returned as it is.
+    length = params.backbone_length
+    straight = (0.0, 0.0, length)
+    bent = forward_kinematics(params, wrap_configuration(0.55, 0.1)).position.tolist()
+    starts = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.5236, 0.0), (0.3, -0.2)]
+    for target in (straight, bent):
+        cold = []
+        for w0 in starts:
+            core._tip_start.cache_clear()
+            cold.append(_bits(_flat(_ik(length, w0, target))))
+        core._tip_start.cache_clear()
+        for w0, bits in zip(starts, cold):
+            assert _bits(_flat(_ik(length, w0, target))) == bits  # fills the memo
+        for w0, bits in zip(starts, cold):
+            info = core._tip_start.cache_info()
+            for args in ((length, w0), (np.float64(length), w0),
+                         (length, tuple(map(np.float64, w0))), (np.array(length), w0)):
+                assert _bits(_flat(_ik(*args, target))) == bits
+            assert core._tip_start.cache_info()[:2] == (info.hits + 4, info.misses)
+        if target is straight:
+            assert [b[:2] for b in cold[:4]] == [[x.hex() for x in w0] for w0 in starts[:4]]
+            assert len({tuple(b) for b in cold[:4]}) == 4
